@@ -1,10 +1,15 @@
-"""Benchmark the numba kernels against the pure-numpy fallback.
+"""Time the literal protocol kernels against merge_coaxial plus kernel.
 
 Builds a synthetic binary-noise batch shaped like the fast-sampling sweep
-(per-sample steps, many segments per slot) and times each backend on the
-three protocol kernels.  Run from the repository root:
+(per-sample steps on one axis, many segments per slot) and times, for each
+protocol, the kernel on the literal segment chain and merge_coaxial followed
+by the kernel on the merged chain, as the ensemble dispatch runs them.
+Throughput is given in requested segment updates per second (realizations x
+segments before merging), so the two columns are directly comparable.  The
+active kernel backend is printed; set IFMSIM_NO_NUMBA=1 to time the numpy
+path.  Run from the repository root:
 
-    python benchmarks/bench_kernels.py --realizations 200 --slots 20 --samples-per-slot 250
+    PYTHONPATH=src python benchmarks/bench_kernels.py --realizations 200 --slots 20 --samples-per-slot 250
 """
 
 from __future__ import annotations
@@ -18,18 +23,18 @@ from ifmsim import kernels
 from ifmsim.core import basis_state, pure_density
 
 
-def time_call(fn, *args, repeats=3):
+def time_call(fn, repeats=3):
     best = np.inf
     out = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        out = fn(*args)
+        out = fn()
         best = min(best, time.perf_counter() - t0)
     return best, out
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description="Compare protocol-kernel backends")
+    parser = argparse.ArgumentParser(description="Time literal and merged protocol kernels")
     parser.add_argument("--realizations", type=int, default=200)
     parser.add_argument("--slots", type=int, default=20)
     parser.add_argument("--samples-per-slot", type=int, default=250)
@@ -46,39 +51,29 @@ def main() -> None:
     psi2 = basis_state(2, 0)
     psi3 = basis_state(3, 0)
     rho3 = pure_density(psi3)
+    updates = args.realizations * n_seg
 
     print(f"batch: {args.realizations} realizations x {n_seg} segments "
-          f"({args.slots} slots); numba available: {kernels.HAVE_NUMBA}")
+          f"({args.slots} slots); {kernels.BACKEND} kernels")
 
-    def qubit_jit():
-        out = np.empty((args.realizations, 2))
-        kernels._qubit_populations_jit(dtheta, chi, psi2, out)
-        return out
+    def qubit(d, c, o):
+        return kernels.qubit_populations(d, c, psi2)
 
-    def cifm_jit():
-        out = np.empty((args.realizations, 3))
-        kernels._cifm_populations_jit(dtheta, chi, offsets, phi, psi3, out)
-        return out
+    def cifm(d, c, o):
+        return kernels.cifm_populations(d, c, o, phi, psi3)
 
-    def pifm_jit():
-        out = np.empty((args.realizations, 3))
-        kernels._pifm_populations_jit(dtheta, chi, offsets, phi, rho3, out)
-        return out
+    def pifm(d, c, o):
+        return kernels.pifm_populations(d, c, o, phi, rho3)
 
-    cases = [
-        ("qubit", lambda: kernels._qubit_populations_np(dtheta, chi, psi2), qubit_jit),
-        ("cifm", lambda: kernels._cifm_populations_np(dtheta, chi, offsets, phi, psi3), cifm_jit),
-        ("pifm", lambda: kernels._pifm_populations_np(dtheta, chi, offsets, phi, rho3), pifm_jit),
-    ]
-    for name, np_fn, jit_fn in cases:
-        t_np, ref = time_call(np_fn)
-        line = f"{name:>5}: numpy {t_np * 1e3:8.1f} ms"
-        if kernels.HAVE_NUMBA:
-            jit_fn()  # warm up / compile
-            t_jit, out = time_call(jit_fn)
-            diff = float(np.max(np.abs(out - ref)))
-            line += f" | numba {t_jit * 1e3:8.1f} ms | speedup {t_np / t_jit:5.1f}x | max diff {diff:.2e}"
-        print(line)
+    for name, kernel in (("qubit", qubit), ("cifm", cifm), ("pifm", pifm)):
+        # the qubit has no slot structure: the dispatch merges its whole chain
+        slot_edges = None if name == "qubit" else offsets
+        t_lit, ref = time_call(lambda: kernel(dtheta, chi, offsets))
+        t_merge, out = time_call(lambda: kernel(*kernels.merge_coaxial(dtheta, chi, slot_edges)))
+        diff = float(np.max(np.abs(out - ref)))
+        print(f"{name:>5}: literal {t_lit * 1e3:9.1f} ms ({updates / t_lit:9.3g} updates/s) | "
+              f"merged {t_merge * 1e3:7.1f} ms ({updates / t_merge:9.3g} updates/s) | "
+              f"speedup {t_lit / t_merge:6.1f}x | max diff {diff:.2e}")
 
 
 if __name__ == "__main__":

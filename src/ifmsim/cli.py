@@ -101,17 +101,31 @@ def parse_float_list(text: str) -> tuple[float, ...]:
     return values
 
 
+def _as_int(raw, name: str, minimum: int) -> int:
+    """int(raw), or a ConfigError naming the key when it is not an integer >= minimum."""
+    try:
+        value = int(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def _int_key(config: dict, section: str, key: str, default: int, minimum: int) -> int:
+    return _as_int(_get(config, section, key, default), f"[{section}] {key}", minimum)
+
+
 def _resolve_seed(config: dict, cli_seed) -> tuple[int, str]:
     env = os.environ.get("IFMSIM_SEED")
     if cli_seed is not None:
-        return int(cli_seed), "cli"
+        return _as_int(cli_seed, "--seed", 0), "cli"
     if env is not None:
-        return int(env), "env"
-    raw = _get(config, "run", "seed")
-    if raw is None:
-        raw = _get(config, "fcs", "seed")
-    if raw is not None:
-        return int(raw), "config"
+        return _as_int(env, "IFMSIM_SEED", 0), "env"
+    for section in ("run", "fcs"):
+        raw = _get(config, section, "seed")
+        if raw is not None:
+            return _as_int(raw, f"[{section}] seed", 0), "config"
     return 0, "default"
 
 
@@ -196,9 +210,11 @@ def cmd_sweep(args) -> int:
     config = load_config(args.config)
     seed, seed_source = _resolve_seed(config, args.seed)
     mode = _require(config, "run", "mode")
-    realizations = int(_get(config, "run", "realizations", 500))
-    threads = args.threads or int(_get(config, "run", "threads", 0))
+    realizations = _int_key(config, "run", "realizations", 500, 1)
+    threads = args.threads or _int_key(config, "run", "threads", 0, 0)
     n_values = parse_int_list(_require(config, "grid", "n_values"))
+    if min(n_values) < 1:
+        raise ConfigError(f"[grid] n_values entries must be >= 1, got {min(n_values)}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     prefix = Path(args.config).stem
@@ -327,14 +343,14 @@ def cmd_fcs(args) -> int:
     kappa = float(fsec["kappa_t"]) / total if "kappa_t" in fsec else float(
         _require(config, "fcs", "kappa"))
     theta = float(_require(config, "fcs", "theta"))
-    realizations = int(fsec.get("realizations", 10000))
-    n_slots = int(fsec.get("slots", 40))
+    realizations = _int_key(config, "fcs", "realizations", 10000, 1)
+    n_slots = _int_key(config, "fcs", "slots", 40, 1)
     lam_max = float(fsec.get("lambda_max", 2.0))
-    lam_count = int(fsec.get("lambda_count", 41))
-    if lam_count < 3 or lam_count % 2 == 0:
-        raise ConfigError("lambda_count must be an odd integer >= 3")
+    lam_count = _int_key(config, "fcs", "lambda_count", 41, 3)
+    if lam_count % 2 == 0:
+        raise ConfigError("[fcs] lambda_count must be an odd integer >= 3")
     h = float(fsec.get("moment_step", 0.01))
-    threads = args.threads or int(fsec.get("threads", 0))
+    threads = args.threads or _int_key(config, "fcs", "threads", 0, 0)
     lambdas = np.linspace(-lam_max, lam_max, lam_count)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

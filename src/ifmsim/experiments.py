@@ -278,6 +278,11 @@ def _run_populations(protocol, dtheta, chi, offsets, n_slots, initial):
 
 def _populations_parallel(protocol, dtheta, chi, offsets, n_slots, threads, initial=None):
     initial = _initial(protocol) if initial is None else initial
+    # merged once over the full batch, before the row split, so the merged
+    # layout (and every result) is the same for any thread count; the qubit
+    # has no slot structure, so its whole chain is one slot
+    dtheta, chi, offsets = kernels.merge_coaxial(
+        dtheta, chi, None if protocol == "qubit" else offsets)
     workers = _resolve_threads(threads)
     r = dtheta.shape[0]
     if workers == 1 or r < 4 * workers:

@@ -86,6 +86,34 @@ def test_sweep_rerun_is_byte_identical(tmp_path):
     assert a == b
 
 
+def test_merging_kappa_sweep_is_byte_identical_across_threads(tmp_path):
+    # 200 and 125 coaxial samples per slot, so the dispatch merges segment
+    # runs before the rows are split across workers
+    cfg = write(tmp_path, "kappa.cfg", """
+[run]
+mode = kappa
+realizations = 40
+seed = 99
+
+[grid]
+n_values = 5,8
+kappa_inv_fractions = 0.1,1.0
+
+[noise]
+delta_theta = 0.0125663706
+
+[timing]
+sample_rate = 1e8
+""")
+    blobs = []
+    for threads in (1, 3, 4):
+        out = tmp_path / f"t{threads}"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--threads", str(threads)]) == EXIT_OK
+        blobs.append((out / "kappa_stats.csv").read_bytes())
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
 def test_sweep_json_format_embeds_results(tmp_path):
     cfg = write(tmp_path, "small.cfg", SMALL_SWEEP)
     out = tmp_path / "json_out"
@@ -108,6 +136,33 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     cfg = write(tmp_path, "broken.cfg", "not an ini file at all\n")
     code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("line, replacement, key", [
+    ("realizations = 30", "realizations = abc", "realizations"),
+    ("seed = 4242", "seed = 4242\nthreads = 1.5", "threads"),
+    ("n_values = 2,5,10", "n_values = 0-2", "n_values"),
+], ids=["realizations", "threads", "n_values"])
+def test_bad_sweep_value_exits_2_naming_key(tmp_path, capsys, line, replacement, key):
+    cfg = write(tmp_path, "bad.cfg", SMALL_SWEEP.replace(line, replacement))
+    code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
+def test_bad_fcs_value_exits_2_naming_key(tmp_path, capsys):
+    cfg = write(tmp_path, "fcs.cfg", SMALL_FCS.replace("slots = 20", "slots = twenty"))
+    code = main(["fcs", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "slots" in capsys.readouterr().err
+
+
+def test_non_integer_env_seed_exits_2(tmp_path, capsys, monkeypatch):
+    cfg = write(tmp_path, "small.cfg", SMALL_SWEEP)
+    monkeypatch.setenv("IFMSIM_SEED", "12ab")
+    code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "IFMSIM_SEED" in capsys.readouterr().err
 
 
 def test_env_seed_override_recorded(tmp_path):
