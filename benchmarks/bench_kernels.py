@@ -5,9 +5,8 @@ Builds a synthetic binary-noise batch shaped like the fast-sampling sweep
 protocol, the kernel on the literal segment chain and merge_coaxial followed
 by the kernel on the merged chain, as the ensemble dispatch runs them.
 Throughput is given in requested segment updates per second (realizations x
-segments before merging), so the two columns are directly comparable.  The
-active kernel backend is printed; set IFMSIM_NO_NUMBA=1 to time the numpy
-path.  Run from the repository root:
+segments before merging), so the two columns are directly comparable.  Run
+from the repository root:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py --realizations 200 --slots 20 --samples-per-slot 250
 """
@@ -20,7 +19,7 @@ import time
 import numpy as np
 
 from ifmsim import kernels
-from ifmsim.core import basis_state, pure_density
+from ifmsim.core import basis_state
 
 
 def time_call(fn, repeats=3):
@@ -50,11 +49,10 @@ def main() -> None:
     phi = np.pi / (args.slots + 1)
     psi2 = basis_state(2, 0)
     psi3 = basis_state(3, 0)
-    rho3 = pure_density(psi3)
     updates = args.realizations * n_seg
 
     print(f"batch: {args.realizations} realizations x {n_seg} segments "
-          f"({args.slots} slots); {kernels.BACKEND} kernels")
+          f"({args.slots} slots)")
 
     def qubit(d, c, o):
         return kernels.qubit_populations(d, c, psi2)
@@ -63,7 +61,7 @@ def main() -> None:
         return kernels.cifm_populations(d, c, o, phi, psi3)
 
     def pifm(d, c, o):
-        return kernels.pifm_populations(d, c, o, phi, rho3)
+        return kernels.pifm_populations(d, c, o, phi, psi3)
 
     for name, kernel in (("qubit", qubit), ("cifm", cifm), ("pifm", pifm)):
         # the qubit has no slot structure: the dispatch merges its whole chain

@@ -8,6 +8,9 @@ engine, and counting-statistics tooling needed to characterize them.
 
 __version__ = "0.1.0"
 
+#: The protocol kernels are numpy loops; benchmark records carry this name.
+kernel_backend = "numpy"
+
 from .core import (
     DimensionMismatchError,
     apply_unitary,
@@ -16,7 +19,6 @@ from .core import (
     populations,
     pure_density,
 )
-from .kernels import BACKEND as kernel_backend
 from .noise import (
     ColorSpec,
     NoiseTrace,

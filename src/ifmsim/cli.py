@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, experiments, kernels, noise
+from . import __version__, experiments, noise
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -116,6 +116,41 @@ def _int_key(config: dict, section: str, key: str, default: int, minimum: int) -
     return _as_int(_get(config, section, key, default), f"[{section}] {key}", minimum)
 
 
+def _float_key(config: dict, section: str, key: str, default: float | None = None) -> float:
+    """A finite float; required when default is None.  A ConfigError names the key."""
+    raw = _require(config, section, key) if default is None else _get(config, section, key, default)
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"[{section}] {key} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
+    return value
+
+
+#: Every key each subcommand reads, by section.
+_SWEEP_KEYS = {
+    "run": {"mode", "protocol", "scenario", "realizations", "seed", "threads"},
+    "grid": {"n_values", "kappa_inv_fractions"},
+    "noise": {"theta_max", "theta_lo", "theta_hi", "theta_slot", "samples_per_slot",
+              "alpha", "delta_theta", "theta"},
+    "timing": {"total_duration", "sample_rate"},
+}
+_FCS_KEYS = {
+    "fcs": {"kappa_t", "kappa", "theta", "total_duration", "slots", "lambda_max",
+            "lambda_count", "realizations", "moment_step", "seed", "threads"},
+}
+
+
+def _check_keys(config: dict, known: dict) -> None:
+    for section, keys in config.items():
+        if section not in known:
+            raise ConfigError(f"unknown section [{section}]; expected {sorted(known)}")
+        for key in keys:
+            if key not in known[section]:
+                raise ConfigError(f"unknown key '{key}' in section [{section}]")
+
+
 def _resolve_seed(config: dict, cli_seed) -> tuple[int, str]:
     env = os.environ.get("IFMSIM_SEED")
     if cli_seed is not None:
@@ -137,7 +172,6 @@ def _manifest(config, seed, seed_source, outputs, started, finished) -> dict:
     return {
         "tool": "ifmsim",
         "version": __version__,
-        "kernel_backend": kernels.BACKEND,
         "config": config,
         "config_hash": config_hash(config),
         "master_seed": seed,
@@ -180,34 +214,35 @@ _SCENARIO_KEYS = ("zero_sum", "amplitude", "amplitude_phase", "phase", "colored_
 
 
 def _build_scenario(name: str, config: dict):
-    nsec = config.get("noise", {})
     if name == "zero_sum":
-        return experiments.ZeroSumAmplitude(theta_max=float(nsec.get("theta_max", math.pi)))
+        return experiments.ZeroSumAmplitude(
+            theta_max=_float_key(config, "noise", "theta_max", math.pi))
     if name == "amplitude":
         return experiments.WhiteAmplitude(
-            theta_lo=float(nsec.get("theta_lo", 0.0)),
-            theta_hi=float(nsec.get("theta_hi", math.pi)),
+            theta_lo=_float_key(config, "noise", "theta_lo", 0.0),
+            theta_hi=_float_key(config, "noise", "theta_hi", math.pi),
         )
     if name == "amplitude_phase":
         return experiments.WhiteAmplitudePhase(
-            theta_max=float(nsec.get("theta_max", math.pi)),
-            samples_per_slot=int(nsec.get("samples_per_slot", 2)),
+            theta_max=_float_key(config, "noise", "theta_max", math.pi),
+            samples_per_slot=_int_key(config, "noise", "samples_per_slot", 2, 1),
         )
     if name == "phase":
         return experiments.WhitePhase(
-            theta_slot=float(nsec.get("theta_slot", math.pi)),
-            samples_per_slot=int(nsec.get("samples_per_slot", 2)),
+            theta_slot=_float_key(config, "noise", "theta_slot", math.pi),
+            samples_per_slot=_int_key(config, "noise", "samples_per_slot", 2, 1),
         )
     if name == "colored_phase":
         return experiments.ColoredPhase(
-            alpha=int(nsec.get("alpha", 0)),
-            theta_slot=float(nsec.get("theta_slot", math.pi / 2)),
+            alpha=_int_key(config, "noise", "alpha", 0, -2),
+            theta_slot=_float_key(config, "noise", "theta_slot", math.pi / 2),
         )
     raise ConfigError(f"unknown scenario {name!r}; expected one of {_SCENARIO_KEYS}")
 
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
+    _check_keys(config, _SWEEP_KEYS)
     seed, seed_source = _resolve_seed(config, args.seed)
     mode = _require(config, "run", "mode")
     realizations = _int_key(config, "run", "realizations", 500, 1)
@@ -242,9 +277,9 @@ def cmd_sweep(args) -> int:
             "std": sweep.stats.std.tolist(),
         }
     elif mode == "kappa":
-        total = float(_get(config, "timing", "total_duration", 1e-5))
-        rate = float(_get(config, "timing", "sample_rate", 1e9))
-        delta = float(_require(config, "noise", "delta_theta"))
+        total = _float_key(config, "timing", "total_duration", 1e-5)
+        rate = _float_key(config, "timing", "sample_rate", 1e9)
+        delta = _float_key(config, "noise", "delta_theta")
         fractions = parse_float_list(_require(config, "grid", "kappa_inv_fractions"))
         kinvs = tuple(f * total for f in fractions)
         grid = experiments.sweep_kappa_N(
@@ -267,8 +302,8 @@ def cmd_sweep(args) -> int:
             "anomalous_n": list(grid.anomalies),
         }
     elif mode == "clustering":
-        total = float(_get(config, "timing", "total_duration", 1e-5))
-        theta = float(_get(config, "noise", "theta", math.pi))
+        total = _float_key(config, "timing", "total_duration", 1e-5)
+        theta = _float_key(config, "noise", "theta", math.pi)
         fractions = parse_float_list(_require(config, "grid", "kappa_inv_fractions"))
         kinvs = tuple(f * total for f in fractions)
         result = experiments.clustering_sweep(
@@ -337,19 +372,21 @@ def cmd_table1(args) -> int:
 
 def cmd_fcs(args) -> int:
     config = load_config(args.config)
+    _check_keys(config, _FCS_KEYS)
     seed, seed_source = _resolve_seed(config, args.seed)
-    fsec = config.get("fcs", {})
-    total = float(fsec.get("total_duration", 1e-5))
-    kappa = float(fsec["kappa_t"]) / total if "kappa_t" in fsec else float(
-        _require(config, "fcs", "kappa"))
-    theta = float(_require(config, "fcs", "theta"))
+    total = _float_key(config, "fcs", "total_duration", 1e-5)
+    if _get(config, "fcs", "kappa_t") is not None:
+        kappa = _float_key(config, "fcs", "kappa_t") / total
+    else:
+        kappa = _float_key(config, "fcs", "kappa")
+    theta = _float_key(config, "fcs", "theta")
     realizations = _int_key(config, "fcs", "realizations", 10000, 1)
     n_slots = _int_key(config, "fcs", "slots", 40, 1)
-    lam_max = float(fsec.get("lambda_max", 2.0))
+    lam_max = _float_key(config, "fcs", "lambda_max", 2.0)
     lam_count = _int_key(config, "fcs", "lambda_count", 41, 3)
     if lam_count % 2 == 0:
         raise ConfigError("[fcs] lambda_count must be an odd integer >= 3")
-    h = float(fsec.get("moment_step", 0.01))
+    h = _float_key(config, "fcs", "moment_step", 0.01)
     threads = args.threads or _int_key(config, "fcs", "threads", 0, 0)
     lambdas = np.linspace(-lam_max, lam_max, lam_count)
     out_dir = Path(args.out)
@@ -510,8 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_noise.add_argument("--out", default="out")
     p_noise.set_defaults(func=cmd_noise)
 
-    p_version = sub.add_parser("version", help="print version and kernel backend")
-    p_version.set_defaults(func=lambda args: print(f"ifmsim {__version__} ({kernels.BACKEND} kernels)") or EXIT_OK)
+    p_version = sub.add_parser("version", help="print the version")
+    p_version.set_defaults(func=lambda args: print(f"ifmsim {__version__}") or EXIT_OK)
 
     return parser
 

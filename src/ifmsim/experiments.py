@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import basis_state, pure_density
+from .core import basis_state
 from .noise import (
     ColorSpec,
     estimate_psd,
@@ -28,7 +28,7 @@ from .noise import (
     gen_white_top,
     gen_zero_sum,
 )
-from .pulses import BeamSplitterSpec
+from .protocols import PROTOCOLS, batch_populations
 
 __all__ = [
     "AMPLITUDE_AXIS",
@@ -60,8 +60,6 @@ __all__ = [
 
 #: Axis angle of pure amplitude noise: rotation axis (cos chi, -sin chi) = (0, 1).
 AMPLITUDE_AXIS = -math.pi / 2.0
-
-_PROTOCOLS = ("qubit", "cifm", "pifm")
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +232,7 @@ class SweepConfig:
     threads: int = 0
 
     def __post_init__(self) -> None:
-        if self.protocol not in _PROTOCOLS:
+        if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if not self.n_values:
             raise ValueError("n_values must be nonempty")
@@ -259,25 +257,9 @@ def _resolve_threads(threads: int) -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _initial(protocol: str):
-    if protocol == "qubit":
-        return basis_state(2, 0)
-    if protocol == "cifm":
-        return basis_state(3, 0)
-    return pure_density(basis_state(3, 0))
-
-
-def _run_populations(protocol, dtheta, chi, offsets, n_slots, initial):
-    if protocol == "qubit":
-        return kernels.qubit_populations(dtheta, chi, initial)
-    phi = BeamSplitterSpec(n_slots).phi
-    if protocol == "cifm":
-        return kernels.cifm_populations(dtheta, chi, offsets, phi, initial)
-    return kernels.pifm_populations(dtheta, chi, offsets, phi, initial)
-
-
-def _populations_parallel(protocol, dtheta, chi, offsets, n_slots, threads, initial=None):
-    initial = _initial(protocol) if initial is None else initial
+def _populations_parallel(protocol, dtheta, chi, offsets, threads, initial=None):
+    if initial is None:
+        initial = basis_state(PROTOCOLS[protocol].levels, 0)
     # merged once over the full batch, before the row split, so the merged
     # layout (and every result) is the same for any thread count; the qubit
     # has no slot structure, so its whole chain is one slot
@@ -286,26 +268,23 @@ def _populations_parallel(protocol, dtheta, chi, offsets, n_slots, threads, init
     workers = _resolve_threads(threads)
     r = dtheta.shape[0]
     if workers == 1 or r < 4 * workers:
-        return _run_populations(protocol, dtheta, chi, offsets, n_slots, initial)
-    levels = 2 if protocol == "qubit" else 3
-    out = np.empty((r, levels))
+        return batch_populations(protocol, dtheta, chi, offsets, initial)
+    out = np.empty((r, PROTOCOLS[protocol].levels))
     bounds = np.linspace(0, r, workers + 1, dtype=int)
 
     def work(k):
         lo, hi = bounds[k], bounds[k + 1]
         if hi > lo:
-            out[lo:hi] = _run_populations(
-                protocol, dtheta[lo:hi], chi[lo:hi], offsets, n_slots, initial
-            )
+            out[lo:hi] = batch_populations(protocol, dtheta[lo:hi], chi[lo:hi], offsets, initial)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(work, range(workers)))
     return out
 
 
-def ensemble_markers(protocol, scenario, n_slots, realizations, master_seed,
-                     point_index=0, threads=0) -> np.ndarray:
-    """Marker populations of `realizations` independent protocol runs."""
+def _sample_batch(scenario, n_slots, realizations, master_seed, point_index):
+    """(dtheta, chi, offsets) of the ensemble; row r comes from its own
+    default_rng([master_seed, point_index, r])."""
     offsets = scenario.offsets(n_slots)
     n_seg = int(offsets[-1])
     dtheta = np.empty((realizations, n_seg))
@@ -313,8 +292,19 @@ def ensemble_markers(protocol, scenario, n_slots, realizations, master_seed,
     for r in range(realizations):
         rng = np.random.default_rng([master_seed, point_index, r])
         dtheta[r], chi[r] = scenario.sample(n_slots, rng)
-    pops = _populations_parallel(protocol, dtheta, chi, offsets, n_slots, threads)
-    return pops[:, 1] if protocol == "qubit" else pops[:, 0]
+    return dtheta, chi, offsets
+
+
+def _markers(protocol, batch, threads) -> np.ndarray:
+    pops = _populations_parallel(protocol, *batch, threads)
+    return pops[:, PROTOCOLS[protocol].marker]
+
+
+def ensemble_markers(protocol, scenario, n_slots, realizations, master_seed,
+                     point_index=0, threads=0) -> np.ndarray:
+    """Marker populations of `realizations` independent protocol runs."""
+    batch = _sample_batch(scenario, n_slots, realizations, master_seed, point_index)
+    return _markers(protocol, batch, threads)
 
 
 def _stats(markers_by_point: list[np.ndarray]) -> EnsembleStats:
@@ -437,10 +427,10 @@ def clustering_sweep(n_values, kappa_inv_values, realizations=2000, master_seed=
     for i, n in enumerate(n_values):
         for j, kinv in enumerate(kappa_inv_values):
             scenario = BinarySlotNoise(kappa_inv=kinv, total_duration=total_duration, theta=theta)
-            cifm = ensemble_markers("cifm", scenario, n, realizations, master_seed,
-                                    point_index=point, threads=threads)
-            pifm = ensemble_markers("pifm", scenario, n, realizations, master_seed,
-                                    point_index=point, threads=threads)
+            # one noise batch per point feeds both detectors
+            batch = _sample_batch(scenario, n, realizations, master_seed, point)
+            cifm = _markers("cifm", batch, threads)
+            pifm = _markers("pifm", batch, threads)
             cifm_mean[i, j] = cifm.mean()
             cifm_std[i, j] = cifm.std(ddof=1) if realizations > 1 else 0.0
             pifm_mean[i, j] = pifm.mean()
@@ -503,10 +493,8 @@ def marker_table() -> list[tuple[tuple[float, ...], float, float]]:
         dtheta = np.array(config)[np.newaxis, :]
         chi = np.full_like(dtheta, AMPLITUDE_AXIS)
         offsets = np.arange(5, dtype=np.int64)
-        phi = BeamSplitterSpec(4).phi
-        cifm = kernels.cifm_populations(dtheta, chi, offsets, phi, basis_state(3, 0))[0, 0]
-        pifm = kernels.pifm_populations(dtheta, chi, offsets, phi,
-                                        pure_density(basis_state(3, 0)))[0, 0]
+        cifm, pifm = (batch_populations(protocol, dtheta, chi, offsets, basis_state(3, 0))[0, 0]
+                      for protocol in ("cifm", "pifm"))
         rows.append((config, float(cifm), float(pifm)))
     return rows
 
@@ -563,10 +551,8 @@ def fcs_estimate(kappa, theta, total_duration, lambda_values, realizations,
     sqrt_r = math.sqrt(realizations)
     for i, lam in enumerate(lambda_values):
         dtheta = counts * (lam * theta)
-        pe_g = _populations_parallel("qubit", dtheta, chi, None, n_slots, threads,
-                                     initial=ground)[:, 1]
-        pe_p = _populations_parallel("qubit", dtheta, chi, None, n_slots, threads,
-                                     initial=plus)[:, 1]
+        pe_g = _populations_parallel("qubit", dtheta, chi, None, threads, initial=ground)[:, 1]
+        pe_p = _populations_parallel("qubit", dtheta, chi, None, threads, initial=plus)[:, 1]
         re[i] = 1.0 - 2.0 * pe_g.mean()
         im[i] = 2.0 * pe_p.mean() - 1.0
         if realizations > 1:

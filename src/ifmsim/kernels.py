@@ -1,253 +1,81 @@
-"""Batched inner loops for the three detector protocols.
+"""One batched state-vector loop for the three detector protocols.
 
 Every kernel takes realization-major arrays: dtheta and chi have shape
 (realizations, segments), offsets is the int64 slot-boundary array of
 length n_slots + 1 (slot j spans columns offsets[j]:offsets[j+1]), and the
 result is a (realizations, levels) array of final populations.
 
-Two interchangeable implementations exist: numba-compiled loops (default
-when numba imports) and a pure-numpy path vectorized over realizations.
-Set IFMSIM_NO_NUMBA=1 to force the numpy path.  Both are literal
-time-ordered segment products in double precision; they agree to ~1e-14.
+All three detectors run the same loop, _evolve, vectorized over the
+realizations with numpy.  A qutrit (cifm, pifm) gets a beam splitter on
+levels 0-1 before the first slot and after every slot, and each slot's
+drive segments act on levels 1-2.  The projective detector (pifm) also
+measures |2> after every slot.  Its no-click branch stays a pure,
+sub-normalized state vector, so the loop adds |a2|^2 to a click total and
+zeroes a2; the final p2 is the click total plus |a2|^2.  The qubit is the
+same loop on a 2-level state: the whole chain drives levels 0-1 and there
+is no beam splitter.  The loop is a literal time-ordered segment product
+in double precision and never renormalizes.
 
 Segments on one axis compose exactly to a single rotation by their summed
 angle, so the ensemble dispatch (experiments._populations_parallel) first
 passes each batch through merge_coaxial, which collapses every run of
-equal-axis segments within a slot, and then hands the merged arrays to
-either backend.  Merged results agree with the literal segment product to
-about 1e-14.  benchmarks/bench_kernels.py times the literal kernels against
+equal-axis segments within a slot, and then hands the merged arrays to the
+kernels.  Merged results agree with the literal segment product to about
+1e-14.  benchmarks/bench_kernels.py times the literal kernels against
 merge_coaxial plus kernel.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
-def _numba_disabled() -> bool:
-    return os.environ.get("IFMSIM_NO_NUMBA", "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-if not _numba_disabled():
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
-
-
 # ---------------------------------------------------------------------------
-# pure-numpy implementations (vectorized over the realization axis)
+# the state-vector loop
 # ---------------------------------------------------------------------------
 
-def _apply_segments_np(psi: np.ndarray, dtheta: np.ndarray, chi: np.ndarray,
-                       lo: int, hi: int, row0: int, row1: int) -> None:
-    # rotation on the (row0, row1) block about (cos chi, -sin chi), in place
-    for p in range(lo, hi):
-        half = 0.5 * dtheta[:, p]
-        c = np.cos(half)
-        s = np.sin(half)
-        e = np.exp(1j * chi[:, p])
-        a = psi[:, row0].copy()
-        b = psi[:, row1]
-        psi[:, row0] = c * a - 1j * e * s * b
-        psi[:, row1] = -1j * np.conj(e) * s * a + c * b
-
-
-def _beam_split_np(psi: np.ndarray, c: float, s: float) -> None:
+def _beam_split(psi, c, s) -> None:
     a = psi[:, 0].copy()
     b = psi[:, 1]
     psi[:, 0] = c * a - s * b
     psi[:, 1] = s * a + c * b
 
 
-def _qubit_populations_np(dtheta, chi, psi0):
-    r = dtheta.shape[0]
-    psi = np.tile(np.asarray(psi0, dtype=np.complex128), (r, 1))
-    _apply_segments_np(psi, dtheta, chi, 0, dtheta.shape[1], 0, 1)
-    return np.abs(psi) ** 2
-
-
-def _cifm_populations_np(dtheta, chi, offsets, phi, psi0):
-    r = dtheta.shape[0]
-    c = np.cos(phi / 2.0)
-    s = np.sin(phi / 2.0)
-    psi = np.tile(np.asarray(psi0, dtype=np.complex128), (r, 1))
-    _beam_split_np(psi, c, s)
-    for j in range(len(offsets) - 1):
-        _apply_segments_np(psi, dtheta, chi, offsets[j], offsets[j + 1], 1, 2)
-        _beam_split_np(psi, c, s)
-    return np.abs(psi) ** 2
-
-
-def _segment_unitaries_np(dth, ch):
-    # (r,) angles -> (r, 3, 3) pulse unitaries on the 1-2 block
-    r = dth.shape[0]
-    c = np.cos(0.5 * dth)
-    s = np.sin(0.5 * dth)
-    e = np.exp(1j * ch)
-    u = np.zeros((r, 3, 3), dtype=np.complex128)
-    u[:, 0, 0] = 1.0
-    u[:, 1, 1] = c
-    u[:, 2, 2] = c
-    u[:, 1, 2] = -1j * e * s
-    u[:, 2, 1] = -1j * np.conj(e) * s
-    return u
-
-
-def _pifm_populations_np(dtheta, chi, offsets, phi, rho0):
-    r = dtheta.shape[0]
-    c = np.cos(phi / 2.0)
-    s = np.sin(phi / 2.0)
-    bs = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    rho = np.tile(np.asarray(rho0, dtype=np.complex128), (r, 1, 1))
-    absorbed = np.zeros(r)
-    rho = bs @ rho @ bs.T
-    for j in range(len(offsets) - 1):
-        for p in range(offsets[j], offsets[j + 1]):
-            u = _segment_unitaries_np(dtheta[:, p], chi[:, p])
-            rho = u @ rho @ np.conj(np.swapaxes(u, 1, 2))
-        # measurement: erase 0-2/1-2 coherences, then shelve the detected
-        # population so the click branch stops evolving
-        rho[:, 0, 2] = 0.0
-        rho[:, 1, 2] = 0.0
-        rho[:, 2, 0] = 0.0
-        rho[:, 2, 1] = 0.0
-        absorbed += np.real(rho[:, 2, 2])
-        rho[:, 2, 2] = 0.0
-        rho = bs @ rho @ bs.T
-    out = np.empty((r, 3))
-    out[:, 0] = np.real(rho[:, 0, 0])
-    out[:, 1] = np.real(rho[:, 1, 1])
-    out[:, 2] = absorbed + np.real(rho[:, 2, 2])
+def _evolve(dtheta, chi, offsets, phi, psi0, project) -> np.ndarray:
+    """Final populations of every realization; offsets=None is one slot."""
+    dtheta = np.ascontiguousarray(dtheta, dtype=np.float64)
+    chi = np.ascontiguousarray(chi, dtype=np.float64)
+    psi0 = np.asarray(psi0, dtype=np.complex128)
+    r, n_seg = dtheta.shape
+    edges = (0, n_seg) if offsets is None else np.asarray(offsets, dtype=np.int64)
+    qutrit = psi0.size == 3
+    x, y = (1, 2) if qutrit else (0, 1)  # the driven level pair
+    cb = np.cos(float(phi) / 2.0)
+    sb = np.sin(float(phi) / 2.0)
+    psi = np.tile(psi0, (r, 1))
+    clicks = np.zeros(r)
+    if qutrit:
+        _beam_split(psi, cb, sb)
+    for j in range(len(edges) - 1):
+        for p in range(edges[j], edges[j + 1]):
+            # rotation by dtheta about the axis (cos chi, -sin chi)
+            half = 0.5 * dtheta[:, p]
+            c = np.cos(half)
+            s = np.sin(half)
+            e = np.exp(1j * chi[:, p])
+            a = psi[:, x].copy()
+            b = psi[:, y]
+            psi[:, x] = c * a - 1j * e * s * b
+            psi[:, y] = -1j * np.conj(e) * s * a + c * b
+        if project:
+            clicks += np.abs(psi[:, 2]) ** 2
+            psi[:, 2] = 0.0
+        if qutrit:
+            _beam_split(psi, cb, sb)
+    out = np.abs(psi) ** 2
+    if project:
+        out[:, 2] += clicks
     return out
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _qubit_populations_jit(dtheta, chi, psi0, out):
-        r, n_seg = dtheta.shape
-        for i in range(r):
-            a = psi0[0]
-            b = psi0[1]
-            for p in range(n_seg):
-                half = 0.5 * dtheta[i, p]
-                c = np.cos(half)
-                s = np.sin(half)
-                er = np.cos(chi[i, p])
-                ei = np.sin(chi[i, p])
-                f = (ei - 1j * er) * s      # -i e^{+i chi} sin
-                g = (-ei - 1j * er) * s     # -i e^{-i chi} sin
-                ta = c * a + f * b
-                b = g * a + c * b
-                a = ta
-            out[i, 0] = a.real * a.real + a.imag * a.imag
-            out[i, 1] = b.real * b.real + b.imag * b.imag
-
-    @njit(cache=True, nogil=True)
-    def _cifm_populations_jit(dtheta, chi, offsets, phi, psi0, out):
-        r = dtheta.shape[0]
-        n = offsets.shape[0] - 1
-        cb = np.cos(phi / 2.0)
-        sb = np.sin(phi / 2.0)
-        for i in range(r):
-            a0 = psi0[0]
-            a1 = psi0[1]
-            a2 = psi0[2]
-            t = cb * a0 - sb * a1
-            a1 = sb * a0 + cb * a1
-            a0 = t
-            for j in range(n):
-                for p in range(offsets[j], offsets[j + 1]):
-                    half = 0.5 * dtheta[i, p]
-                    c = np.cos(half)
-                    s = np.sin(half)
-                    er = np.cos(chi[i, p])
-                    ei = np.sin(chi[i, p])
-                    f = (ei - 1j * er) * s
-                    g = (-ei - 1j * er) * s
-                    t1 = c * a1 + f * a2
-                    a2 = g * a1 + c * a2
-                    a1 = t1
-                t = cb * a0 - sb * a1
-                a1 = sb * a0 + cb * a1
-                a0 = t
-            out[i, 0] = a0.real * a0.real + a0.imag * a0.imag
-            out[i, 1] = a1.real * a1.real + a1.imag * a1.imag
-            out[i, 2] = a2.real * a2.real + a2.imag * a2.imag
-
-    @njit(cache=True, nogil=True)
-    def _pifm_populations_jit(dtheta, chi, offsets, phi, rho0, out):
-        r = dtheta.shape[0]
-        n = offsets.shape[0] - 1
-        cb = np.cos(phi / 2.0)
-        sb = np.sin(phi / 2.0)
-        rho = np.empty((3, 3), dtype=np.complex128)
-        tmp = np.empty((3, 3), dtype=np.complex128)
-        for i in range(r):
-            for a in range(3):
-                for b in range(3):
-                    rho[a, b] = rho0[a, b]
-            absorbed = 0.0
-            # beam splitter: real rotation on rows/cols 0-1
-            for b in range(3):
-                t = cb * rho[0, b] - sb * rho[1, b]
-                rho[1, b] = sb * rho[0, b] + cb * rho[1, b]
-                rho[0, b] = t
-            for a in range(3):
-                t = cb * rho[a, 0] - sb * rho[a, 1]
-                rho[a, 1] = sb * rho[a, 0] + cb * rho[a, 1]
-                rho[a, 0] = t
-            for j in range(n):
-                for p in range(offsets[j], offsets[j + 1]):
-                    half = 0.5 * dtheta[i, p]
-                    c = np.cos(half)
-                    s = np.sin(half)
-                    er = np.cos(chi[i, p])
-                    ei = np.sin(chi[i, p])
-                    f = (ei - 1j * er) * s
-                    g = (-ei - 1j * er) * s
-                    # tmp = U rho (U mixes rows 1 and 2)
-                    for b in range(3):
-                        tmp[0, b] = rho[0, b]
-                        tmp[1, b] = c * rho[1, b] + f * rho[2, b]
-                        tmp[2, b] = g * rho[1, b] + c * rho[2, b]
-                    # rho = tmp U^dagger (mixes columns 1 and 2)
-                    fc = np.conj(f)
-                    gc = np.conj(g)
-                    for a in range(3):
-                        rho[a, 0] = tmp[a, 0]
-                        rho[a, 1] = c * tmp[a, 1] + fc * tmp[a, 2]
-                        rho[a, 2] = gc * tmp[a, 1] + c * tmp[a, 2]
-                rho[0, 2] = 0.0
-                rho[1, 2] = 0.0
-                rho[2, 0] = 0.0
-                rho[2, 1] = 0.0
-                absorbed += rho[2, 2].real
-                rho[2, 2] = 0.0
-                for b in range(3):
-                    t = cb * rho[0, b] - sb * rho[1, b]
-                    rho[1, b] = sb * rho[0, b] + cb * rho[1, b]
-                    rho[0, b] = t
-                for a in range(3):
-                    t = cb * rho[a, 0] - sb * rho[a, 1]
-                    rho[a, 1] = sb * rho[a, 0] + cb * rho[a, 1]
-                    rho[a, 0] = t
-            out[i, 0] = rho[0, 0].real
-            out[i, 1] = rho[1, 1].real
-            out[i, 2] = absorbed + rho[2, 2].real
 
 
 # ---------------------------------------------------------------------------
@@ -290,51 +118,24 @@ def merge_coaxial(dtheta, chi, offsets):
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# protocol entry points
 # ---------------------------------------------------------------------------
-
-def _as_c(arr, dtype):
-    return np.ascontiguousarray(arr, dtype=dtype)
-
 
 def qubit_populations(dtheta, chi, psi0) -> np.ndarray:
     """Final (p_g, p_e) for each realization after the flat segment chain."""
-    dtheta = _as_c(dtheta, np.float64)
-    chi = _as_c(chi, np.float64)
-    psi0 = _as_c(psi0, np.complex128)
-    if HAVE_NUMBA:
-        out = np.empty((dtheta.shape[0], 2))
-        _qubit_populations_jit(dtheta, chi, psi0, out)
-        return out
-    return _qubit_populations_np(dtheta, chi, psi0)
+    return _evolve(dtheta, chi, None, 0.0, psi0, project=False)
 
 
 def cifm_populations(dtheta, chi, offsets, phi, psi0) -> np.ndarray:
     """Final (p0, p1, p2) per realization for the coherent protocol."""
-    dtheta = _as_c(dtheta, np.float64)
-    chi = _as_c(chi, np.float64)
-    offsets = _as_c(offsets, np.int64)
-    psi0 = _as_c(psi0, np.complex128)
-    if HAVE_NUMBA:
-        out = np.empty((dtheta.shape[0], 3))
-        _cifm_populations_jit(dtheta, chi, offsets, float(phi), psi0, out)
-        return out
-    return _cifm_populations_np(dtheta, chi, offsets, float(phi), psi0)
+    return _evolve(dtheta, chi, offsets, phi, psi0, project=False)
 
 
-def pifm_populations(dtheta, chi, offsets, phi, rho0) -> np.ndarray:
+def pifm_populations(dtheta, chi, offsets, phi, psi0) -> np.ndarray:
     """Final (p0, p1, p2) per realization for the projective protocol.
 
     p2 accumulates the population detected on |2> at the mid-sequence
     measurements; once detected, that branch is shelved and no longer
-    driven, so the three outputs always sum to the initial trace.
+    driven, so the three outputs always sum to the initial norm.
     """
-    dtheta = _as_c(dtheta, np.float64)
-    chi = _as_c(chi, np.float64)
-    offsets = _as_c(offsets, np.int64)
-    rho0 = _as_c(rho0, np.complex128)
-    if HAVE_NUMBA:
-        out = np.empty((dtheta.shape[0], 3))
-        _pifm_populations_jit(dtheta, chi, offsets, float(phi), rho0, out)
-        return out
-    return _pifm_populations_np(dtheta, chi, offsets, float(phi), rho0)
+    return _evolve(dtheta, chi, offsets, phi, psi0, project=True)

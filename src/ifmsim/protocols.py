@@ -11,15 +11,40 @@ realizations can therefore run in parallel without shared state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .core import DimensionMismatchError, basis_state, pure_density
+from .core import DimensionMismatchError, basis_state
 from .noise import PulseSchedule
 from .pulses import BeamSplitterSpec
 
-__all__ = ["ProtocolResult", "run_cifm", "run_pifm", "run_qubit"]
+__all__ = ["PROTOCOLS", "Protocol", "ProtocolResult", "batch_populations",
+           "run_cifm", "run_pifm", "run_qubit"]
+
+
+class Protocol(NamedTuple):
+    """Shape of one detector: its level count and the marker population index."""
+
+    levels: int
+    marker: int
+
+
+#: Every detector by name.  Each starts in |0> unless given another state.
+PROTOCOLS = {"qubit": Protocol(2, 1), "cifm": Protocol(3, 0), "pifm": Protocol(3, 0)}
+
+
+def batch_populations(protocol: str, dtheta, chi, offsets, psi0) -> np.ndarray:
+    """(realizations, levels) final populations of a segment batch from psi0.
+
+    The kernel is looked up in `kernels` at call time.  The qubit has no
+    slots and ignores offsets.
+    """
+    if protocol == "qubit":
+        return kernels.qubit_populations(dtheta, chi, psi0)
+    phi = BeamSplitterSpec(len(offsets) - 1).phi
+    return getattr(kernels, f"{protocol}_populations")(dtheta, chi, offsets, phi, psi0)
 
 
 @dataclass(frozen=True)
@@ -42,9 +67,20 @@ class ProtocolResult:
         object.__setattr__(self, "populations", pops)
 
 
-def _segment_batch(schedule: PulseSchedule):
+def _populations(protocol: str, schedule: PulseSchedule, psi0) -> np.ndarray:
+    """Final populations of one realization from the pure state psi0 (default |0>)."""
+    levels = PROTOCOLS[protocol].levels
+    psi0 = basis_state(levels, 0) if psi0 is None else np.asarray(psi0, np.complex128)
+    if psi0.shape != (levels,):
+        raise DimensionMismatchError(
+            f"{protocol} initial state must have shape ({levels},), got {psi0.shape}")
     dtheta, chi, offsets = schedule.segment_arrays()
-    return dtheta[np.newaxis, :], chi[np.newaxis, :], offsets
+    return batch_populations(protocol, dtheta[np.newaxis, :], chi[np.newaxis, :], offsets,
+                             psi0)[0]
+
+
+def _result(protocol: str, pops: np.ndarray) -> ProtocolResult:
+    return ProtocolResult(protocol, pops, float(pops[PROTOCOLS[protocol].marker]))
 
 
 def run_qubit(schedule: PulseSchedule, initial: np.ndarray | None = None) -> ProtocolResult:
@@ -54,12 +90,7 @@ def run_qubit(schedule: PulseSchedule, initial: np.ndarray | None = None) -> Pro
     order; for a common axis the marker reduces to
     p_e = (1 - cos(sum of theta_j)) / 2 from the ground state.
     """
-    psi0 = basis_state(2, 0) if initial is None else np.asarray(initial, np.complex128)
-    if psi0.shape != (2,):
-        raise DimensionMismatchError(f"qubit initial state must have shape (2,), got {psi0.shape}")
-    dtheta, chi, _ = _segment_batch(schedule)
-    pops = kernels.qubit_populations(dtheta, chi, psi0)[0]
-    return ProtocolResult("qubit", pops, float(pops[1]))
+    return _result("qubit", _populations("qubit", schedule, initial))
 
 
 def run_cifm(schedule: PulseSchedule, initial: np.ndarray | None = None) -> ProtocolResult:
@@ -70,13 +101,7 @@ def run_cifm(schedule: PulseSchedule, initial: np.ndarray | None = None) -> Prot
     mid-sequence measurement.  With no noise the qutrit ends in |1>;
     noise pins it to |0>, so the marker is p0.
     """
-    psi0 = basis_state(3, 0) if initial is None else np.asarray(initial, np.complex128)
-    if psi0.shape != (3,):
-        raise DimensionMismatchError(f"qutrit initial state must have shape (3,), got {psi0.shape}")
-    dtheta, chi, offsets = _segment_batch(schedule)
-    phi = BeamSplitterSpec(schedule.n_slots).phi
-    pops = kernels.cifm_populations(dtheta, chi, offsets, phi, psi0)[0]
-    return ProtocolResult("cifm", pops, float(pops[0]))
+    return _result("cifm", _populations("cifm", schedule, initial))
 
 
 def run_pifm(schedule: PulseSchedule, initial: np.ndarray | None = None) -> ProtocolResult:
@@ -86,15 +111,17 @@ def run_pifm(schedule: PulseSchedule, initial: np.ndarray | None = None) -> Prot
     interval a projective measurement distinguishes |2> from the 0-1
     subspace: coherences to |2> are erased, and any population found on |2>
     is recorded as a detector click and shelved (a clicked detector stays
-    clicked, so that branch is not driven further).  The evolution is a
-    deterministic channel on the density matrix, which averages the
-    measurement trajectories exactly; p2 of the result is the total click
-    probability and the marker is p0.
+    clicked, so that branch is not driven further).  p2 of the result is
+    the total click probability and the marker is p0.
+
+    initial is a 3x3 density matrix.  The evolution is linear in it, so a
+    mixed state runs as its eigenvectors, weighted by their eigenvalues.
     """
-    rho0 = pure_density(basis_state(3, 0)) if initial is None else np.asarray(initial, np.complex128)
+    if initial is None:
+        return _result("pifm", _populations("pifm", schedule, None))
+    rho0 = np.asarray(initial, np.complex128)
     if rho0.shape != (3, 3):
         raise DimensionMismatchError(f"initial density matrix must be 3x3, got {rho0.shape}")
-    dtheta, chi, offsets = _segment_batch(schedule)
-    phi = BeamSplitterSpec(schedule.n_slots).phi
-    pops = kernels.pifm_populations(dtheta, chi, offsets, phi, rho0)[0]
-    return ProtocolResult("pifm", pops, float(pops[0]))
+    weights, vectors = np.linalg.eigh(rho0)
+    return _result("pifm", sum(w * _populations("pifm", schedule, psi)
+                               for w, psi in zip(weights, vectors.T)))

@@ -1,12 +1,16 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from ifmsim.cli import (
+    _FCS_KEYS,
+    _SWEEP_KEYS,
     EXIT_CONFIG,
     EXIT_OK,
     ConfigError,
+    _check_keys,
     config_hash,
     load_config,
     main,
@@ -155,6 +159,97 @@ def test_bad_fcs_value_exits_2_naming_key(tmp_path, capsys):
     code = main(["fcs", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert "slots" in capsys.readouterr().err
+
+
+CLUSTERING = """
+[run]
+mode = clustering
+realizations = 4
+seed = 3
+
+[grid]
+n_values = 2
+kappa_inv_fractions = 0.5
+
+[noise]
+theta = 3.0
+
+[timing]
+total_duration = 1e-5
+"""
+
+KAPPA = """
+[run]
+mode = kappa
+realizations = 4
+
+[grid]
+n_values = 2
+kappa_inv_fractions = 0.5
+
+[noise]
+delta_theta = 0.5
+
+[timing]
+sample_rate = 1e6
+"""
+
+
+@pytest.mark.parametrize("text, line, replacement, key", [
+    (CLUSTERING, "theta = 3.0", "theta = abc", "[noise] theta"),
+    (CLUSTERING, "total_duration = 1e-5", "total_duration = 1e-5s", "[timing] total_duration"),
+    (KAPPA, "delta_theta = 0.5", "delta_theta = nan", "[noise] delta_theta"),
+    (KAPPA, "sample_rate = 1e6", "sample_rate = fast", "[timing] sample_rate"),
+    (SMALL_SWEEP, "seed = 4242", "seed = 4242\n[noise]\ntheta_max = pi", "[noise] theta_max"),
+], ids=["theta", "total_duration", "delta_theta", "sample_rate", "theta_max"])
+def test_bad_sweep_float_exits_2_naming_key(tmp_path, capsys, text, line, replacement, key):
+    cfg = write(tmp_path, "bad.cfg", text.replace(line, replacement))
+    code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, replacement, key", [
+    ("kappa_t = 4.0", "kappa_t = four", "kappa_t"),
+    ("kappa_t = 4.0", "kappa = inf", "kappa"),
+    ("theta = 0.785398163", "theta = 1/4", "theta"),
+    ("total_duration = 1e-5", "total_duration = x", "total_duration"),
+    ("lambda_max = 1.0", "lambda_max = ", "lambda_max"),
+    ("seed = 7", "seed = 7\nmoment_step = small", "moment_step"),
+], ids=["kappa_t", "kappa", "theta", "total_duration", "lambda_max", "moment_step"])
+def test_bad_fcs_float_exits_2_naming_key(tmp_path, capsys, line, replacement, key):
+    cfg = write(tmp_path, "fcs.cfg", SMALL_FCS.replace(line, replacement))
+    code = main(["fcs", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert f"[fcs] {key} " in capsys.readouterr().err
+
+
+def test_misspelled_key_exits_2_naming_it(tmp_path, capsys):
+    cfg = write(tmp_path, "bad.cfg", SMALL_SWEEP.replace("realizations = 30", "realisations = 3"))
+    code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "realisations" in err and "[run]" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, text", [("sweep", SMALL_SWEEP), ("fcs", SMALL_FCS)])
+def test_unknown_section_exits_2_naming_it(tmp_path, capsys, command, text):
+    cfg = write(tmp_path, "bad.cfg", text + "\n[timeing]\nsample_rate = 1e9\n")
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "[timeing]" in capsys.readouterr().err
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("path", [*sorted(ROOT.glob("configs/*.cfg")),
+                                  *sorted(ROOT.glob("perfbench/configs/*.cfg"))],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_shipped_configs_pass_the_key_check(path):
+    config = load_config(path)
+    _check_keys(config, _FCS_KEYS if "fcs" in config else _SWEEP_KEYS)
 
 
 def test_non_integer_env_seed_exits_2(tmp_path, capsys, monkeypatch):

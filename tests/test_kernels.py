@@ -4,7 +4,9 @@ import pytest
 from ifmsim import kernels
 from ifmsim.core import basis_state, pure_density
 from ifmsim.experiments import _populations_parallel
-from ifmsim.pulses import BeamSplitterSpec, Pulse, beam_splitter, composed_pulse
+from ifmsim.noise import ProtocolTiming, PulseSchedule
+from ifmsim.protocols import PROTOCOLS, batch_populations, run_pifm
+from ifmsim.pulses import Pulse, beam_splitter, composed_pulse, pifm_measure_channel
 
 
 def random_batch(seed, r=40, slots=5, per_slot=3):
@@ -46,41 +48,65 @@ def test_qubit_kernel_matches_direct_product():
         assert np.max(np.abs(got[i] - expected)) < 1e-12
 
 
-def test_backends_agree():
+def reference_pifm(dtheta, chi, offsets, n_slots, rho0):
+    """Slow oracle: dense density-matrix products per realization.
+
+    After every slot the measurement channel erases the coherences to |2>,
+    and the population on |2> is shelved as a click.
+    """
+    s = beam_splitter(n_slots)
+    out = np.empty((dtheta.shape[0], 3))
+    for i in range(dtheta.shape[0]):
+        rho = s @ rho0 @ s.conj().T
+        clicks = 0.0
+        for j in range(n_slots):
+            lo, hi = offsets[j], offsets[j + 1]
+            u = composed_pulse(Pulse(dtheta[i, lo:hi], chi[i, lo:hi]), 3)
+            rho = pifm_measure_channel(u @ rho @ u.conj().T)
+            clicks += rho[2, 2].real
+            rho[2, 2] = 0.0
+            rho = s @ rho @ s.conj().T
+        out[i] = rho[0, 0].real, rho[1, 1].real, clicks + rho[2, 2].real
+    return out
+
+
+def test_pifm_kernel_matches_density_matrix_oracle():
     dtheta, chi, offsets = random_batch(2)
-    psi2 = basis_state(2, 0)
-    psi3 = basis_state(3, 0)
-    rho3 = pure_density(psi3)
-    pairs = [
-        (kernels.qubit_populations(dtheta, chi, psi2),
-         kernels._qubit_populations_np(dtheta, chi, psi2)),
-        (kernels.cifm_populations(dtheta, chi, offsets, np.pi / 6, psi3),
-         kernels._cifm_populations_np(dtheta, chi, offsets, np.pi / 6, psi3)),
-        (kernels.pifm_populations(dtheta, chi, offsets, np.pi / 6, rho3),
-         kernels._pifm_populations_np(dtheta, chi, offsets, np.pi / 6, rho3)),
-    ]
-    for got, ref in pairs:
-        assert np.max(np.abs(got - ref)) < 1e-12
+    psi = np.array([0.6, 0.48j, -0.64])
+    got = kernels.pifm_populations(dtheta, chi, offsets, np.pi / 6, psi)
+    ref = reference_pifm(dtheta, chi, offsets, 5, pure_density(psi))
+    assert np.max(np.abs(got - ref)) <= 1e-12
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba backend not active")
-def test_jit_matches_numpy_exactly_on_splits():
+def test_mixed_pifm_run_matches_density_matrix_oracle():
+    dtheta, chi, offsets = random_batch(9, r=6)
+    rho0 = np.diag([0.5, 0.3, 0.2]).astype(np.complex128)
+    rho0[0, 1], rho0[1, 0] = 0.1 - 0.2j, 0.1 + 0.2j
+    for i in range(dtheta.shape[0]):
+        pulses = tuple(Pulse(dtheta[i, lo:hi], chi[i, lo:hi])
+                       for lo, hi in zip(offsets[:-1], offsets[1:]))
+        schedule = PulseSchedule(pulses, ProtocolTiming(5, 1.0, 0.0))
+        got = run_pifm(schedule, initial=rho0).populations
+        ref = reference_pifm(dtheta[i:i + 1], chi[i:i + 1], offsets, 5, rho0)[0]
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("protocol", ("qubit", "cifm", "pifm"))
+def test_row_splits_are_byte_identical(protocol):
     # splitting a batch across chunk boundaries must not change any row
     dtheta, chi, offsets = random_batch(3, r=33)
-    psi3 = basis_state(3, 0)
-    whole = kernels.cifm_populations(dtheta, chi, offsets, np.pi / 5, psi3)
+    psi0 = basis_state(PROTOCOLS[protocol].levels, 0)
+    whole = batch_populations(protocol, dtheta, chi, offsets, psi0)
     parts = np.vstack([
-        kernels.cifm_populations(dtheta[:10], chi[:10], offsets, np.pi / 5, psi3),
-        kernels.cifm_populations(dtheta[10:21], chi[10:21], offsets, np.pi / 5, psi3),
-        kernels.cifm_populations(dtheta[21:], chi[21:], offsets, np.pi / 5, psi3),
+        batch_populations(protocol, dtheta[lo:hi], chi[lo:hi], offsets, psi0)
+        for lo, hi in ((0, 10), (10, 21), (21, 33))
     ])
     assert np.array_equal(whole, parts)
 
 
 def test_pifm_kernel_probabilities_are_normalized():
     dtheta, chi, offsets = random_batch(4)
-    out = kernels.pifm_populations(dtheta, chi, offsets, np.pi / 6,
-                                   pure_density(basis_state(3, 0)))
+    out = kernels.pifm_populations(dtheta, chi, offsets, np.pi / 6, basis_state(3, 0))
     assert np.all(out >= -1e-12)
     assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-10
 
@@ -88,9 +114,6 @@ def test_pifm_kernel_probabilities_are_normalized():
 # ---------------------------------------------------------------------------
 # coaxial merging through the ensemble dispatch
 # ---------------------------------------------------------------------------
-
-PROTOCOLS = ("qubit", "cifm", "pifm")
-
 
 def coaxial_batch(seed, r=40, slots=5, per_slot=6):
     """Random angles on one random axis per slot and realization."""
@@ -113,16 +136,12 @@ BATCHES = {"per_segment_axes": random_batch, "per_slot_axes": coaxial_batch,
 
 def literal(protocol, dtheta, chi, offsets):
     """The kernels on the segments as given, without merging."""
-    if protocol == "qubit":
-        return kernels.qubit_populations(dtheta, chi, basis_state(2, 0))
-    phi = BeamSplitterSpec(len(offsets) - 1).phi
-    if protocol == "cifm":
-        return kernels.cifm_populations(dtheta, chi, offsets, phi, basis_state(3, 0))
-    return kernels.pifm_populations(dtheta, chi, offsets, phi, pure_density(basis_state(3, 0)))
+    psi0 = basis_state(PROTOCOLS[protocol].levels, 0)
+    return batch_populations(protocol, dtheta, chi, offsets, psi0)
 
 
 def dispatch(protocol, dtheta, chi, offsets, threads=1):
-    return _populations_parallel(protocol, dtheta, chi, offsets, len(offsets) - 1, threads)
+    return _populations_parallel(protocol, dtheta, chi, offsets, threads)
 
 
 def split_coaxial(dtheta, chi, offsets, rng, max_pieces=4):
@@ -135,7 +154,7 @@ def split_coaxial(dtheta, chi, offsets, rng, max_pieces=4):
     return dtheta[:, cols] * weights, chi[:, cols], starts[offsets]
 
 
-@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 @pytest.mark.parametrize("batch", sorted(BATCHES))
 def test_coaxial_split_leaves_outputs_unchanged(protocol, batch):
     dtheta, chi, offsets = BATCHES[batch](5)
@@ -147,7 +166,7 @@ def test_coaxial_split_leaves_outputs_unchanged(protocol, batch):
         assert np.max(np.abs(got - ref)) <= 1e-13
 
 
-@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 @pytest.mark.parametrize("batch", sorted(BATCHES))
 def test_four_pi_slot_shift_leaves_outputs_unchanged(protocol, batch):
     dtheta, chi, offsets = BATCHES[batch](7)
