@@ -2,9 +2,11 @@
 
 Configs are INI files (key = value under [section] headers) documented in
 the README.  Every run writes a manifest JSON carrying the echoed config,
-its hash, the seed actually used, timestamps, and the list of output files,
-so any artifact can be regenerated byte-for-byte from (config, seed,
-version).
+its hash, the seed actually used, the RNG scheme, timestamps, and the list
+of output files, so any artifact can be regenerated byte-for-byte from
+(config, seed, version).  --threads and the threads keys are accepted and
+validated, but runs are single-threaded: no result or timing depends on
+them.
 """
 
 from __future__ import annotations
@@ -101,23 +103,29 @@ def parse_float_list(text: str) -> tuple[float, ...]:
     return values
 
 
-def _as_int(raw, name: str, minimum: int) -> int:
-    """int(raw), or a ConfigError naming the key when it is not an integer >= minimum."""
+def _as_int(raw, name: str, minimum: int, maximum: int | None = None) -> int:
+    """int(raw), or a ConfigError naming the key when it is not an integer
+    in [minimum, maximum]."""
     try:
         value = int(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
     if value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{name} must be <= {maximum}, got {value}")
     return value
 
 
-def _int_key(config: dict, section: str, key: str, default: int, minimum: int) -> int:
-    return _as_int(_get(config, section, key, default), f"[{section}] {key}", minimum)
+def _int_key(config: dict, section: str, key: str, default: int, minimum: int,
+             maximum: int | None = None) -> int:
+    return _as_int(_get(config, section, key, default), f"[{section}] {key}", minimum, maximum)
 
 
-def _float_key(config: dict, section: str, key: str, default: float | None = None) -> float:
-    """A finite float; required when default is None.  A ConfigError names the key."""
+def _float_key(config: dict, section: str, key: str, default: float | None = None,
+               positive: bool = False) -> float:
+    """A finite float, > 0 when positive is set; required when default is None.
+    A ConfigError names the key."""
     raw = _require(config, section, key) if default is None else _get(config, section, key, default)
     try:
         value = float(raw)
@@ -125,7 +133,19 @@ def _float_key(config: dict, section: str, key: str, default: float | None = Non
         raise ConfigError(f"[{section}] {key} must be a number, got {raw!r}") from None
     if not math.isfinite(value):
         raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
+    if positive and value <= 0:
+        raise ConfigError(f"[{section}] {key} must be > 0, got {raw!r}")
     return value
+
+
+def _list_key(config: dict, section: str, key: str, parse) -> tuple:
+    """A required list key read by parse_int_list or parse_float_list;
+    a ConfigError names the key."""
+    text = _require(config, section, key)
+    try:
+        return parse(text)
+    except ConfigError as exc:
+        raise ConfigError(f"[{section}] {key}: {exc}") from None
 
 
 #: Every key each subcommand reads, by section.
@@ -176,6 +196,7 @@ def _manifest(config, seed, seed_source, outputs, started, finished) -> dict:
         "config_hash": config_hash(config),
         "master_seed": seed,
         "seed_source": seed_source,
+        "rng_scheme": experiments.RNG_SCHEME,
         "started_utc": started,
         "finished_utc": finished,
         "outputs": [str(p) for p in outputs],
@@ -234,7 +255,7 @@ def _build_scenario(name: str, config: dict):
         )
     if name == "colored_phase":
         return experiments.ColoredPhase(
-            alpha=_int_key(config, "noise", "alpha", 0, -2),
+            alpha=_int_key(config, "noise", "alpha", 0, -2, 2),
             theta_slot=_float_key(config, "noise", "theta_slot", math.pi / 2),
         )
     raise ConfigError(f"unknown scenario {name!r}; expected one of {_SCENARIO_KEYS}")
@@ -246,8 +267,8 @@ def cmd_sweep(args) -> int:
     seed, seed_source = _resolve_seed(config, args.seed)
     mode = _require(config, "run", "mode")
     realizations = _int_key(config, "run", "realizations", 500, 1)
-    threads = args.threads or _int_key(config, "run", "threads", 0, 0)
-    n_values = parse_int_list(_require(config, "grid", "n_values"))
+    _int_key(config, "run", "threads", 0, 0)  # accepted; sweeps run in one thread
+    n_values = _list_key(config, "grid", "n_values", parse_int_list)
     if min(n_values) < 1:
         raise ConfigError(f"[grid] n_values entries must be >= 1, got {min(n_values)}")
     out_dir = Path(args.out)
@@ -261,7 +282,7 @@ def cmd_sweep(args) -> int:
         scenario = _build_scenario(_require(config, "run", "scenario"), config)
         sweep = experiments.run_sweep(experiments.SweepConfig(
             protocol=protocol, scenario=scenario, n_values=n_values,
-            realizations=realizations, master_seed=seed, threads=threads,
+            realizations=realizations, master_seed=seed,
         ))
         stats_path = out_dir / f"{prefix}_stats.csv"
         write_stats_csv(stats_path, [
@@ -277,14 +298,14 @@ def cmd_sweep(args) -> int:
             "std": sweep.stats.std.tolist(),
         }
     elif mode == "kappa":
-        total = _float_key(config, "timing", "total_duration", 1e-5)
-        rate = _float_key(config, "timing", "sample_rate", 1e9)
+        total = _float_key(config, "timing", "total_duration", 1e-5, positive=True)
+        rate = _float_key(config, "timing", "sample_rate", 1e9, positive=True)
         delta = _float_key(config, "noise", "delta_theta")
-        fractions = parse_float_list(_require(config, "grid", "kappa_inv_fractions"))
+        fractions = _list_key(config, "grid", "kappa_inv_fractions", parse_float_list)
         kinvs = tuple(f * total for f in fractions)
         grid = experiments.sweep_kappa_N(
             n_values, kinvs, delta, realizations=realizations, master_seed=seed,
-            total_duration=total, sample_rate=rate, threads=threads,
+            total_duration=total, sample_rate=rate,
         )
         stats_path = out_dir / f"{prefix}_stats.csv"
         rows = []
@@ -302,13 +323,13 @@ def cmd_sweep(args) -> int:
             "anomalous_n": list(grid.anomalies),
         }
     elif mode == "clustering":
-        total = _float_key(config, "timing", "total_duration", 1e-5)
+        total = _float_key(config, "timing", "total_duration", 1e-5, positive=True)
         theta = _float_key(config, "noise", "theta", math.pi)
-        fractions = parse_float_list(_require(config, "grid", "kappa_inv_fractions"))
+        fractions = _list_key(config, "grid", "kappa_inv_fractions", parse_float_list)
         kinvs = tuple(f * total for f in fractions)
         result = experiments.clustering_sweep(
             n_values, kinvs, realizations=realizations, master_seed=seed,
-            theta=theta, total_duration=total, threads=threads,
+            theta=theta, total_duration=total,
         )
         stats_path = out_dir / f"{prefix}_stats.csv"
         control_path = out_dir / f"{prefix}_pifm_control.csv"
@@ -374,7 +395,7 @@ def cmd_fcs(args) -> int:
     config = load_config(args.config)
     _check_keys(config, _FCS_KEYS)
     seed, seed_source = _resolve_seed(config, args.seed)
-    total = _float_key(config, "fcs", "total_duration", 1e-5)
+    total = _float_key(config, "fcs", "total_duration", 1e-5, positive=True)
     if _get(config, "fcs", "kappa_t") is not None:
         kappa = _float_key(config, "fcs", "kappa_t") / total
     else:
@@ -387,7 +408,7 @@ def cmd_fcs(args) -> int:
     if lam_count % 2 == 0:
         raise ConfigError("[fcs] lambda_count must be an odd integer >= 3")
     h = _float_key(config, "fcs", "moment_step", 0.01)
-    threads = args.threads or _int_key(config, "fcs", "threads", 0, 0)
+    _int_key(config, "fcs", "threads", 0, 0)  # accepted; fcs runs in one thread
     lambdas = np.linspace(-lam_max, lam_max, lam_count)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -395,7 +416,7 @@ def cmd_fcs(args) -> int:
     started = _utcnow()
 
     gf = experiments.fcs_estimate(kappa, theta, total, lambdas, realizations,
-                                  master_seed=seed, n_slots=n_slots, threads=threads)
+                                  master_seed=seed, n_slots=n_slots)
     gf_path = out_dir / f"{prefix}_gf.csv"
     with open(gf_path, "w", encoding="utf-8") as fh:
         fh.write("lambda,re,im,stderr\n")
@@ -404,7 +425,7 @@ def cmd_fcs(args) -> int:
 
     moment_grid = np.array([-h, 0.0, h])
     gf_moments = experiments.fcs_estimate(kappa, theta, total, moment_grid, realizations,
-                                          master_seed=seed, n_slots=n_slots, threads=threads)
+                                          master_seed=seed, n_slots=n_slots)
     m1 = experiments.moments_from_gf(gf_moments, 1)
     m2 = experiments.moments_from_gf(gf_moments, 2)
     mean_m = m1 / theta
@@ -521,7 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", default="out")
     p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--threads", type=int, default=0)
+    p_sweep.add_argument("--threads", type=int, default=0,
+                         help="accepted for compatibility; runs are single-threaded")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -533,7 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fcs.add_argument("--config", required=True)
     p_fcs.add_argument("--out", default="out")
     p_fcs.add_argument("--seed", type=int, default=None)
-    p_fcs.add_argument("--threads", type=int, default=0)
+    p_fcs.add_argument("--threads", type=int, default=0,
+                       help="accepted for compatibility; runs are single-threaded")
     p_fcs.set_defaults(func=cmd_fcs)
 
     p_noise = sub.add_parser("noise", help="generate a noise trace and its spectrum")

@@ -1,18 +1,19 @@
 """Monte Carlo ensemble sweeps and counting-statistics extraction.
 
-The ensemble engine draws every realization from its own seeded generator,
-derived as default_rng([master_seed, point_index, realization_index]), so
-results are bit-reproducible and independent of how many worker threads
-execute the protocol kernels.  Noise generation is single-threaded; the
-parallel section is the pure protocol evaluation, whose per-realization
-outputs land in a preallocated array and are reduced in index order.
+Every grid point draws its whole ensemble from one generator keyed by
+(master_seed, point_index) through numpy's SeedSequence (PCG64), in the
+spirit of counter-based parallel streams (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11).  Each scenario's sample() makes one
+batched draw of shape (realizations, segments) per random quantity, filled
+row by row, and a scenario with two random quantities takes them from two
+child streams; so results are bit-reproducible, and growing the realization
+count extends the ensemble rather than redrawing it.  Everything runs in
+one thread: results and speed do not depend on any thread count.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ __all__ = [
     "EnsembleStats",
     "GFEstimate",
     "KappaSweepResult",
+    "RNG_SCHEME",
     "SweepConfig",
     "SweepResult",
     "TABLE_CONFIGS",
@@ -61,10 +63,23 @@ __all__ = [
 #: Axis angle of pure amplitude noise: rotation axis (cos chi, -sin chi) = (0, 1).
 AMPLITUDE_AXIS = -math.pi / 2.0
 
+#: How ensembles are seeded; the CLI records it in every manifest.
+RNG_SCHEME = ("keyed-batch: PCG64(SeedSequence([master_seed, point_index])), "
+              "one row-major (realizations, segments) draw per quantity and grid point")
+
+
+def _stream(master_seed: int, point_index: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([master_seed, point_index]))
+
 
 # ---------------------------------------------------------------------------
-# noise scenarios: each yields one realization row of (dtheta, chi) segments
+# noise scenarios: each draws a (realizations, segments) batch of
+# (dtheta, chi) segments in one call
 # ---------------------------------------------------------------------------
+
+def _amplitude_axis(dtheta: np.ndarray) -> np.ndarray:
+    return np.full(dtheta.shape, AMPLITUDE_AXIS)
+
 
 @dataclass(frozen=True)
 class ZeroSumAmplitude:
@@ -75,12 +90,12 @@ class ZeroSumAmplitude:
     def offsets(self, n_slots: int) -> np.ndarray:
         return np.arange(n_slots + 1, dtype=np.int64)
 
-    def sample(self, n_slots: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    def sample(self, n_slots: int, realizations: int, rng) -> tuple[np.ndarray, np.ndarray]:
         if n_slots == 1:
-            dtheta = np.zeros(1)  # a single-slot zero-sum sequence is empty
+            dtheta = np.zeros((realizations, 1))  # a single-slot zero-sum sequence is empty
         else:
-            dtheta = gen_zero_sum(self.theta_max, n_slots, rng)
-        return dtheta, np.full(n_slots, AMPLITUDE_AXIS)
+            dtheta = gen_zero_sum(self.theta_max, (realizations, n_slots), rng)
+        return dtheta, _amplitude_axis(dtheta)
 
 
 @dataclass(frozen=True)
@@ -93,9 +108,9 @@ class WhiteAmplitude:
     def offsets(self, n_slots: int) -> np.ndarray:
         return np.arange(n_slots + 1, dtype=np.int64)
 
-    def sample(self, n_slots: int, rng) -> tuple[np.ndarray, np.ndarray]:
-        dtheta = gen_white_top(self.theta_lo, self.theta_hi, n_slots, rng)
-        return dtheta, np.full(n_slots, AMPLITUDE_AXIS)
+    def sample(self, n_slots: int, realizations: int, rng) -> tuple[np.ndarray, np.ndarray]:
+        dtheta = gen_white_top(self.theta_lo, self.theta_hi, (realizations, n_slots), rng)
+        return dtheta, _amplitude_axis(dtheta)
 
 
 @dataclass(frozen=True)
@@ -110,10 +125,11 @@ class WhiteAmplitudePhase:
     def offsets(self, n_slots: int) -> np.ndarray:
         return np.arange(n_slots + 1, dtype=np.int64) * self.samples_per_slot
 
-    def sample(self, n_slots: int, rng) -> tuple[np.ndarray, np.ndarray]:
-        n = n_slots * self.samples_per_slot
-        dtheta = gen_white_top(0.0, self.theta_max / self.samples_per_slot, n, rng)
-        chi = gen_white(self.phase_lo, self.phase_hi, n, rng)
+    def sample(self, n_slots: int, realizations: int, rng) -> tuple[np.ndarray, np.ndarray]:
+        shape = (realizations, n_slots * self.samples_per_slot)
+        amplitude_rng, phase_rng = rng.spawn(2)
+        dtheta = gen_white_top(0.0, self.theta_max / self.samples_per_slot, shape, amplitude_rng)
+        chi = gen_white(self.phase_lo, self.phase_hi, shape, phase_rng)
         return dtheta, chi
 
 
@@ -129,11 +145,10 @@ class WhitePhase:
     def offsets(self, n_slots: int) -> np.ndarray:
         return np.arange(n_slots + 1, dtype=np.int64) * self.samples_per_slot
 
-    def sample(self, n_slots: int, rng) -> tuple[np.ndarray, np.ndarray]:
-        n = n_slots * self.samples_per_slot
-        dtheta = np.full(n, self.theta_slot / self.samples_per_slot)
-        chi = gen_white(self.phase_lo, self.phase_hi, n, rng)
-        return dtheta, chi
+    def sample(self, n_slots: int, realizations: int, rng) -> tuple[np.ndarray, np.ndarray]:
+        chi = gen_white(self.phase_lo, self.phase_hi,
+                        (realizations, n_slots * self.samples_per_slot), rng)
+        return np.full(chi.shape, self.theta_slot / self.samples_per_slot), chi
 
 
 @dataclass(frozen=True)
@@ -153,11 +168,11 @@ class ColoredPhase:
     def offsets(self, n_slots: int) -> np.ndarray:
         return np.arange(n_slots + 1, dtype=np.int64)
 
-    def sample(self, n_slots: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    def sample(self, n_slots: int, realizations: int, rng) -> tuple[np.ndarray, np.ndarray]:
         count = max(64, 1 << (n_slots - 1).bit_length())
-        series = gen_colored(ColorSpec(self.alpha), count, rng)[:n_slots]
+        series = gen_colored(ColorSpec(self.alpha), (realizations, count), rng)[:, :n_slots]
         chi = np.mod(series * self.phase_scale + math.pi, 2.0 * math.pi) - math.pi
-        return np.full(n_slots, self.theta_slot), chi
+        return np.full(chi.shape, self.theta_slot), chi
 
 
 @dataclass(frozen=True)
@@ -171,19 +186,22 @@ class BinarySlotNoise:
     def offsets(self, n_slots: int) -> np.ndarray:
         return np.arange(n_slots + 1, dtype=np.int64)
 
-    def sample(self, n_slots: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    def sample(self, n_slots: int, realizations: int, rng) -> tuple[np.ndarray, np.ndarray]:
         tau_b = self.total_duration / n_slots
-        dtheta = gen_telegraph_slots(1.0 / self.kappa_inv, self.theta, n_slots, tau_b, rng)
-        return dtheta, np.full(n_slots, AMPLITUDE_AXIS)
+        dtheta = gen_telegraph_slots(1.0 / self.kappa_inv, self.theta, (realizations, n_slots),
+                                     tau_b, rng)
+        return dtheta, _amplitude_axis(dtheta)
 
 
 @dataclass(frozen=True)
 class BinarySampledNoise:
-    """Telegraph sign held per slot, expanded to per-sample steps delta_theta.
+    """Telegraph sign held per slot over round(tau_b * sample_rate) samples.
 
-    Mirrors the fast-sampling regime: the trace carries
-    round(tau_b * sample_rate) samples per slot, each contributing a step
-    of +-delta_theta, with the sign constant across a drive interval.
+    Mirrors the fast-sampling regime: the trace carries per-sample steps of
+    +-delta_theta, with the sign constant across a drive interval.  Steps on
+    one axis compose to one rotation by their summed angle, so each slot is
+    emitted as a single segment of angle sign * delta_theta * (samples in
+    the slot).
     """
 
     kappa_inv: float
@@ -192,17 +210,18 @@ class BinarySampledNoise:
     sample_rate: float
 
     def offsets(self, n_slots: int) -> np.ndarray:
-        tau_b = self.total_duration / n_slots
-        return np.round(np.arange(n_slots + 1) * tau_b * self.sample_rate).astype(np.int64)
+        return np.arange(n_slots + 1, dtype=np.int64)
 
-    def sample(self, n_slots: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    def slot_samples(self, n_slots: int) -> np.ndarray:
+        """Trace samples inside each drive interval."""
         tau_b = self.total_duration / n_slots
-        signs = gen_telegraph_slots(1.0 / self.kappa_inv, 1.0, n_slots, tau_b, rng)
-        edges = self.offsets(n_slots)
-        dtheta = np.empty(edges[-1])
-        for j in range(n_slots):
-            dtheta[edges[j]:edges[j + 1]] = signs[j] * self.delta_theta
-        return dtheta, np.full(edges[-1], AMPLITUDE_AXIS)
+        return np.diff(np.round(np.arange(n_slots + 1) * tau_b * self.sample_rate))
+
+    def sample(self, n_slots: int, realizations: int, rng) -> tuple[np.ndarray, np.ndarray]:
+        tau_b = self.total_duration / n_slots
+        signs = gen_telegraph_slots(1.0 / self.kappa_inv, 1.0, (realizations, n_slots), tau_b, rng)
+        dtheta = signs * (self.delta_theta * self.slot_samples(n_slots))
+        return dtheta, _amplitude_axis(dtheta)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +243,12 @@ class EnsembleStats:
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """One scenario sweep over slot counts.
+
+    threads is accepted for compatibility with older configs; sweeps run in
+    one thread, and neither results nor speed depend on it.
+    """
+
     protocol: str
     scenario: object
     n_values: tuple[int, ...]
@@ -251,60 +276,32 @@ class SweepResult:
         return self.config.n_values
 
 
-def _resolve_threads(threads: int) -> int:
-    if threads and threads > 0:
-        return threads
-    return max(1, os.cpu_count() or 1)
-
-
-def _populations_parallel(protocol, dtheta, chi, offsets, threads, initial=None):
+def _populations(protocol, dtheta, chi, offsets, initial=None):
     if initial is None:
         initial = basis_state(PROTOCOLS[protocol].levels, 0)
-    # merged once over the full batch, before the row split, so the merged
-    # layout (and every result) is the same for any thread count; the qubit
-    # has no slot structure, so its whole chain is one slot
+    # the qubit has no slot structure, so its whole chain is one slot
     dtheta, chi, offsets = kernels.merge_coaxial(
         dtheta, chi, None if protocol == "qubit" else offsets)
-    workers = _resolve_threads(threads)
-    r = dtheta.shape[0]
-    if workers == 1 or r < 4 * workers:
-        return batch_populations(protocol, dtheta, chi, offsets, initial)
-    out = np.empty((r, PROTOCOLS[protocol].levels))
-    bounds = np.linspace(0, r, workers + 1, dtype=int)
-
-    def work(k):
-        lo, hi = bounds[k], bounds[k + 1]
-        if hi > lo:
-            out[lo:hi] = batch_populations(protocol, dtheta[lo:hi], chi[lo:hi], offsets, initial)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(work, range(workers)))
-    return out
+    return batch_populations(protocol, dtheta, chi, offsets, initial)
 
 
 def _sample_batch(scenario, n_slots, realizations, master_seed, point_index):
-    """(dtheta, chi, offsets) of the ensemble; row r comes from its own
-    default_rng([master_seed, point_index, r])."""
-    offsets = scenario.offsets(n_slots)
-    n_seg = int(offsets[-1])
-    dtheta = np.empty((realizations, n_seg))
-    chi = np.empty((realizations, n_seg))
-    for r in range(realizations):
-        rng = np.random.default_rng([master_seed, point_index, r])
-        dtheta[r], chi[r] = scenario.sample(n_slots, rng)
-    return dtheta, chi, offsets
+    """(dtheta, chi, offsets) of the ensemble, drawn in one call from the
+    generator keyed by (master_seed, point_index)."""
+    rng = _stream(master_seed, point_index)
+    dtheta, chi = scenario.sample(n_slots, realizations, rng)
+    return dtheta, chi, scenario.offsets(n_slots)
 
 
-def _markers(protocol, batch, threads) -> np.ndarray:
-    pops = _populations_parallel(protocol, *batch, threads)
-    return pops[:, PROTOCOLS[protocol].marker]
+def _markers(protocol, batch) -> np.ndarray:
+    return _populations(protocol, *batch)[:, PROTOCOLS[protocol].marker]
 
 
 def ensemble_markers(protocol, scenario, n_slots, realizations, master_seed,
-                     point_index=0, threads=0) -> np.ndarray:
+                     point_index=0) -> np.ndarray:
     """Marker populations of `realizations` independent protocol runs."""
     batch = _sample_batch(scenario, n_slots, realizations, master_seed, point_index)
-    return _markers(protocol, batch, threads)
+    return _markers(protocol, batch)
 
 
 def _stats(markers_by_point: list[np.ndarray]) -> EnsembleStats:
@@ -322,7 +319,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     markers = [
         ensemble_markers(
             config.protocol, config.scenario, n, config.realizations,
-            config.master_seed, point_index=i, threads=config.threads,
+            config.master_seed, point_index=i,
         )
         for i, n in enumerate(config.n_values)
     ]
@@ -362,7 +359,7 @@ class KappaSweepResult:
 
 def sweep_kappa_N(n_values, kappa_inv_values, delta_theta, realizations=500,
                   master_seed=0, total_duration=1e-5, sample_rate=1e9,
-                  protocol="cifm", threads=0) -> KappaSweepResult:
+                  protocol="cifm") -> KappaSweepResult:
     """Marker statistics over the (n_slots, correlation time) grid.
 
     Binary noise with per-sample steps of +-delta_theta whose sign is held
@@ -386,7 +383,7 @@ def sweep_kappa_N(n_values, kappa_inv_values, delta_theta, realizations=500,
             )
             markers = ensemble_markers(
                 protocol, scenario, n, realizations, master_seed,
-                point_index=point, threads=threads,
+                point_index=point,
             )
             mean[i, j] = markers.mean()
             var[i, j] = markers.var(ddof=1) if realizations > 1 else 0.0
@@ -410,7 +407,7 @@ class ClusteringResult:
 
 
 def clustering_sweep(n_values, kappa_inv_values, realizations=2000, master_seed=0,
-                     theta=math.pi, total_duration=1e-5, threads=0) -> ClusteringResult:
+                     theta=math.pi, total_duration=1e-5) -> ClusteringResult:
     """Coherent-detector sensitivity to noise clustering, with projective control.
 
     One +-theta sample per drive interval; slower switching (larger
@@ -429,8 +426,8 @@ def clustering_sweep(n_values, kappa_inv_values, realizations=2000, master_seed=
             scenario = BinarySlotNoise(kappa_inv=kinv, total_duration=total_duration, theta=theta)
             # one noise batch per point feeds both detectors
             batch = _sample_batch(scenario, n, realizations, master_seed, point)
-            cifm = _markers("cifm", batch, threads)
-            pifm = _markers("pifm", batch, threads)
+            cifm = _markers("cifm", batch)
+            pifm = _markers("pifm", batch)
             cifm_mean[i, j] = cifm.mean()
             cifm_std[i, j] = cifm.std(ddof=1) if realizations > 1 else 0.0
             pifm_mean[i, j] = pifm.mean()
@@ -521,8 +518,23 @@ class GFEstimate:
         return self.re + 1j * self.im
 
 
+def _event_counts(master_seed, point_index, mean_events, realizations, n_slots) -> np.ndarray:
+    """(realizations, n_slots) event counts of Poisson pulse trains.
+
+    Each row holds a Poisson(mean_events) number of events, each in a
+    uniform slot.  The per-row event counts and the slots of all events come
+    from two child streams of the keyed generator, both drawn row by row.
+    """
+    count_rng, slot_rng = _stream(master_seed, point_index).spawn(2)
+    events = count_rng.poisson(mean_events, realizations)
+    slots = slot_rng.integers(0, n_slots, events.sum())
+    rows = np.repeat(np.arange(realizations), events)
+    flat = np.bincount(rows * n_slots + slots, minlength=realizations * n_slots)
+    return flat.reshape(realizations, n_slots)
+
+
 def fcs_estimate(kappa, theta, total_duration, lambda_values, realizations,
-                 master_seed=0, n_slots=40, threads=0) -> GFEstimate:
+                 master_seed=0, n_slots=40) -> GFEstimate:
     """Reconstruct the counting-field generating function from qubit runs.
 
     Each realization draws a Poisson number of theta pulses over the
@@ -536,23 +548,20 @@ def fcs_estimate(kappa, theta, total_duration, lambda_values, realizations,
     lambda_values = np.asarray(lambda_values, dtype=np.float64)
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
-    counts = np.zeros((realizations, n_slots))
-    for r in range(realizations):
-        rng = np.random.default_rng([master_seed, 0, r])
-        m = rng.poisson(kappa * total_duration)
-        slots = rng.integers(0, n_slots, m)
-        np.add.at(counts[r], slots, 1.0)
+    counts = _event_counts(master_seed, 0, kappa * total_duration, realizations, n_slots)
+    # scaling every angle by lambda commutes with merging, so the coaxial
+    # slots are merged once here rather than once per lambda
+    unit, chi, _ = kernels.merge_coaxial(counts * theta, _amplitude_axis(counts), None)
     ground = basis_state(2, 0)
     plus = np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0)
-    chi = np.full_like(counts, AMPLITUDE_AXIS)
     re = np.empty(lambda_values.size)
     im = np.empty(lambda_values.size)
     err = np.empty(lambda_values.size)
     sqrt_r = math.sqrt(realizations)
     for i, lam in enumerate(lambda_values):
-        dtheta = counts * (lam * theta)
-        pe_g = _populations_parallel("qubit", dtheta, chi, None, threads, initial=ground)[:, 1]
-        pe_p = _populations_parallel("qubit", dtheta, chi, None, threads, initial=plus)[:, 1]
+        dtheta = unit * lam
+        pe_g = _populations("qubit", dtheta, chi, None, initial=ground)[:, 1]
+        pe_p = _populations("qubit", dtheta, chi, None, initial=plus)[:, 1]
         re[i] = 1.0 - 2.0 * pe_g.mean()
         im[i] = 2.0 * pe_p.mean() - 1.0
         if realizations > 1:
@@ -614,8 +623,7 @@ class ZeroFreqReport:
 
 
 def zero_freq_psd_check(kappa, theta, total_duration, realizations,
-                        master_seed=0, n_slots=40, moment_step=0.01,
-                        threads=0) -> ZeroFreqReport:
+                        master_seed=0, n_slots=40, moment_step=0.01) -> ZeroFreqReport:
     """Compare <theta_T^2> from the generating function with T * S(f=0).
 
     The two sides use independently seeded ensembles: the left from
@@ -625,17 +633,12 @@ def zero_freq_psd_check(kappa, theta, total_duration, realizations,
     """
     gf = fcs_estimate(kappa, theta, total_duration,
                       np.array([-moment_step, 0.0, moment_step]),
-                      realizations, master_seed=master_seed, n_slots=n_slots,
-                      threads=threads)
+                      realizations, master_seed=master_seed, n_slots=n_slots)
     fcs_value = moments_from_gf(gf, 2)
     tau_slot = total_duration / n_slots
+    trains = _event_counts(master_seed, 1, kappa * total_duration, realizations, n_slots)
     dc = 0.0
-    for r in range(realizations):
-        rng = np.random.default_rng([master_seed, 1, r])
-        m = rng.poisson(kappa * total_duration)
-        slots = rng.integers(0, n_slots, m)
-        series = np.zeros(n_slots)
-        np.add.at(series, slots, theta / tau_slot)
+    for series in trains * (theta / tau_slot):
         freqs, psd = estimate_psd(series, 1.0 / tau_slot)
         dc += psd[np.argmin(np.abs(freqs))]
     psd_value = total_duration * dc / realizations

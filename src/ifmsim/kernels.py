@@ -17,7 +17,7 @@ is no beam splitter.  The loop is a literal time-ordered segment product
 in double precision and never renormalizes.
 
 Segments on one axis compose exactly to a single rotation by their summed
-angle, so the ensemble dispatch (experiments._populations_parallel) first
+angle, so the ensemble dispatch (experiments._populations) first
 passes each batch through merge_coaxial, which collapses every run of
 equal-axis segments within a slot, and then hands the merged arrays to the
 kernels.  Merged results agree with the literal segment product to about

@@ -1,7 +1,9 @@
 """Noise generation, trace slicing, and spectral estimation.
 
 All generators are deterministic under a fixed seed: pass either an integer
-seed or a numpy Generator.  Amplitude series are in rad/s (the instantaneous
+seed or a numpy Generator.  The white, zero-sum, slot-telegraph and colored
+generators also take a batch shape (rows, n) in place of a count n, with
+time on the last axis, and fill the rows in order.  Amplitude series are in rad/s (the instantaneous
 drive strength), phase series in radians.
 """
 
@@ -169,60 +171,70 @@ class PulseSchedule:
 # generators
 # ---------------------------------------------------------------------------
 
-def gen_white(range_lo: float, range_hi: float, count: int, seed) -> np.ndarray:
+def _shape(count) -> tuple[int, ...]:
+    """A sample count n, or a batch shape (rows, n) with time on the last axis."""
+    return (int(count),) if np.ndim(count) == 0 else tuple(int(c) for c in count)
+
+
+def gen_white(range_lo: float, range_hi: float, count, seed) -> np.ndarray:
     """I.i.d. clipped-Gaussian samples over [range_lo, range_hi].
 
     The Gaussian is centered at the midpoint with sigma = span / 6, then
     clipped to the range, so about 0.3 percent of the mass piles up on the
-    boundaries.
+    boundaries.  count is n or a batch shape (rows, n).
     """
+    shape = _shape(count)
     if range_lo > range_hi:
         raise ValueError("range_lo must not exceed range_hi")
-    if count <= 0:
+    if min(shape) <= 0:
         raise ValueError("count must be positive")
     if range_lo == range_hi:
-        return np.full(count, range_lo)
+        return np.full(shape, range_lo)
     mid = 0.5 * (range_lo + range_hi)
     sigma = (range_hi - range_lo) / 6.0
-    x = _rng(seed).normal(mid, sigma, count)
+    x = _rng(seed).normal(mid, sigma, shape)
     return np.clip(x, range_lo, range_hi)
 
 
-def gen_white_top(range_lo: float, range_hi: float, count: int, seed) -> np.ndarray:
+def gen_white_top(range_lo: float, range_hi: float, count, seed) -> np.ndarray:
     """Clipped Gaussian concentrated at the top of the range.
 
     Centered at range_hi with sigma = span / 6, clipped to the range: half
     the mass sits exactly at range_hi and the rest just below it.  This is
     the amplitude law the ensemble scenarios use, where the stated range is
-    a maximum drive strength rather than a symmetric spread.
+    a maximum drive strength rather than a symmetric spread.  count is n or
+    a batch shape (rows, n).
     """
+    shape = _shape(count)
     if range_lo > range_hi:
         raise ValueError("range_lo must not exceed range_hi")
-    if count <= 0:
+    if min(shape) <= 0:
         raise ValueError("count must be positive")
     if range_lo == range_hi:
-        return np.full(count, range_lo)
+        return np.full(shape, range_lo)
     sigma = (range_hi - range_lo) / 6.0
-    x = _rng(seed).normal(range_hi, sigma, count)
+    x = _rng(seed).normal(range_hi, sigma, shape)
     return np.clip(x, range_lo, range_hi)
 
 
-def gen_zero_sum(theta_max: float, count: int, seed) -> np.ndarray:
-    """Per-slot angles with an exactly vanishing sum.
+def gen_zero_sum(theta_max: float, count, seed) -> np.ndarray:
+    """Per-slot angles with an exactly vanishing sum along the last axis.
 
     Magnitudes are drawn from the amplitude law on [0, theta_max], negated
-    pairwise, and shuffled into random positions; for odd count one zero is
+    pairwise, and shuffled into random positions; for odd n one zero is
     inserted.  The sum cancels pairwise, so it is zero to within a few ulp
-    regardless of summation order.
+    regardless of summation order.  count is n or a batch shape (rows, n);
+    magnitudes and shuffles come from two child streams of the seed, each
+    filled row by row, so a batch with more rows extends one with fewer.
     """
-    if count < 2:
+    shape = _shape(count)
+    n = shape[-1]
+    if n < 2:
         raise ValueError("count must be >= 2")
-    rng = _rng(seed)
-    half = count // 2
-    mags = gen_white_top(0.0, theta_max, half, rng)
-    values = np.concatenate([mags, -mags, np.zeros(count % 2)])
-    rng.shuffle(values)
-    return values
+    mag_rng, shuffle_rng = _rng(seed).spawn(2)
+    mags = gen_white_top(0.0, theta_max, shape[:-1] + (n // 2,), mag_rng)
+    values = np.concatenate([mags, -mags, np.zeros(shape[:-1] + (n % 2,))], axis=-1)
+    return shuffle_rng.permuted(values, axis=-1)
 
 
 def gen_telegraph(spec: TelegraphSpec, duration: float, seed) -> np.ndarray:
@@ -245,48 +257,50 @@ def gen_telegraph(spec: TelegraphSpec, duration: float, seed) -> np.ndarray:
     return s0 * spec.amplitude * (1.0 - 2.0 * parity)
 
 
-def gen_telegraph_slots(kappa: float, amplitude: float, n_slots: int,
+def gen_telegraph_slots(kappa: float, amplitude: float, n_slots,
                         slot_duration: float, seed) -> np.ndarray:
     """Telegraph values held constant within each slot (one sample per slot).
 
     Equivalent to sampling the continuous-time process at the slot starts:
     consecutive slots flip sign with probability (1 - exp(-2 kappa tau)) / 2,
     the chance of an odd number of switches within one slot duration.
+    n_slots is n or a batch shape (rows, n).  One uniform block of that
+    shape is drawn: column 0 sets the equiprobable initial sign and the
+    other columns the flips, so a 1-D call equals row 0 of a (1, n) call.
     """
     if kappa <= 0 or slot_duration <= 0:
         raise ValueError("kappa and slot_duration must be positive")
-    if n_slots < 1:
+    shape = _shape(n_slots)
+    if min(shape) < 1:
         raise ValueError("n_slots must be >= 1")
-    rng = _rng(seed)
+    u = _rng(seed).random(shape)
     q = 0.5 * (1.0 - math.exp(-2.0 * kappa * slot_duration))
-    signs = np.empty(n_slots)
-    signs[0] = 1.0 if rng.random() < 0.5 else -1.0
-    if n_slots > 1:
-        flips = rng.random(n_slots - 1) < q
-        steps = np.where(flips, -1.0, 1.0)
-        signs[1:] = signs[0] * np.cumprod(steps)
-    return amplitude * signs
+    steps = np.where(u < q, -1.0, 1.0)
+    steps[..., 0] = np.where(u[..., 0] < 0.5, 1.0, -1.0)
+    return amplitude * np.cumprod(steps, axis=-1)
 
 
-def gen_colored(spec: ColorSpec | int, count: int, seed) -> np.ndarray:
+def gen_colored(spec: ColorSpec | int, count, seed) -> np.ndarray:
     """Zero-mean, unit-variance noise with PSD proportional to f**(-alpha).
 
     White Gaussian samples are shaped in the frequency domain by
-    |H(f)| = f**(-alpha/2), the DC bin is zeroed, and the series is scaled
-    to unit sample variance.  count must be a power of two >= 64.
+    |H(f)| = f**(-alpha/2), the DC bin is zeroed, and each series is scaled
+    to unit sample variance.  count is n or a batch shape (rows, n), with n
+    a power of two >= 64; the transform runs along the last axis.
     """
     if not isinstance(spec, ColorSpec):
         spec = ColorSpec(spec)
-    if count < 64 or count & (count - 1):
-        raise ValueError(f"count must be a power of two >= 64, got {count}")
-    rng = _rng(seed)
-    white = rng.standard_normal(count)
-    spectrum = np.fft.rfft(white)
-    k = np.arange(1, spectrum.size, dtype=np.float64)
-    spectrum[1:] *= k ** (-spec.alpha / 2.0)
-    spectrum[0] = 0.0
-    x = np.fft.irfft(spectrum, n=count)
-    return x / x.std()
+    shape = _shape(count)
+    n = shape[-1]
+    if n < 64 or n & (n - 1):
+        raise ValueError(f"count must be a power of two >= 64, got {n}")
+    white = _rng(seed).standard_normal(shape)
+    spectrum = np.fft.rfft(white, axis=-1)
+    k = np.arange(1, spectrum.shape[-1], dtype=np.float64)
+    spectrum[..., 1:] *= k ** (-spec.alpha / 2.0)
+    spectrum[..., 0] = 0.0
+    x = np.fft.irfft(spectrum, n=n, axis=-1)
+    return x / x.std(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

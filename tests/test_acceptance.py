@@ -285,9 +285,9 @@ def test_a9c_general_noise_regime():
 @pytest.mark.xfail(
     strict=True,
     reason="no per-slot amplitude law supported on [0, pi/6] keeps the coherent ensemble "
-    "mean at or above 0.9 for every slot count above 20: all admissible laws dip to "
-    "about 0.887 around 33-39 slots (see notes/decisions.md); the floor holds from "
-    "about n = 45 upward",
+    "mean at or above 0.9 for every slot count above 20: the exact ensemble mean of "
+    "this clipped-Gaussian law has its minimum 0.8865 at n = 35, and the floor holds "
+    "from about n = 45 upward",
 )
 def test_a9e_small_amplitude_regime():
     r = 500

@@ -16,6 +16,7 @@ from ifmsim.cli import (
     main,
     parse_int_list,
 )
+from ifmsim.experiments import RNG_SCHEME
 
 SMALL_SWEEP = """
 [run]
@@ -77,6 +78,7 @@ def test_sweep_writes_stats_and_manifest(tmp_path):
     assert manifest["master_seed"] == 4242
     assert manifest["seed_source"] == "config"
     assert manifest["config_hash"] == config_hash(load_config(cfg))
+    assert manifest["rng_scheme"] == RNG_SCHEME
     assert str(stats) in manifest["outputs"]
 
 
@@ -207,6 +209,40 @@ def test_bad_sweep_float_exits_2_naming_key(tmp_path, capsys, text, line, replac
     code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert key in capsys.readouterr().err
+
+
+COLORED = SMALL_SWEEP.replace("zero_sum", "colored_phase") + "\n[noise]\nalpha = 1\n"
+
+
+@pytest.mark.parametrize("command, text, line, replacement, key", [
+    ("sweep", KAPPA, "sample_rate = 1e6", "sample_rate = 0", "[timing] sample_rate"),
+    ("sweep", KAPPA, "sample_rate = 1e6", "sample_rate = 1e6\ntotal_duration = 0",
+     "[timing] total_duration"),
+    ("sweep", CLUSTERING, "total_duration = 1e-5", "total_duration = -1e-5",
+     "[timing] total_duration"),
+    ("sweep", COLORED, "alpha = 1", "alpha = 5", "[noise] alpha"),
+    ("sweep", COLORED, "alpha = 1", "alpha = -3", "[noise] alpha"),
+    ("sweep", SMALL_SWEEP, "n_values = 2,5,10", "n_values = 2,x", "[grid] n_values"),
+    ("sweep", CLUSTERING, "kappa_inv_fractions = 0.5", "kappa_inv_fractions = 0.5,abc",
+     "[grid] kappa_inv_fractions"),
+    ("sweep", KAPPA, "kappa_inv_fractions = 0.5", "kappa_inv_fractions = ,",
+     "[grid] kappa_inv_fractions"),
+    ("fcs", SMALL_FCS, "total_duration = 1e-5", "total_duration = 0", "[fcs] total_duration"),
+], ids=["sample_rate_zero", "kappa_total_duration_zero", "clustering_total_duration_negative",
+        "alpha_above_2", "alpha_below_minus_2", "n_values_list", "kappa_inv_fractions_list",
+        "empty_float_list", "fcs_total_duration_zero"])
+def test_out_of_range_value_exits_2_naming_key(tmp_path, capsys, command, text, line,
+                                               replacement, key):
+    assert line in text
+    cfg = write(tmp_path, "bad.cfg", text.replace(line, replacement))
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
+def test_colored_config_runs_with_alpha_in_range(tmp_path):
+    cfg = write(tmp_path, "colored.cfg", COLORED.replace("alpha = 1", "alpha = -2"))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
 
 
 @pytest.mark.parametrize("line, replacement, key", [

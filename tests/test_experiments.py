@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from ifmsim import experiments
+from ifmsim.core import basis_state
 from ifmsim.experiments import (
     BinarySlotNoise,
     ColoredPhase,
@@ -19,7 +20,7 @@ from ifmsim.experiments import (
     transparency_anomalies,
 )
 from ifmsim.noise import ProtocolTiming, PulseSchedule
-from ifmsim.protocols import run_cifm, run_pifm, run_qubit
+from ifmsim.protocols import batch_populations, run_cifm, run_pifm, run_qubit
 from ifmsim.pulses import Pulse, pifm_pi_train_p0
 
 AXIS = -np.pi / 2
@@ -60,6 +61,29 @@ def test_markers_independent_of_realization_count_prefix():
     small = ensemble_markers("qubit", WhiteAmplitude(0, np.pi), 5, 20, 7, point_index=3)
     large = ensemble_markers("qubit", WhiteAmplitude(0, np.pi), 5, 50, 7, point_index=3)
     assert np.array_equal(small, large[:20])
+
+
+SCENARIOS = {
+    "zero_sum": ZeroSumAmplitude(np.pi),
+    "amplitude": WhiteAmplitude(0, np.pi),
+    "amplitude_phase": experiments.WhiteAmplitudePhase(np.pi, samples_per_slot=3),
+    "phase": experiments.WhitePhase(np.pi, samples_per_slot=2),
+    "colored_phase": ColoredPhase(alpha=1),
+    "binary_slot": BinarySlotNoise(kappa_inv=3e-6, total_duration=1e-5),
+    "binary_sampled": experiments.BinarySampledNoise(
+        kappa_inv=3e-6, total_duration=1e-5, delta_theta=np.pi / 250, sample_rate=1e9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_every_scenario_batch_extends_with_realizations(name):
+    # each random quantity is one row-major draw from its own stream
+    scenario = SCENARIOS[name]
+    small = scenario.sample(7, 20, np.random.default_rng([5, 3]))
+    large = scenario.sample(7, 50, np.random.default_rng([5, 3]))
+    for a, b in zip(small, large):
+        assert a.shape == (20, scenario.offsets(7)[-1])
+        assert np.array_equal(a, b[:20])
 
 
 def test_transparency_anomaly_detection():
@@ -119,11 +143,9 @@ def test_binary_slot_counts_are_binomial():
     n, draws = 12, 10_000
     t = 1e-5
     scenario = BinarySlotNoise(kappa_inv=t / 1000, total_duration=t, theta=0.3)
-    ks = np.empty(draws, dtype=int)
-    for r in range(draws):
-        rng = np.random.default_rng([21, 0, r])
-        dtheta, _ = scenario.sample(n, rng)
-        ks[r] = int(np.sum(dtheta > 0))
+    dtheta, _ = scenario.sample(n, draws, np.random.default_rng([21, 0]))
+    assert dtheta.shape == (draws, n)
+    ks = np.sum(dtheta > 0, axis=1)
     observed = np.bincount(ks, minlength=n + 1)
     expected = stats.binom.pmf(np.arange(n + 1), n, 0.5) * draws
     keep = expected > 5
@@ -199,23 +221,25 @@ def test_colored_phase_curves_cluster_and_projective_identical():
 def test_engine_rows_match_trace_slicing_pipeline():
     # a realization row fed to the kernels must equal the same noise routed
     # through NoiseTrace -> trace_to_schedule -> protocol runner
-    from ifmsim.noise import NoiseTrace, trace_to_schedule
+    from ifmsim.noise import NoiseTrace, interval_sample_slices, trace_to_schedule
     from ifmsim import kernels
-    from ifmsim.core import basis_state
     from ifmsim.pulses import BeamSplitterSpec
 
     n, total, rate = 8, 1e-5, 1e8
     scenario = experiments.BinarySampledNoise(
         kappa_inv=total / 4, total_duration=total, delta_theta=np.pi / 250, sample_rate=rate,
     )
-    rng = np.random.default_rng([55, 0, 0])
-    dtheta_row, chi_row = scenario.sample(n, rng)
+    rng = np.random.default_rng([55, 0])
+    dtheta, chi = scenario.sample(n, 1, rng)
+    dtheta_row, chi_row = dtheta[0], chi[0]
     offsets = scenario.offsets(n)
 
     timing = ProtocolTiming(n, total / n, 0.0)
     count = int(round(rate * timing.total_duration))
+    # expand each slot-level segment to its per-sample steps of +-delta_theta
     zeta = np.zeros(count)
-    zeta[: dtheta_row.size] = dtheta_row * rate  # segment angle = zeta / rate
+    for angle, (lo, hi) in zip(dtheta_row, interval_sample_slices(timing, rate)):
+        zeta[lo:hi] = angle / (hi - lo) * rate  # segment angle = zeta / rate
     chi_full = np.full(count, AXIS)
     schedule = trace_to_schedule(NoiseTrace(rate, timing.total_duration, zeta, chi_full), timing)
 
@@ -225,6 +249,26 @@ def test_engine_rows_match_trace_slicing_pipeline():
     )[0, 0]
     via_schedule = run_cifm(schedule).marker
     assert abs(direct - via_schedule) < 1e-12
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_slot_level_binary_noise_matches_per_sample_expansion(n):
+    # n = 5 puts 2000 samples of pi/250 in a slot, 8 pi in total: transparent
+    total, rate, delta = 1e-5, 1e9, np.pi / 250
+    scenario = experiments.BinarySampledNoise(
+        kappa_inv=total / 3, total_duration=total, delta_theta=delta, sample_rate=rate,
+    )
+    dtheta, chi = scenario.sample(n, 6, np.random.default_rng([8, 1]))
+    samples = scenario.slot_samples(n).astype(int)
+    steps = np.repeat(np.sign(dtheta) * delta, samples, axis=1)
+    edges = np.concatenate(([0], np.cumsum(samples)))
+    for protocol in ("cifm", "pifm"):
+        psi0 = basis_state(3, 0)
+        slot_level = batch_populations(protocol, dtheta, chi, scenario.offsets(n), psi0)
+        per_sample = batch_populations(protocol, steps, np.full_like(steps, AXIS), edges, psi0)
+        assert np.max(np.abs(slot_level - per_sample)) <= 1e-12
+        if n == 5:
+            assert np.max(slot_level[:, 0]) < 1e-12  # the detector is blind to the noise
 
 
 def test_sweep_config_validation():

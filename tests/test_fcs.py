@@ -5,6 +5,7 @@ import pytest
 
 from ifmsim.experiments import (
     GFEstimate,
+    _event_counts,
     fcs_estimate,
     moments_from_gf,
     poisson_generating_function,
@@ -15,6 +16,15 @@ from ifmsim.protocols import run_qubit
 from ifmsim.pulses import Pulse
 
 AXIS = -np.pi / 2
+
+
+def test_event_trains_extend_with_realizations():
+    small = _event_counts(3, 0, 4.0, 30, 40)
+    large = _event_counts(3, 0, 4.0, 80, 40)
+    assert small.shape == (30, 40)
+    assert np.array_equal(small, large[:30])
+    # the zero-frequency check draws its trains under key 1, independent of key 0
+    assert not np.array_equal(small, _event_counts(3, 1, 4.0, 30, 40))
 
 
 def test_gf_at_zero_attenuation_is_one():

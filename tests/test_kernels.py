@@ -3,7 +3,7 @@ import pytest
 
 from ifmsim import kernels
 from ifmsim.core import basis_state, pure_density
-from ifmsim.experiments import _populations_parallel
+from ifmsim.experiments import _populations
 from ifmsim.noise import ProtocolTiming, PulseSchedule
 from ifmsim.protocols import PROTOCOLS, batch_populations, run_pifm
 from ifmsim.pulses import Pulse, beam_splitter, composed_pulse, pifm_measure_channel
@@ -140,8 +140,8 @@ def literal(protocol, dtheta, chi, offsets):
     return batch_populations(protocol, dtheta, chi, offsets, psi0)
 
 
-def dispatch(protocol, dtheta, chi, offsets, threads=1):
-    return _populations_parallel(protocol, dtheta, chi, offsets, threads)
+def dispatch(protocol, dtheta, chi, offsets):
+    return _populations(protocol, dtheta, chi, offsets)
 
 
 def split_coaxial(dtheta, chi, offsets, rng, max_pieces=4):
@@ -161,8 +161,7 @@ def test_coaxial_split_leaves_outputs_unchanged(protocol, batch):
     split = split_coaxial(dtheta, chi, offsets, np.random.default_rng(6))
     assert split[0].shape[1] > dtheta.shape[1]
     ref = literal(protocol, dtheta, chi, offsets)
-    for got in (dispatch(protocol, *split), dispatch(protocol, *split, threads=3),
-                literal(protocol, *split)):
+    for got in (dispatch(protocol, *split), literal(protocol, *split)):
         assert np.max(np.abs(got - ref)) <= 1e-13
 
 

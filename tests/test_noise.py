@@ -182,6 +182,20 @@ def test_telegraph_psd_is_lorentzian():
     assert rel.max() < 0.10
 
 
+def test_telegraph_slots_1d_call_is_row_0_of_batch():
+    one = gen_telegraph_slots(3e4, 0.7, 40, 1e-5, 123)
+    batch = gen_telegraph_slots(3e4, 0.7, (1, 40), 1e-5, 123)
+    assert batch.shape == (1, 40)
+    assert one.tobytes() == batch[0].tobytes()
+
+
+def test_telegraph_slots_initial_sign_is_fair():
+    rows = 20_000
+    s = gen_telegraph_slots(10.0, 1.0, (rows, 3), 1e-5, 4)  # flips almost never
+    assert abs(s[:, 0].mean()) < 4.0 / np.sqrt(rows)
+    assert np.mean(s[:, 1:] != s[:, :-1]) < 1e-3
+
+
 def test_telegraph_slots_markov_flip_probability():
     kappa, tau = 2e4, 1e-5
     q = 0.5 * (1.0 - np.exp(-2 * kappa * tau))
