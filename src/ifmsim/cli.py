@@ -303,6 +303,13 @@ def cmd_sweep(args) -> int:
         delta = _float_key(config, "noise", "delta_theta")
         fractions = _list_key(config, "grid", "kappa_inv_fractions", parse_float_list)
         kinvs = tuple(f * total for f in fractions)
+        probe = experiments.BinarySampledNoise(kinvs[0], total, delta, rate)
+        if any(probe.slot_samples(n).min() < 1 for n in n_values):
+            # a slot without samples carries no noise: the detector would see none
+            raise ConfigError(
+                f"[timing] sample_rate = {rate:g} leaves drive slots without trace samples: "
+                f"total_duration * sample_rate = {total * rate:g} must be >= every n "
+                f"(largest {max(n_values)})")
         grid = experiments.sweep_kappa_N(
             n_values, kinvs, delta, realizations=realizations, master_seed=seed,
             total_duration=total, sample_rate=rate,
@@ -402,7 +409,8 @@ def cmd_fcs(args) -> int:
         kappa = _float_key(config, "fcs", "kappa")
     theta = _float_key(config, "fcs", "theta")
     realizations = _int_key(config, "fcs", "realizations", 10000, 1)
-    n_slots = _int_key(config, "fcs", "slots", 40, 1)
+    # accepted; the pulses drive one axis, so only their count per realization matters
+    _int_key(config, "fcs", "slots", 40, 1)
     lam_max = _float_key(config, "fcs", "lambda_max", 2.0)
     lam_count = _int_key(config, "fcs", "lambda_count", 41, 3)
     if lam_count % 2 == 0:
@@ -416,7 +424,7 @@ def cmd_fcs(args) -> int:
     started = _utcnow()
 
     gf = experiments.fcs_estimate(kappa, theta, total, lambdas, realizations,
-                                  master_seed=seed, n_slots=n_slots)
+                                  master_seed=seed)
     gf_path = out_dir / f"{prefix}_gf.csv"
     with open(gf_path, "w", encoding="utf-8") as fh:
         fh.write("lambda,re,im,stderr\n")
@@ -425,7 +433,7 @@ def cmd_fcs(args) -> int:
 
     moment_grid = np.array([-h, 0.0, h])
     gf_moments = experiments.fcs_estimate(kappa, theta, total, moment_grid, realizations,
-                                          master_seed=seed, n_slots=n_slots)
+                                          master_seed=seed)
     m1 = experiments.moments_from_gf(gf_moments, 1)
     m2 = experiments.moments_from_gf(gf_moments, 2)
     mean_m = m1 / theta

@@ -276,9 +276,8 @@ class SweepResult:
         return self.config.n_values
 
 
-def _populations(protocol, dtheta, chi, offsets, initial=None):
-    if initial is None:
-        initial = basis_state(PROTOCOLS[protocol].levels, 0)
+def _populations(protocol, dtheta, chi, offsets):
+    initial = basis_state(PROTOCOLS[protocol].levels, 0)
     # the qubit has no slot structure, so its whole chain is one slot
     dtheta, chi, offsets = kernels.merge_coaxial(
         dtheta, chi, None if protocol == "qubit" else offsets)
@@ -534,12 +533,15 @@ def _event_counts(master_seed, point_index, mean_events, realizations, n_slots) 
 
 
 def fcs_estimate(kappa, theta, total_duration, lambda_values, realizations,
-                 master_seed=0, n_slots=40) -> GFEstimate:
+                 master_seed=0) -> GFEstimate:
     """Reconstruct the counting-field generating function from qubit runs.
 
     Each realization draws a Poisson number of theta pulses over the
-    sequence and scatters them uniformly over the drive slots; the same
-    event trains are reused across the whole lambda grid (the attenuator is
+    sequence.  The pulses all drive one axis, so they compose to a single
+    rotation by their total angle and their positions in time do not
+    matter: only the per-row totals are drawn, from the same child stream
+    as the event counts of _event_counts(master_seed, 0, ...).  The same
+    totals are reused across the whole lambda grid (the attenuator is
     swept, the noise is not redrawn), which makes finite differences across
     lambda nearly noise-free.  From the ground state the marker gives
     Re GF = 1 - 2 E[p_e]; from (|g> + |e>)/sqrt(2) it gives
@@ -548,10 +550,10 @@ def fcs_estimate(kappa, theta, total_duration, lambda_values, realizations,
     lambda_values = np.asarray(lambda_values, dtype=np.float64)
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
-    counts = _event_counts(master_seed, 0, kappa * total_duration, realizations, n_slots)
-    # scaling every angle by lambda commutes with merging, so the coaxial
-    # slots are merged once here rather than once per lambda
-    unit, chi, _ = kernels.merge_coaxial(counts * theta, _amplitude_axis(counts), None)
+    count_rng, _ = _stream(master_seed, 0).spawn(2)
+    events = count_rng.poisson(kappa * total_duration, realizations)
+    unit = (events * theta)[:, np.newaxis]
+    chi = _amplitude_axis(unit)
     ground = basis_state(2, 0)
     plus = np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0)
     re = np.empty(lambda_values.size)
@@ -560,8 +562,8 @@ def fcs_estimate(kappa, theta, total_duration, lambda_values, realizations,
     sqrt_r = math.sqrt(realizations)
     for i, lam in enumerate(lambda_values):
         dtheta = unit * lam
-        pe_g = _populations("qubit", dtheta, chi, None, initial=ground)[:, 1]
-        pe_p = _populations("qubit", dtheta, chi, None, initial=plus)[:, 1]
+        pe_g = batch_populations("qubit", dtheta, chi, None, ground)[:, 1]
+        pe_p = batch_populations("qubit", dtheta, chi, None, plus)[:, 1]
         re[i] = 1.0 - 2.0 * pe_g.mean()
         im[i] = 2.0 * pe_p.mean() - 1.0
         if realizations > 1:
@@ -633,7 +635,7 @@ def zero_freq_psd_check(kappa, theta, total_duration, realizations,
     """
     gf = fcs_estimate(kappa, theta, total_duration,
                       np.array([-moment_step, 0.0, moment_step]),
-                      realizations, master_seed=master_seed, n_slots=n_slots)
+                      realizations, master_seed=master_seed)
     fcs_value = moments_from_gf(gf, 2)
     tau_slot = total_duration / n_slots
     trains = _event_counts(master_seed, 1, kappa * total_duration, realizations, n_slots)

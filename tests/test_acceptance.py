@@ -132,7 +132,7 @@ def test_a4_alternating_pair_closed_form():
     reason="the printed small-angle ground amplitude -theta^2/16 is inconsistent with the "
     "exact closed form, whose leading term is +(sqrt(3)-1)/16 theta^2; the printed "
     "approximate state also violates normalization at order theta^2, so this check "
-    "cannot pass against a correct implementation (see notes/decisions.md)",
+    "cannot pass against a correct implementation",
 )
 def test_a4b_printed_small_angle_ground_amplitude():
     theta = 1e-2

@@ -216,6 +216,8 @@ COLORED = SMALL_SWEEP.replace("zero_sum", "colored_phase") + "\n[noise]\nalpha =
 
 @pytest.mark.parametrize("command, text, line, replacement, key", [
     ("sweep", KAPPA, "sample_rate = 1e6", "sample_rate = 0", "[timing] sample_rate"),
+    ("sweep", KAPPA, "sample_rate = 1e6", "sample_rate = 1e3", "[timing] sample_rate"),
+    ("sweep", KAPPA, "n_values = 2", "n_values = 2,20", "[timing] sample_rate"),
     ("sweep", KAPPA, "sample_rate = 1e6", "sample_rate = 1e6\ntotal_duration = 0",
      "[timing] total_duration"),
     ("sweep", CLUSTERING, "total_duration = 1e-5", "total_duration = -1e-5",
@@ -228,7 +230,8 @@ COLORED = SMALL_SWEEP.replace("zero_sum", "colored_phase") + "\n[noise]\nalpha =
     ("sweep", KAPPA, "kappa_inv_fractions = 0.5", "kappa_inv_fractions = ,",
      "[grid] kappa_inv_fractions"),
     ("fcs", SMALL_FCS, "total_duration = 1e-5", "total_duration = 0", "[fcs] total_duration"),
-], ids=["sample_rate_zero", "kappa_total_duration_zero", "clustering_total_duration_negative",
+], ids=["sample_rate_zero", "sample_rate_below_one_per_slot", "largest_n_has_empty_slots",
+        "kappa_total_duration_zero", "clustering_total_duration_negative",
         "alpha_above_2", "alpha_below_minus_2", "n_values_list", "kappa_inv_fractions_list",
         "empty_float_list", "fcs_total_duration_zero"])
 def test_out_of_range_value_exits_2_naming_key(tmp_path, capsys, command, text, line,
@@ -242,6 +245,12 @@ def test_out_of_range_value_exits_2_naming_key(tmp_path, capsys, command, text, 
 
 def test_colored_config_runs_with_alpha_in_range(tmp_path):
     cfg = write(tmp_path, "colored.cfg", COLORED.replace("alpha = 1", "alpha = -2"))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+
+
+def test_kappa_config_runs_with_one_sample_per_slot(tmp_path):
+    # 1e-5 s at 1e6 samples/s: 10 samples, one per slot at n = 10
+    cfg = write(tmp_path, "kappa.cfg", KAPPA.replace("n_values = 2", "n_values = 2,10"))
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
 
 

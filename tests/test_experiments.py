@@ -19,7 +19,7 @@ from ifmsim.experiments import (
     sweep_kappa_N,
     transparency_anomalies,
 )
-from ifmsim.noise import ProtocolTiming, PulseSchedule
+from ifmsim.noise import ProtocolTiming, PulseSchedule, interval_sample_slices
 from ifmsim.protocols import batch_populations, run_cifm, run_pifm, run_qubit
 from ifmsim.pulses import Pulse, pifm_pi_train_p0
 
@@ -221,7 +221,7 @@ def test_colored_phase_curves_cluster_and_projective_identical():
 def test_engine_rows_match_trace_slicing_pipeline():
     # a realization row fed to the kernels must equal the same noise routed
     # through NoiseTrace -> trace_to_schedule -> protocol runner
-    from ifmsim.noise import NoiseTrace, interval_sample_slices, trace_to_schedule
+    from ifmsim.noise import NoiseTrace, trace_to_schedule
     from ifmsim import kernels
     from ifmsim.pulses import BeamSplitterSpec
 
@@ -236,10 +236,11 @@ def test_engine_rows_match_trace_slicing_pipeline():
 
     timing = ProtocolTiming(n, total / n, 0.0)
     count = int(round(rate * timing.total_duration))
-    # expand each slot-level segment to its per-sample steps of +-delta_theta
+    # expand each slot-level segment to its per-sample steps of +-delta_theta;
+    # the trace's own slicing fixes how many steps each slot gets
     zeta = np.zeros(count)
     for angle, (lo, hi) in zip(dtheta_row, interval_sample_slices(timing, rate)):
-        zeta[lo:hi] = angle / (hi - lo) * rate  # segment angle = zeta / rate
+        zeta[lo:hi] = np.sign(angle) * scenario.delta_theta * rate  # step = zeta / rate
     chi_full = np.full(count, AXIS)
     schedule = trace_to_schedule(NoiseTrace(rate, timing.total_duration, zeta, chi_full), timing)
 
@@ -259,7 +260,9 @@ def test_slot_level_binary_noise_matches_per_sample_expansion(n):
         kappa_inv=total / 3, total_duration=total, delta_theta=delta, sample_rate=rate,
     )
     dtheta, chi = scenario.sample(n, 6, np.random.default_rng([8, 1]))
-    samples = scenario.slot_samples(n).astype(int)
+    # per-sample steps counted by the trace slicing, not by slot_samples
+    slices = interval_sample_slices(ProtocolTiming(n, total / n, 0.0), rate)
+    samples = np.array([hi - lo for lo, hi in slices])
     steps = np.repeat(np.sign(dtheta) * delta, samples, axis=1)
     edges = np.concatenate(([0], np.cumsum(samples)))
     for protocol in ("cifm", "pifm"):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ifmsim.core import basis_state
 from ifmsim.experiments import (
     GFEstimate,
     _event_counts,
@@ -12,7 +13,7 @@ from ifmsim.experiments import (
     zero_freq_psd_check,
 )
 from ifmsim.noise import ProtocolTiming, PulseSchedule
-from ifmsim.protocols import run_qubit
+from ifmsim.protocols import batch_populations, run_qubit
 from ifmsim.pulses import Pulse
 
 AXIS = -np.pi / 2
@@ -25,6 +26,19 @@ def test_event_trains_extend_with_realizations():
     assert np.array_equal(small, large[:30])
     # the zero-frequency check draws its trains under key 1, independent of key 0
     assert not np.array_equal(small, _event_counts(3, 1, 4.0, 30, 40))
+
+
+def test_gf_from_event_totals_matches_slot_resolved_trains():
+    # fcs_estimate draws only the per-row totals; the slot-resolved trains of
+    # the same keyed stream must give the same populations, slot by slot
+    kappa, theta, total, r = 4e5, 0.5, 1e-5, 50
+    lambdas = np.array([-1.0, 0.3, 2.0])
+    gf = fcs_estimate(kappa, theta, total, lambdas, r, master_seed=5)
+    counts = _event_counts(5, 0, kappa * total, r, 40)
+    chi = np.full(counts.shape, AXIS)
+    for i, lam in enumerate(lambdas):
+        pe_g = batch_populations("qubit", counts * theta * lam, chi, None, basis_state(2, 0))
+        assert abs(gf.re[i] - (1.0 - 2.0 * pe_g[:, 1].mean())) < 1e-12
 
 
 def test_gf_at_zero_attenuation_is_one():
