@@ -148,6 +148,21 @@ def _list_key(config: dict, section: str, key: str, parse) -> tuple:
         raise ConfigError(f"[{section}] {key}: {exc}") from None
 
 
+def _kappa_inv_values(config: dict, max_fraction: float | None = None
+                      ) -> tuple[float, tuple[float, ...]]:
+    """[timing] total_duration and the correlation times it scales by
+    [grid] kappa_inv_fractions, each fraction finite, > 0 and at most
+    max_fraction when given; a ConfigError names the key."""
+    total = _float_key(config, "timing", "total_duration", 1e-5, positive=True)
+    fractions = _list_key(config, "grid", "kappa_inv_fractions", parse_float_list)
+    limit = "" if max_fraction is None else f" and <= {max_fraction:g}"
+    for f in fractions:
+        if not 0 < f < math.inf or (max_fraction is not None and f > max_fraction):
+            raise ConfigError(f"[grid] kappa_inv_fractions entries must be finite, "
+                              f"> 0{limit}; got {f:g}")
+    return total, tuple(f * total for f in fractions)
+
+
 #: Every key each subcommand reads, by section.
 _SWEEP_KEYS = {
     "run": {"mode", "protocol", "scenario", "realizations", "seed", "threads"},
@@ -298,11 +313,10 @@ def cmd_sweep(args) -> int:
             "std": sweep.stats.std.tolist(),
         }
     elif mode == "kappa":
-        total = _float_key(config, "timing", "total_duration", 1e-5, positive=True)
+        # sweep_kappa_N refuses correlation times longer than the sequence
+        total, kinvs = _kappa_inv_values(config, 1.0)
         rate = _float_key(config, "timing", "sample_rate", 1e9, positive=True)
         delta = _float_key(config, "noise", "delta_theta")
-        fractions = _list_key(config, "grid", "kappa_inv_fractions", parse_float_list)
-        kinvs = tuple(f * total for f in fractions)
         probe = experiments.BinarySampledNoise(kinvs[0], total, delta, rate)
         if any(probe.slot_samples(n).min() < 1 for n in n_values):
             # a slot without samples carries no noise: the detector would see none
@@ -330,10 +344,8 @@ def cmd_sweep(args) -> int:
             "anomalous_n": list(grid.anomalies),
         }
     elif mode == "clustering":
-        total = _float_key(config, "timing", "total_duration", 1e-5, positive=True)
+        total, kinvs = _kappa_inv_values(config)
         theta = _float_key(config, "noise", "theta", math.pi)
-        fractions = _list_key(config, "grid", "kappa_inv_fractions", parse_float_list)
-        kinvs = tuple(f * total for f in fractions)
         result = experiments.clustering_sweep(
             n_values, kinvs, realizations=realizations, master_seed=seed,
             theta=theta, total_duration=total,

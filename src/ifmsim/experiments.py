@@ -9,6 +9,11 @@ row by row, and a scenario with two random quantities takes them from two
 child streams; so results are bit-reproducible, and growing the realization
 count extends the ensemble rather than redrawing it.  Everything runs in
 one thread: results and speed do not depend on any thread count.
+
+run_sweep, sweep_kappa_N and clustering_sweep share one grid loop, _grid:
+each driver lists its (n_slots, scenario) points, n-major, and point k is
+keyed by k.  Every protocol the driver asks for runs on the same batch, and
+the kernels receive the sampled segments as they are.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .core import basis_state
 from .noise import (
     ColorSpec,
@@ -243,18 +247,13 @@ class EnsembleStats:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One scenario sweep over slot counts.
-
-    threads is accepted for compatibility with older configs; sweeps run in
-    one thread, and neither results nor speed depend on it.
-    """
+    """One scenario sweep over slot counts."""
 
     protocol: str
     scenario: object
     n_values: tuple[int, ...]
     realizations: int = 500
     master_seed: int = 0
-    threads: int = 0
 
     def __post_init__(self) -> None:
         if self.protocol not in PROTOCOLS:
@@ -276,14 +275,6 @@ class SweepResult:
         return self.config.n_values
 
 
-def _populations(protocol, dtheta, chi, offsets):
-    initial = basis_state(PROTOCOLS[protocol].levels, 0)
-    # the qubit has no slot structure, so its whole chain is one slot
-    dtheta, chi, offsets = kernels.merge_coaxial(
-        dtheta, chi, None if protocol == "qubit" else offsets)
-    return batch_populations(protocol, dtheta, chi, offsets, initial)
-
-
 def _sample_batch(scenario, n_slots, realizations, master_seed, point_index):
     """(dtheta, chi, offsets) of the ensemble, drawn in one call from the
     generator keyed by (master_seed, point_index)."""
@@ -293,7 +284,8 @@ def _sample_batch(scenario, n_slots, realizations, master_seed, point_index):
 
 
 def _markers(protocol, batch) -> np.ndarray:
-    return _populations(protocol, *batch)[:, PROTOCOLS[protocol].marker]
+    levels, marker = PROTOCOLS[protocol]
+    return batch_populations(protocol, *batch, basis_state(levels, 0))[:, marker]
 
 
 def ensemble_markers(protocol, scenario, n_slots, realizations, master_seed,
@@ -303,26 +295,32 @@ def ensemble_markers(protocol, scenario, n_slots, realizations, master_seed,
     return _markers(protocol, batch)
 
 
-def _stats(markers_by_point: list[np.ndarray]) -> EnsembleStats:
-    count = len(markers_by_point[0])
-    mean = np.array([m.mean() for m in markers_by_point])
-    if count > 1:
-        var = np.array([m.var(ddof=1) for m in markers_by_point])
-    else:
-        var = np.zeros(len(markers_by_point))
-    return EnsembleStats(mean=mean, variance=var, std=np.sqrt(var), count=count)
+def _grid(points, protocols, realizations, master_seed) -> dict[str, EnsembleStats]:
+    """Marker statistics of every protocol at every (n_slots, scenario) point.
+
+    Point k draws one batch from the generator keyed by (master_seed, k),
+    and that batch feeds every protocol.  Each protocol's stats hold one
+    mean and one ddof-1 variance per point, in the order of points.
+    """
+    mean = np.empty((len(protocols), len(points)))
+    var = np.zeros_like(mean)
+    for k, (n_slots, scenario) in enumerate(points):
+        batch = _sample_batch(scenario, n_slots, realizations, master_seed, k)
+        for i, protocol in enumerate(protocols):
+            markers = _markers(protocol, batch)
+            mean[i, k] = markers.mean()
+            if realizations > 1:
+                var[i, k] = markers.var(ddof=1)
+    return {protocol: EnsembleStats(mean=mean[i], variance=var[i], std=np.sqrt(var[i]),
+                                    count=realizations)
+            for i, protocol in enumerate(protocols)}
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Mean and variance of the marker population over the n_values grid."""
-    markers = [
-        ensemble_markers(
-            config.protocol, config.scenario, n, config.realizations,
-            config.master_seed, point_index=i,
-        )
-        for i, n in enumerate(config.n_values)
-    ]
-    return SweepResult(config=config, stats=_stats(markers))
+    points = [(n, config.scenario) for n in config.n_values]
+    stats = _grid(points, (config.protocol,), config.realizations, config.master_seed)
+    return SweepResult(config=config, stats=stats[config.protocol])
 
 
 # ---------------------------------------------------------------------------
@@ -371,26 +369,16 @@ def sweep_kappa_N(n_values, kappa_inv_values, delta_theta, realizations=500,
     for k in kappa_inv_values:
         if not 0 < k <= total_duration:
             raise ValueError(f"kappa_inv {k:g} outside (0, {total_duration:g}]")
-    mean = np.empty((len(n_values), len(kappa_inv_values)))
-    var = np.empty_like(mean)
-    point = 0
-    for i, n in enumerate(n_values):
-        for j, kinv in enumerate(kappa_inv_values):
-            scenario = BinarySampledNoise(
-                kappa_inv=kinv, total_duration=total_duration,
-                delta_theta=delta_theta, sample_rate=sample_rate,
-            )
-            markers = ensemble_markers(
-                protocol, scenario, n, realizations, master_seed,
-                point_index=point,
-            )
-            mean[i, j] = markers.mean()
-            var[i, j] = markers.var(ddof=1) if realizations > 1 else 0.0
-            point += 1
+    points = [(n, BinarySampledNoise(kappa_inv=kinv, total_duration=total_duration,
+                                      delta_theta=delta_theta, sample_rate=sample_rate))
+              for n in n_values for kinv in kappa_inv_values]
+    stats = _grid(points, (protocol,), realizations, master_seed)[protocol]
+    shape = (len(n_values), len(kappa_inv_values))
     anomalies = transparency_anomalies(n_values, delta_theta, total_duration, sample_rate)
     return KappaSweepResult(
-        n_values=n_values, kappa_inv_values=kappa_inv_values, mean=mean,
-        variance=var, std=np.sqrt(var), count=realizations,
+        n_values=n_values, kappa_inv_values=kappa_inv_values,
+        mean=stats.mean.reshape(shape), variance=stats.variance.reshape(shape),
+        std=stats.std.reshape(shape), count=realizations,
         anomalies=tuple(anomalies), protocol=protocol,
     )
 
@@ -415,25 +403,14 @@ def clustering_sweep(n_values, kappa_inv_values, realizations=2000, master_seed=
     """
     n_values = tuple(int(n) for n in n_values)
     kappa_inv_values = tuple(float(k) for k in kappa_inv_values)
+    points = [(n, BinarySlotNoise(kappa_inv=kinv, total_duration=total_duration, theta=theta))
+              for n in n_values for kinv in kappa_inv_values]
+    stats = _grid(points, ("cifm", "pifm"), realizations, master_seed)
     shape = (len(n_values), len(kappa_inv_values))
-    cifm_mean = np.empty(shape)
-    cifm_std = np.empty(shape)
-    pifm_mean = np.empty(shape)
-    point = 0
-    for i, n in enumerate(n_values):
-        for j, kinv in enumerate(kappa_inv_values):
-            scenario = BinarySlotNoise(kappa_inv=kinv, total_duration=total_duration, theta=theta)
-            # one noise batch per point feeds both detectors
-            batch = _sample_batch(scenario, n, realizations, master_seed, point)
-            cifm = _markers("cifm", batch)
-            pifm = _markers("pifm", batch)
-            cifm_mean[i, j] = cifm.mean()
-            cifm_std[i, j] = cifm.std(ddof=1) if realizations > 1 else 0.0
-            pifm_mean[i, j] = pifm.mean()
-            point += 1
     return ClusteringResult(
         n_values=n_values, kappa_inv_values=kappa_inv_values,
-        cifm_mean=cifm_mean, cifm_std=cifm_std, pifm_mean=pifm_mean,
+        cifm_mean=stats["cifm"].mean.reshape(shape), cifm_std=stats["cifm"].std.reshape(shape),
+        pifm_mean=stats["pifm"].mean.reshape(shape),
         count=realizations,
     )
 

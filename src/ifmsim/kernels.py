@@ -14,15 +14,9 @@ sub-normalized state vector, so the loop adds |a2|^2 to a click total and
 zeroes a2; the final p2 is the click total plus |a2|^2.  The qubit is the
 same loop on a 2-level state: the whole chain drives levels 0-1 and there
 is no beam splitter.  The loop is a literal time-ordered segment product
-in double precision and never renormalizes.
-
-Segments on one axis compose exactly to a single rotation by their summed
-angle, so the ensemble dispatch (experiments._populations) first
-passes each batch through merge_coaxial, which collapses every run of
-equal-axis segments within a slot, and then hands the merged arrays to the
-kernels.  Merged results agree with the literal segment product to about
-1e-14.  benchmarks/bench_kernels.py times the literal kernels against
-merge_coaxial plus kernel.
+in double precision and never renormalizes.  The segments run exactly as
+the noise scenarios emit them; where the noise holds one axis across a slot
+(BinarySampledNoise), the scenario already emits that slot as one segment.
 """
 
 from __future__ import annotations
@@ -76,45 +70,6 @@ def _evolve(dtheta, chi, offsets, phi, psi0, project) -> np.ndarray:
     if project:
         out[:, 2] += clicks
     return out
-
-
-# ---------------------------------------------------------------------------
-# segment assembly
-# ---------------------------------------------------------------------------
-
-#: Elements per row block when testing for axis changes, so the comparison
-#: never allocates a full (realizations, segments) boolean temporary.
-_MERGE_BLOCK_ELEMENTS = 1 << 18
-
-
-def merge_coaxial(dtheta, chi, offsets):
-    """Collapse runs of equal-axis segments within each slot.
-
-    A run breaks at every slot offset and at every column p where any row
-    has chi[:, p] != chi[:, p - 1], so the merged layout is shared by all
-    rows and does not depend on how the rows are later chunked.  Each run
-    becomes one segment whose angle is the run's summed dtheta and whose
-    axis is the run's chi.  Empty slots stay empty.  offsets=None treats
-    the whole chain as one slot and is returned as None.  When nothing
-    merges, the inputs are returned unchanged.
-    """
-    r, n_seg = dtheta.shape
-    if n_seg < 2:
-        return dtheta, chi, offsets
-    breaks = np.zeros(n_seg, dtype=bool)
-    breaks[0] = True
-    if offsets is not None:
-        edges = np.asarray(offsets, dtype=np.int64)
-        breaks[edges[edges < n_seg]] = True
-    rows = max(1, _MERGE_BLOCK_ELEMENTS // n_seg)
-    for lo in range(0, r, rows):
-        block = chi[lo:lo + rows]
-        breaks[1:] |= (block[:, 1:] != block[:, :-1]).any(axis=0)
-    starts = np.flatnonzero(breaks)
-    if starts.size == n_seg:
-        return dtheta, chi, offsets
-    merged_offsets = None if offsets is None else np.searchsorted(starts, edges)
-    return np.add.reduceat(dtheta, starts, axis=1), chi[:, starts], merged_offsets
 
 
 # ---------------------------------------------------------------------------

@@ -92,9 +92,9 @@ def test_sweep_rerun_is_byte_identical(tmp_path):
     assert a == b
 
 
-def test_merging_kappa_sweep_is_byte_identical_across_threads(tmp_path):
-    # 200 and 125 coaxial samples per slot, so the dispatch merges segment
-    # runs before the rows are split across workers
+def test_kappa_sweep_is_byte_identical_across_threads(tmp_path):
+    # 200 and 125 trace samples per slot; --threads is accepted and must
+    # leave the stats CSV unchanged
     cfg = write(tmp_path, "kappa.cfg", """
 [run]
 mode = kappa
@@ -229,11 +229,18 @@ COLORED = SMALL_SWEEP.replace("zero_sum", "colored_phase") + "\n[noise]\nalpha =
      "[grid] kappa_inv_fractions"),
     ("sweep", KAPPA, "kappa_inv_fractions = 0.5", "kappa_inv_fractions = ,",
      "[grid] kappa_inv_fractions"),
+    ("sweep", CLUSTERING, "kappa_inv_fractions = 0.5", "kappa_inv_fractions = 0",
+     "[grid] kappa_inv_fractions"),
+    ("sweep", CLUSTERING, "kappa_inv_fractions = 0.5", "kappa_inv_fractions = 0.5,-0.1",
+     "[grid] kappa_inv_fractions"),
+    ("sweep", KAPPA, "kappa_inv_fractions = 0.5", "kappa_inv_fractions = 2.0",
+     "[grid] kappa_inv_fractions"),
     ("fcs", SMALL_FCS, "total_duration = 1e-5", "total_duration = 0", "[fcs] total_duration"),
 ], ids=["sample_rate_zero", "sample_rate_below_one_per_slot", "largest_n_has_empty_slots",
         "kappa_total_duration_zero", "clustering_total_duration_negative",
         "alpha_above_2", "alpha_below_minus_2", "n_values_list", "kappa_inv_fractions_list",
-        "empty_float_list", "fcs_total_duration_zero"])
+        "empty_float_list", "clustering_fraction_zero", "clustering_fraction_negative",
+        "kappa_fraction_above_1", "fcs_total_duration_zero"])
 def test_out_of_range_value_exits_2_naming_key(tmp_path, capsys, command, text, line,
                                                replacement, key):
     assert line in text

@@ -3,7 +3,6 @@ import pytest
 
 from ifmsim import kernels
 from ifmsim.core import basis_state, pure_density
-from ifmsim.experiments import _populations
 from ifmsim.noise import ProtocolTiming, PulseSchedule
 from ifmsim.protocols import PROTOCOLS, batch_populations, run_pifm
 from ifmsim.pulses import Pulse, beam_splitter, composed_pulse, pifm_measure_channel
@@ -104,15 +103,17 @@ def test_row_splits_are_byte_identical(protocol):
     assert np.array_equal(whole, parts)
 
 
-def test_pifm_kernel_probabilities_are_normalized():
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_kernel_probabilities_are_normalized(protocol):
     dtheta, chi, offsets = random_batch(4)
-    out = kernels.pifm_populations(dtheta, chi, offsets, np.pi / 6, basis_state(3, 0))
+    out = batch_populations(protocol, dtheta, chi, offsets,
+                            basis_state(PROTOCOLS[protocol].levels, 0))
     assert np.all(out >= -1e-12)
     assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
-# coaxial merging through the ensemble dispatch
+# metamorphic invariants of the segment chain
 # ---------------------------------------------------------------------------
 
 def coaxial_batch(seed, r=40, slots=5, per_slot=6):
@@ -134,16 +135,6 @@ BATCHES = {"per_segment_axes": random_batch, "per_slot_axes": coaxial_batch,
            "one_axis": one_axis_batch}
 
 
-def literal(protocol, dtheta, chi, offsets):
-    """The kernels on the segments as given, without merging."""
-    psi0 = basis_state(PROTOCOLS[protocol].levels, 0)
-    return batch_populations(protocol, dtheta, chi, offsets, psi0)
-
-
-def dispatch(protocol, dtheta, chi, offsets):
-    return _populations(protocol, dtheta, chi, offsets)
-
-
 def split_coaxial(dtheta, chi, offsets, rng, max_pieces=4):
     """Cut every segment into 1..max_pieces random pieces on its own axis."""
     pieces = rng.integers(1, max_pieces + 1, dtheta.shape[1])
@@ -160,9 +151,9 @@ def test_coaxial_split_leaves_outputs_unchanged(protocol, batch):
     dtheta, chi, offsets = BATCHES[batch](5)
     split = split_coaxial(dtheta, chi, offsets, np.random.default_rng(6))
     assert split[0].shape[1] > dtheta.shape[1]
-    ref = literal(protocol, dtheta, chi, offsets)
-    for got in (dispatch(protocol, *split), literal(protocol, *split)):
-        assert np.max(np.abs(got - ref)) <= 1e-13
+    psi0 = basis_state(PROTOCOLS[protocol].levels, 0)
+    ref = batch_populations(protocol, dtheta, chi, offsets, psi0)
+    assert np.max(np.abs(batch_populations(protocol, *split, psi0) - ref)) <= 1e-13
 
 
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
@@ -171,38 +162,6 @@ def test_four_pi_slot_shift_leaves_outputs_unchanged(protocol, batch):
     dtheta, chi, offsets = BATCHES[batch](7)
     shifted = dtheta.copy()
     shifted[:, offsets[2]] += 4.0 * np.pi
-    ref = dispatch(protocol, dtheta, chi, offsets)
-    assert np.max(np.abs(dispatch(protocol, shifted, chi, offsets) - ref)) <= 1e-12
-
-
-def test_merge_keeps_columns_where_any_row_changes_axis():
-    dtheta = np.arange(1.0, 9.0).reshape(2, 4)
-    chi = np.zeros((2, 4))
-    chi[1, 2:] = 1.0  # only row 1 changes axis, at column 2
-    d, c, o = kernels.merge_coaxial(dtheta, chi, np.array([0, 4]))
-    assert np.array_equal(d, [[3.0, 7.0], [11.0, 15.0]])
-    assert np.array_equal(c, [[0.0, 0.0], [0.0, 1.0]])
-    assert np.array_equal(o, [0, 2])
-
-
-def test_merge_keeps_empty_slots_and_slot_edges():
-    dtheta = np.arange(1.0, 7.0).reshape(1, 6)
-    chi = np.zeros((1, 6))
-    d, c, o = kernels.merge_coaxial(dtheta, chi, np.array([0, 0, 2, 2, 6, 6]))
-    assert np.array_equal(d, [[3.0, 18.0]])
-    assert np.array_equal(c, [[0.0, 0.0]])
-    assert np.array_equal(o, [0, 0, 1, 1, 2, 2])
-
-
-def test_merge_without_offsets_treats_chain_as_one_slot():
-    dtheta = np.arange(1.0, 7.0).reshape(2, 3)
-    d, c, o = kernels.merge_coaxial(dtheta, np.full((2, 3), 0.5), None)
-    assert np.array_equal(d, [[6.0], [15.0]])
-    assert np.array_equal(c, [[0.5], [0.5]])
-    assert o is None
-
-
-def test_merge_without_coaxial_runs_returns_inputs():
-    dtheta, chi, offsets = random_batch(8)
-    assert all(a is b for a, b in zip(kernels.merge_coaxial(dtheta, chi, offsets),
-                                      (dtheta, chi, offsets)))
+    psi0 = basis_state(PROTOCOLS[protocol].levels, 0)
+    ref = batch_populations(protocol, dtheta, chi, offsets, psi0)
+    assert np.max(np.abs(batch_populations(protocol, shifted, chi, offsets, psi0) - ref)) <= 1e-12
