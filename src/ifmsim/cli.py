@@ -1,12 +1,13 @@
 """Command-line front end: config-driven sweeps with reproducible artifacts.
 
 Configs are INI files (key = value under [section] headers) documented in
-the README.  Every run writes a manifest JSON carrying the echoed config,
-its hash, the seed actually used, the RNG scheme, timestamps, and the list
-of output files, so any artifact can be regenerated byte-for-byte from
-(config, seed, version).  --threads and the threads keys are accepted and
-validated, but runs are single-threaded: no result or timing depends on
-them.
+the README and checked against one table per subcommand, _SWEEP_SCHEMA or
+_FCS_SCHEMA, of every key's kind, range and default; scenario [noise]
+defaults live in the scenario classes.  Every run writes a manifest JSON
+carrying the echoed config, its hash, the seed actually used, the RNG
+scheme, timestamps, and the list of output files, so any artifact can be
+regenerated byte-for-byte from (config, seed, version).  Runs are
+single-threaded; --threads is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -59,17 +60,6 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _require(config: dict, section: str, key: str) -> str:
-    try:
-        return config[section][key]
-    except KeyError:
-        raise ConfigError(f"missing required key '{key}' in section [{section}]") from None
-
-
-def _get(config, section, key, default=None):
-    return config.get(section, {}).get(key, default)
-
-
 def parse_int_list(text: str) -> tuple[int, ...]:
     """Parse '1-5,8,10-12' style integer lists."""
     out: list[int] = []
@@ -103,99 +93,145 @@ def parse_float_list(text: str) -> tuple[float, ...]:
     return values
 
 
-def _as_int(raw, name: str, minimum: int, maximum: int | None = None) -> int:
-    """int(raw), or a ConfigError naming the key when it is not an integer
-    in [minimum, maximum]."""
-    try:
-        value = int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
-    if value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{name} must be <= {maximum}, got {value}")
+_PARSERS = {"int": int, "float": float, "ints": parse_int_list, "floats": parse_float_list}
+_COMPARE = {">": lambda v, b: v > b, ">=": lambda v, b: v >= b, "!=": lambda v, b: v != b}
+
+
+def _check(value, bounds: str, name: str):
+    """value, or a ConfigError naming it when it is not finite or not in bounds."""
+    lo, _, hi = bounds.partition("..")
+    if hi:
+        ok, bounds = float(lo) <= value <= float(hi), f"in {bounds}"
+    else:
+        op, _, b = bounds.partition(" ")
+        ok = not op or _COMPARE[op](value, float(b))
+    if not (math.isfinite(value) and ok):
+        need = f"finite and {bounds}" if bounds else "finite"
+        raise ConfigError(f"{name} must be {need}, got {value!r}")
     return value
 
 
-def _int_key(config: dict, section: str, key: str, default: int, minimum: int,
-             maximum: int | None = None) -> int:
-    return _as_int(_get(config, section, key, default), f"[{section}] {key}", minimum, maximum)
-
-
-def _float_key(config: dict, section: str, key: str, default: float | None = None,
-               positive: bool = False) -> float:
-    """A finite float, > 0 when positive is set; required when default is None.
-    A ConfigError names the key."""
-    raw = _require(config, section, key) if default is None else _get(config, section, key, default)
+def _value(raw: str, kind: str, bounds, name: str):
+    """raw read as kind and checked against bounds; a ConfigError names the key."""
+    if kind == "choice":
+        if raw not in bounds:
+            raise ConfigError(f"{name} must be one of {', '.join(bounds)}; got {raw!r}")
+        return raw
     try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"[{section}] {key} must be a number, got {raw!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
-    if positive and value <= 0:
-        raise ConfigError(f"[{section}] {key} must be > 0, got {raw!r}")
-    return value
+        value = _PARSERS[kind](raw)
+    except ValueError as exc:  # the list parsers raise ConfigError, a ValueError
+        raise ConfigError(f"{name} must be of kind {kind}: {exc}") from None
+    if isinstance(value, tuple):
+        for entry in value:
+            _check(entry, bounds, f"{name} entries")
+        return value
+    return _check(value, bounds, name)
 
 
-def _list_key(config: dict, section: str, key: str, parse) -> tuple:
-    """A required list key read by parse_int_list or parse_float_list;
-    a ConfigError names the key."""
-    text = _require(config, section, key)
-    try:
-        return parse(text)
-    except ConfigError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from None
+class _Values(dict):
+    """Typed config values by key; reading a key that the config lacks and
+    that has no default raises a ConfigError naming it."""
+
+    def __missing__(self, key):
+        raise ConfigError(f"missing required key '{key}' in section [{self.sections[key]}]")
 
 
-def _kappa_inv_values(config: dict, max_fraction: float | None = None
-                      ) -> tuple[float, tuple[float, ...]]:
-    """[timing] total_duration and the correlation times it scales by
-    [grid] kappa_inv_fractions, each fraction finite, > 0 and at most
-    max_fraction when given; a ConfigError names the key."""
-    total = _float_key(config, "timing", "total_duration", 1e-5, positive=True)
-    fractions = _list_key(config, "grid", "kappa_inv_fractions", parse_float_list)
-    limit = "" if max_fraction is None else f" and <= {max_fraction:g}"
-    for f in fractions:
-        if not 0 < f < math.inf or (max_fraction is not None and f > max_fraction):
-            raise ConfigError(f"[grid] kappa_inv_fractions entries must be finite, "
-                              f"> 0{limit}; got {f:g}")
-    return total, tuple(f * total for f in fractions)
+def _read(config: dict, schema: dict) -> _Values:
+    """The typed values of a loaded config, checked against a schema.
 
-
-#: Every key each subcommand reads, by section.
-_SWEEP_KEYS = {
-    "run": {"mode", "protocol", "scenario", "realizations", "seed", "threads"},
-    "grid": {"n_values", "kappa_inv_fractions"},
-    "noise": {"theta_max", "theta_lo", "theta_hi", "theta_slot", "samples_per_slot",
-              "alpha", "delta_theta", "theta"},
-    "timing": {"total_duration", "sample_rate"},
-}
-_FCS_KEYS = {
-    "fcs": {"kappa_t", "kappa", "theta", "total_duration", "slots", "lambda_max",
-            "lambda_count", "realizations", "moment_step", "seed", "threads"},
-}
-
-
-def _check_keys(config: dict, known: dict) -> None:
-    for section, keys in config.items():
-        if section not in known:
-            raise ConfigError(f"unknown section [{section}]; expected {sorted(known)}")
-        for key in keys:
-            if key not in known[section]:
+    Holds every key the config sets, plus the schema default of each key it
+    leaves out that has one; key names are unique across a schema's
+    sections.  An unknown section or key, a value of the wrong kind, or one
+    out of range raises a ConfigError naming `[section] key`.
+    """
+    values = _Values({key: default for keys in schema.values()
+                      for key, (_, _, default) in keys.items() if default is not None})
+    values.sections = {key: section for section, keys in schema.items() for key in keys}
+    for section, raws in config.items():
+        if section not in schema:
+            raise ConfigError(f"unknown section [{section}]; expected {sorted(schema)}")
+        for key, raw in raws.items():
+            if key not in schema[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
+            kind, bounds, _ = schema[section][key]
+            values[key] = _value(raw, kind, bounds, f"[{section}] {key}")
+    return values
 
 
-def _resolve_seed(config: dict, cli_seed) -> tuple[int, str]:
+def _given(values: dict, keys) -> dict:
+    """The keys the config sets, with their values."""
+    return {key: values[key] for key in keys if key in values}
+
+
+#: Each scenario by name: its class and the [noise] keys it takes.  A key
+#: the config leaves out keeps the class default.
+_SCENARIOS = {
+    "zero_sum": (experiments.ZeroSumAmplitude, ("theta_max",)),
+    "amplitude": (experiments.WhiteAmplitude, ("theta_lo", "theta_hi")),
+    "amplitude_phase": (experiments.WhiteAmplitudePhase, ("theta_max", "samples_per_slot")),
+    "phase": (experiments.WhitePhase, ("theta_slot", "samples_per_slot")),
+    "colored_phase": (experiments.ColoredPhase, ("alpha", "theta_slot")),
+}
+
+# Each subcommand's schema: section -> key -> (kind, range, default).  kind
+# is "choice" (range: the allowed strings), "int", "float", "ints" or
+# "floats" (comma lists).  A numeric range is "" (any finite value), "> b",
+# ">= b", "!= b" or "lo..hi", and holds for each entry of a list.  A key
+# without a default is required where cmd_sweep or cmd_fcs reads it.
+_SWEEP_SCHEMA = {
+    "run": {
+        "mode": ("choice", ("scenario", "kappa", "clustering"), None),
+        "protocol": ("choice", tuple(experiments.PROTOCOLS), None),
+        "scenario": ("choice", tuple(_SCENARIOS), None),
+        "realizations": ("int", ">= 1", 500),
+        "seed": ("int", ">= 0", None),
+    },
+    "grid": {
+        "n_values": ("ints", ">= 1", None),
+        "kappa_inv_fractions": ("floats", "> 0", None),  # and <= 1 in kappa mode
+    },
+    "noise": {  # no defaults here: the scenario classes and drivers hold them
+        "theta_max": ("float", "", None),
+        "theta_lo": ("float", "", None),
+        "theta_hi": ("float", "", None),
+        "theta_slot": ("float", "", None),
+        "samples_per_slot": ("int", ">= 1", None),
+        "alpha": ("int", "-2..2", None),
+        "delta_theta": ("float", "", None),
+        "theta": ("float", "", None),
+    },
+    "timing": {
+        "total_duration": ("float", "> 0", 1e-5),
+        "sample_rate": ("float", "> 0", 1e9),
+    },
+}
+
+_FCS_SCHEMA = {
+    "fcs": {
+        "kappa_t": ("float", ">= 0", None),
+        "kappa": ("float", ">= 0", None),
+        "theta": ("float", "!= 0", None),
+        "total_duration": ("float", "> 0", 1e-5),
+        # kept because the shipped fcs configs set it; the pulses drive one
+        # axis, so only their count per realization matters, not their slots
+        "slots": ("int", ">= 1", 40),
+        "lambda_max": ("float", "", 2.0),
+        "lambda_count": ("int", ">= 3", 41),
+        "realizations": ("int", ">= 1", 10000),
+        "moment_step": ("float", "> 0", 0.01),
+        "seed": ("int", ">= 0", None),
+    },
+}
+
+
+def _resolve_seed(values: dict, cli_seed) -> tuple[int, str]:
     env = os.environ.get("IFMSIM_SEED")
     if cli_seed is not None:
-        return _as_int(cli_seed, "--seed", 0), "cli"
+        return _check(cli_seed, ">= 0", "--seed"), "cli"
     if env is not None:
-        return _as_int(env, "IFMSIM_SEED", 0), "env"
-    for section in ("run", "fcs"):
-        raw = _get(config, section, "seed")
-        if raw is not None:
-            return _as_int(raw, f"[{section}] seed", 0), "config"
+        return _value(env, "int", ">= 0", "IFMSIM_SEED"), "env"
+    if "seed" in values:
+        return values["seed"], "config"
     return 0, "default"
 
 
@@ -246,46 +282,12 @@ def _write_json(path, payload) -> None:
 # sweep subcommand
 # ---------------------------------------------------------------------------
 
-_SCENARIO_KEYS = ("zero_sum", "amplitude", "amplitude_phase", "phase", "colored_phase")
-
-
-def _build_scenario(name: str, config: dict):
-    if name == "zero_sum":
-        return experiments.ZeroSumAmplitude(
-            theta_max=_float_key(config, "noise", "theta_max", math.pi))
-    if name == "amplitude":
-        return experiments.WhiteAmplitude(
-            theta_lo=_float_key(config, "noise", "theta_lo", 0.0),
-            theta_hi=_float_key(config, "noise", "theta_hi", math.pi),
-        )
-    if name == "amplitude_phase":
-        return experiments.WhiteAmplitudePhase(
-            theta_max=_float_key(config, "noise", "theta_max", math.pi),
-            samples_per_slot=_int_key(config, "noise", "samples_per_slot", 2, 1),
-        )
-    if name == "phase":
-        return experiments.WhitePhase(
-            theta_slot=_float_key(config, "noise", "theta_slot", math.pi),
-            samples_per_slot=_int_key(config, "noise", "samples_per_slot", 2, 1),
-        )
-    if name == "colored_phase":
-        return experiments.ColoredPhase(
-            alpha=_int_key(config, "noise", "alpha", 0, -2, 2),
-            theta_slot=_float_key(config, "noise", "theta_slot", math.pi / 2),
-        )
-    raise ConfigError(f"unknown scenario {name!r}; expected one of {_SCENARIO_KEYS}")
-
-
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
-    _check_keys(config, _SWEEP_KEYS)
-    seed, seed_source = _resolve_seed(config, args.seed)
-    mode = _require(config, "run", "mode")
-    realizations = _int_key(config, "run", "realizations", 500, 1)
-    _int_key(config, "run", "threads", 0, 0)  # accepted; sweeps run in one thread
-    n_values = _list_key(config, "grid", "n_values", parse_int_list)
-    if min(n_values) < 1:
-        raise ConfigError(f"[grid] n_values entries must be >= 1, got {min(n_values)}")
+    values = _read(config, _SWEEP_SCHEMA)
+    seed, seed_source = _resolve_seed(values, args.seed)
+    mode, n_values = values["mode"], values["n_values"]
+    realizations, total = values["realizations"], values["total_duration"]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     prefix = Path(args.config).stem
@@ -293,8 +295,9 @@ def cmd_sweep(args) -> int:
     outputs = []
 
     if mode == "scenario":
-        protocol = _require(config, "run", "protocol")
-        scenario = _build_scenario(_require(config, "run", "scenario"), config)
+        protocol = values["protocol"]
+        scenario_class, keys = _SCENARIOS[values["scenario"]]
+        scenario = scenario_class(**_given(values, keys))
         sweep = experiments.run_sweep(experiments.SweepConfig(
             protocol=protocol, scenario=scenario, n_values=n_values,
             realizations=realizations, master_seed=seed,
@@ -313,10 +316,12 @@ def cmd_sweep(args) -> int:
             "std": sweep.stats.std.tolist(),
         }
     elif mode == "kappa":
-        # sweep_kappa_N refuses correlation times longer than the sequence
-        total, kinvs = _kappa_inv_values(config, 1.0)
-        rate = _float_key(config, "timing", "sample_rate", 1e9, positive=True)
-        delta = _float_key(config, "noise", "delta_theta")
+        kinvs = tuple(f * total for f in values["kappa_inv_fractions"])
+        if max(values["kappa_inv_fractions"]) > 1:
+            # sweep_kappa_N refuses correlation times longer than the sequence
+            raise ConfigError("[grid] kappa_inv_fractions entries must be <= 1 in kappa mode")
+        rate = values["sample_rate"]
+        delta = values["delta_theta"]
         probe = experiments.BinarySampledNoise(kinvs[0], total, delta, rate)
         if any(probe.slot_samples(n).min() < 1 for n in n_values):
             # a slot without samples carries no noise: the detector would see none
@@ -343,12 +348,11 @@ def cmd_sweep(args) -> int:
             "std": grid.std.tolist(),
             "anomalous_n": list(grid.anomalies),
         }
-    elif mode == "clustering":
-        total, kinvs = _kappa_inv_values(config)
-        theta = _float_key(config, "noise", "theta", math.pi)
+    else:  # clustering
+        kinvs = tuple(f * total for f in values["kappa_inv_fractions"])
         result = experiments.clustering_sweep(
             n_values, kinvs, realizations=realizations, master_seed=seed,
-            theta=theta, total_duration=total,
+            total_duration=total, **_given(values, ("theta",)),
         )
         stats_path = out_dir / f"{prefix}_stats.csv"
         control_path = out_dir / f"{prefix}_pifm_control.csv"
@@ -369,8 +373,6 @@ def cmd_sweep(args) -> int:
             "cifm_mean": result.cifm_mean.tolist(),
             "pifm_mean": result.pifm_mean.tolist(),
         }
-    else:
-        raise ConfigError(f"unknown mode {mode!r}; expected scenario, kappa, or clustering")
 
     manifest = _manifest(config, seed, seed_source, outputs, started, _utcnow())
     if args.format == "json":
@@ -412,23 +414,15 @@ def cmd_table1(args) -> int:
 
 def cmd_fcs(args) -> int:
     config = load_config(args.config)
-    _check_keys(config, _FCS_KEYS)
-    seed, seed_source = _resolve_seed(config, args.seed)
-    total = _float_key(config, "fcs", "total_duration", 1e-5, positive=True)
-    if _get(config, "fcs", "kappa_t") is not None:
-        kappa = _float_key(config, "fcs", "kappa_t") / total
-    else:
-        kappa = _float_key(config, "fcs", "kappa")
-    theta = _float_key(config, "fcs", "theta")
-    realizations = _int_key(config, "fcs", "realizations", 10000, 1)
-    # accepted; the pulses drive one axis, so only their count per realization matters
-    _int_key(config, "fcs", "slots", 40, 1)
-    lam_max = _float_key(config, "fcs", "lambda_max", 2.0)
-    lam_count = _int_key(config, "fcs", "lambda_count", 41, 3)
+    values = _read(config, _FCS_SCHEMA)
+    seed, seed_source = _resolve_seed(values, args.seed)
+    total = values["total_duration"]
+    kappa = values["kappa_t"] / total if "kappa_t" in values else values["kappa"]
+    theta = values["theta"]
+    realizations = values["realizations"]
+    lam_max, lam_count, h = values["lambda_max"], values["lambda_count"], values["moment_step"]
     if lam_count % 2 == 0:
-        raise ConfigError("[fcs] lambda_count must be an odd integer >= 3")
-    h = _float_key(config, "fcs", "moment_step", 0.01)
-    _int_key(config, "fcs", "threads", 0, 0)  # accepted; fcs runs in one thread
+        raise ConfigError(f"[fcs] lambda_count must be odd, got {lam_count}")
     lambdas = np.linspace(-lam_max, lam_max, lam_count)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -484,7 +478,15 @@ def cmd_fcs(args) -> int:
 # noise subcommand
 # ---------------------------------------------------------------------------
 
+#: The range of each numeric noise flag.
+_NOISE_FLAGS = {"rate": "> 0", "kappa": "> 0", "amplitude": "", "seed": ">= 0",
+                "samples": ">= 64"}
+
+
 def cmd_noise(args) -> int:
+    for flag, bounds in _NOISE_FLAGS.items():
+        if getattr(args, flag) is not None:
+            _check(getattr(args, flag), bounds, f"--{flag}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else 0
@@ -563,7 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default="out")
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--threads", type=int, default=0,
-                         help="accepted for compatibility; runs are single-threaded")
+                         help="accepted and ignored (runs are single-threaded); "
+                            "kept because benchmark scripts pass it")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -576,7 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fcs.add_argument("--out", default="out")
     p_fcs.add_argument("--seed", type=int, default=None)
     p_fcs.add_argument("--threads", type=int, default=0,
-                       help="accepted for compatibility; runs are single-threaded")
+                       help="accepted and ignored (runs are single-threaded); "
+                            "kept because benchmark scripts pass it")
     p_fcs.set_defaults(func=cmd_fcs)
 
     p_noise = sub.add_parser("noise", help="generate a noise trace and its spectrum")

@@ -78,7 +78,7 @@ def _stream(master_seed: int, point_index: int) -> np.random.Generator:
 
 # ---------------------------------------------------------------------------
 # noise scenarios: each draws a (realizations, segments) batch of
-# (dtheta, chi) segments in one call
+# (dtheta, chi) segments in one call, the same number in every slot
 # ---------------------------------------------------------------------------
 
 def _amplitude_axis(dtheta: np.ndarray) -> np.ndarray:
@@ -90,9 +90,6 @@ class ZeroSumAmplitude:
     """Amplitude noise whose per-slot angles sum exactly to zero."""
 
     theta_max: float = math.pi
-
-    def offsets(self, n_slots: int) -> np.ndarray:
-        return np.arange(n_slots + 1, dtype=np.int64)
 
     def sample(self, n_slots: int, realizations: int, rng) -> tuple[np.ndarray, np.ndarray]:
         if n_slots == 1:
@@ -109,9 +106,6 @@ class WhiteAmplitude:
     theta_lo: float = 0.0
     theta_hi: float = math.pi
 
-    def offsets(self, n_slots: int) -> np.ndarray:
-        return np.arange(n_slots + 1, dtype=np.int64)
-
     def sample(self, n_slots: int, realizations: int, rng) -> tuple[np.ndarray, np.ndarray]:
         dtheta = gen_white_top(self.theta_lo, self.theta_hi, (realizations, n_slots), rng)
         return dtheta, _amplitude_axis(dtheta)
@@ -125,9 +119,6 @@ class WhiteAmplitudePhase:
     samples_per_slot: int = 2
     phase_lo: float = -math.pi
     phase_hi: float = math.pi
-
-    def offsets(self, n_slots: int) -> np.ndarray:
-        return np.arange(n_slots + 1, dtype=np.int64) * self.samples_per_slot
 
     def sample(self, n_slots: int, realizations: int, rng) -> tuple[np.ndarray, np.ndarray]:
         shape = (realizations, n_slots * self.samples_per_slot)
@@ -145,9 +136,6 @@ class WhitePhase:
     samples_per_slot: int = 2
     phase_lo: float = -math.pi
     phase_hi: float = math.pi
-
-    def offsets(self, n_slots: int) -> np.ndarray:
-        return np.arange(n_slots + 1, dtype=np.int64) * self.samples_per_slot
 
     def sample(self, n_slots: int, realizations: int, rng) -> tuple[np.ndarray, np.ndarray]:
         chi = gen_white(self.phase_lo, self.phase_hi,
@@ -169,9 +157,6 @@ class ColoredPhase:
     theta_slot: float = math.pi / 2.0
     phase_scale: float = 2.0 * math.pi
 
-    def offsets(self, n_slots: int) -> np.ndarray:
-        return np.arange(n_slots + 1, dtype=np.int64)
-
     def sample(self, n_slots: int, realizations: int, rng) -> tuple[np.ndarray, np.ndarray]:
         count = max(64, 1 << (n_slots - 1).bit_length())
         series = gen_colored(ColorSpec(self.alpha), (realizations, count), rng)[:, :n_slots]
@@ -186,9 +171,6 @@ class BinarySlotNoise:
     kappa_inv: float
     total_duration: float
     theta: float = math.pi
-
-    def offsets(self, n_slots: int) -> np.ndarray:
-        return np.arange(n_slots + 1, dtype=np.int64)
 
     def sample(self, n_slots: int, realizations: int, rng) -> tuple[np.ndarray, np.ndarray]:
         tau_b = self.total_duration / n_slots
@@ -212,9 +194,6 @@ class BinarySampledNoise:
     total_duration: float
     delta_theta: float
     sample_rate: float
-
-    def offsets(self, n_slots: int) -> np.ndarray:
-        return np.arange(n_slots + 1, dtype=np.int64)
 
     def slot_samples(self, n_slots: int) -> np.ndarray:
         """Trace samples inside each drive interval."""
@@ -277,10 +256,10 @@ class SweepResult:
 
 def _sample_batch(scenario, n_slots, realizations, master_seed, point_index):
     """(dtheta, chi, offsets) of the ensemble, drawn in one call from the
-    generator keyed by (master_seed, point_index)."""
-    rng = _stream(master_seed, point_index)
-    dtheta, chi = scenario.sample(n_slots, realizations, rng)
-    return dtheta, chi, scenario.offsets(n_slots)
+    generator keyed by (master_seed, point_index).  Every scenario gives each
+    slot the same number of segments, so the batch width sets the offsets."""
+    dtheta, chi = scenario.sample(n_slots, realizations, _stream(master_seed, point_index))
+    return dtheta, chi, np.arange(n_slots + 1) * (dtheta.shape[1] // n_slots)
 
 
 def _markers(protocol, batch) -> np.ndarray:

@@ -38,13 +38,28 @@ PROTOCOLS = {"qubit": Protocol(2, 1), "cifm": Protocol(3, 0), "pifm": Protocol(3
 def batch_populations(protocol: str, dtheta, chi, offsets, psi0) -> np.ndarray:
     """(realizations, levels) final populations of a segment batch from psi0.
 
-    The kernel is looked up in `kernels` at call time.  The qubit has no
-    slots and ignores offsets.
+    psi0 must have the protocol's level count and unit norm within 1e-12.
+    A qutrit's offsets must start at 0, never decrease, and end at the
+    segment count (the qubit has no slots and ignores them); the checks
+    never read the segments.  The kernel is looked up in `kernels` at call
+    time.
     """
+    levels = PROTOCOLS[protocol].levels
+    psi0 = np.asarray(psi0, dtype=np.complex128)
+    if psi0.shape != (levels,):
+        raise DimensionMismatchError(
+            f"{protocol} initial state must have shape ({levels},), got {psi0.shape}")
+    norm2 = float(np.sum(np.abs(psi0) ** 2))  # np.vdot would load BLAS: +0.3 MB peak RSS
+    if abs(norm2 - 1.0) > 1e-12:
+        raise ValueError(f"{protocol} initial state must have unit norm, got norm^2 {norm2:g}")
     if protocol == "qubit":
         return kernels.qubit_populations(dtheta, chi, psi0)
-    phi = BeamSplitterSpec(len(offsets) - 1).phi
-    return getattr(kernels, f"{protocol}_populations")(dtheta, chi, offsets, phi, psi0)
+    edges, segments = np.asarray(offsets), np.shape(dtheta)[1]
+    if edges[0] != 0 or edges[-1] != segments or np.any(edges[1:] < edges[:-1]):
+        raise ValueError(f"offsets must start at 0, never decrease, and end at the "
+                         f"segment count {segments}; got {edges.tolist()}")
+    phi = BeamSplitterSpec(len(edges) - 1).phi
+    return getattr(kernels, f"{protocol}_populations")(dtheta, chi, edges, phi, psi0)
 
 
 @dataclass(frozen=True)
@@ -69,11 +84,8 @@ class ProtocolResult:
 
 def _populations(protocol: str, schedule: PulseSchedule, psi0) -> np.ndarray:
     """Final populations of one realization from the pure state psi0 (default |0>)."""
-    levels = PROTOCOLS[protocol].levels
-    psi0 = basis_state(levels, 0) if psi0 is None else np.asarray(psi0, np.complex128)
-    if psi0.shape != (levels,):
-        raise DimensionMismatchError(
-            f"{protocol} initial state must have shape ({levels},), got {psi0.shape}")
+    if psi0 is None:
+        psi0 = basis_state(PROTOCOLS[protocol].levels, 0)
     dtheta, chi, offsets = schedule.segment_arrays()
     return batch_populations(protocol, dtheta[np.newaxis, :], chi[np.newaxis, :], offsets,
                              psi0)[0]

@@ -1,3 +1,4 @@
+import configparser
 import json
 import os
 from pathlib import Path
@@ -5,12 +6,12 @@ from pathlib import Path
 import pytest
 
 from ifmsim.cli import (
-    _FCS_KEYS,
-    _SWEEP_KEYS,
+    _FCS_SCHEMA,
+    _SWEEP_SCHEMA,
     EXIT_CONFIG,
     EXIT_OK,
     ConfigError,
-    _check_keys,
+    _read,
     config_hash,
     load_config,
     main,
@@ -235,12 +236,21 @@ COLORED = SMALL_SWEEP.replace("zero_sum", "colored_phase") + "\n[noise]\nalpha =
      "[grid] kappa_inv_fractions"),
     ("sweep", KAPPA, "kappa_inv_fractions = 0.5", "kappa_inv_fractions = 2.0",
      "[grid] kappa_inv_fractions"),
+    ("sweep", SMALL_SWEEP, "protocol = cifm", "protocol = cifmm", "[run] protocol"),
+    ("sweep", SMALL_SWEEP, "mode = scenario", "mode = scenarios", "[run] mode"),
+    ("sweep", SMALL_SWEEP, "scenario = zero_sum", "scenario = zero", "[run] scenario"),
     ("fcs", SMALL_FCS, "total_duration = 1e-5", "total_duration = 0", "[fcs] total_duration"),
+    ("fcs", SMALL_FCS, "seed = 7", "seed = 7\nmoment_step = 0", "[fcs] moment_step"),
+    ("fcs", SMALL_FCS, "theta = 0.785398163", "theta = 0", "[fcs] theta"),
+    ("fcs", SMALL_FCS, "kappa_t = 4.0", "kappa = -1", "[fcs] kappa"),
+    ("fcs", SMALL_FCS, "kappa_t = 4.0", "kappa_t = -4", "[fcs] kappa_t"),
 ], ids=["sample_rate_zero", "sample_rate_below_one_per_slot", "largest_n_has_empty_slots",
         "kappa_total_duration_zero", "clustering_total_duration_negative",
         "alpha_above_2", "alpha_below_minus_2", "n_values_list", "kappa_inv_fractions_list",
         "empty_float_list", "clustering_fraction_zero", "clustering_fraction_negative",
-        "kappa_fraction_above_1", "fcs_total_duration_zero"])
+        "kappa_fraction_above_1", "unknown_protocol", "unknown_mode", "unknown_scenario",
+        "fcs_total_duration_zero", "fcs_moment_step_zero", "fcs_theta_zero",
+        "fcs_kappa_negative", "fcs_kappa_t_negative"])
 def test_out_of_range_value_exits_2_naming_key(tmp_path, capsys, command, text, line,
                                                replacement, key):
     assert line in text
@@ -301,7 +311,20 @@ ROOT = Path(__file__).resolve().parent.parent
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_shipped_configs_pass_the_key_check(path):
     config = load_config(path)
-    _check_keys(config, _FCS_KEYS if "fcs" in config else _SWEEP_KEYS)
+    values = _read(config, _FCS_SCHEMA if "fcs" in config else _SWEEP_SCHEMA)
+    assert set(values) >= {key for keys in config.values() for key in keys}
+
+
+def test_readme_config_format_names_exactly_the_schema_keys():
+    # the ini blocks of README's "Config format" section against both tables
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("### Config format", 1)[1].split("\n## ", 1)[0]
+    blocks = [b.split("```", 1)[0] for b in section.split("```ini\n")[1:]]
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser.read_string("\n".join(blocks))
+    documented = {s: set(parser[s]) for s in parser.sections()}
+    schema = {s: set(keys) for s, keys in {**_SWEEP_SCHEMA, **_FCS_SCHEMA}.items()}
+    assert documented == schema
 
 
 def test_non_integer_env_seed_exits_2(tmp_path, capsys, monkeypatch):
@@ -384,6 +407,28 @@ def test_noise_command_telegraph_odd_sample_count(tmp_path, capsys):
                  "--rate", "1e7", "--seed", "2", "--out", str(out)])
     assert code == EXIT_OK
     assert (out / "telegraph_psd.csv").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--telegraph", "--rate", "0"], "--rate"),
+    (["--color", "pink", "--rate", "0"], "--rate"),
+    (["--telegraph", "--kappa", "0"], "--kappa"),
+    (["--color", "pink", "--seed", "-1"], "--seed"),
+    (["--telegraph", "--amplitude", "nan"], "--amplitude"),
+    (["--telegraph", "--samples", "3"], "--samples"),
+    (["--color", "pink", "--samples", "10"], "--samples"),
+], ids=["rate_telegraph", "rate_color", "kappa", "seed", "amplitude", "samples_telegraph",
+        "samples_color"])
+def test_noise_flag_out_of_range_exits_2_naming_it(tmp_path, capsys, argv, flag):
+    code = main(["noise", *argv, "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    assert f"{flag} must be" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_noise_command_runs_at_the_smallest_sample_count(tmp_path):
+    for argv in (["--telegraph"], ["--color", "white"]):
+        assert main(["noise", *argv, "--samples", "64", "--out", str(tmp_path)]) == EXIT_OK
 
 
 def test_noise_command_rejects_unknown_color(tmp_path, capsys):

@@ -112,6 +112,28 @@ def test_kernel_probabilities_are_normalized(protocol):
     assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-10
 
 
+@pytest.mark.parametrize("offsets", [[0, 1, 2], [2, 3, 4], [0, 3, 1, 4], [0, 2, 5]],
+                         ids=["drops_tail", "drops_head", "decreases", "overruns"])
+@pytest.mark.parametrize("protocol", ["cifm", "pifm"])
+def test_dispatch_rejects_offsets_that_do_not_tile_the_segments(protocol, offsets):
+    dtheta = np.full((2, 4), 0.3)
+    with pytest.raises(ValueError, match="offsets"):
+        batch_populations(protocol, dtheta, np.zeros_like(dtheta), np.array(offsets),
+                          basis_state(3, 0))
+
+
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_dispatch_rejects_initial_state_without_unit_norm(protocol):
+    dtheta = np.full((2, 4), 0.3)
+    psi0 = basis_state(PROTOCOLS[protocol].levels, 0) * np.sqrt(2.0)  # norm^2 = 2
+    with pytest.raises(ValueError, match="unit norm"):
+        batch_populations(protocol, dtheta, np.zeros_like(dtheta), np.arange(5), psi0)
+    # a state that is normalized up to rounding passes
+    plus = np.ones(PROTOCOLS[protocol].levels) / np.sqrt(PROTOCOLS[protocol].levels)
+    out = batch_populations(protocol, dtheta, np.zeros_like(dtheta), np.arange(5), plus)
+    assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # metamorphic invariants of the segment chain
 # ---------------------------------------------------------------------------
