@@ -191,7 +191,7 @@ _SWEEP_SCHEMA = {
         "kappa_inv_fractions": ("floats", "> 0", None),  # and <= 1 in kappa mode
     },
     "noise": {  # no defaults here: the scenario classes and drivers hold them
-        "theta_max": ("float", "", None),
+        "theta_max": ("float", ">= 0", None),
         "theta_lo": ("float", "", None),
         "theta_hi": ("float", "", None),
         "theta_slot": ("float", "", None),
@@ -298,6 +298,11 @@ def cmd_sweep(args) -> int:
         protocol = values["protocol"]
         scenario_class, keys = _SCENARIOS[values["scenario"]]
         scenario = scenario_class(**_given(values, keys))
+        # checked on the scenario, so that a class default counts as well
+        if (isinstance(scenario, experiments.WhiteAmplitude)
+                and scenario.theta_lo > scenario.theta_hi):
+            raise ConfigError(f"[noise] theta_lo = {scenario.theta_lo:g} must not exceed "
+                              f"[noise] theta_hi = {scenario.theta_hi:g}")
         sweep = experiments.run_sweep(experiments.SweepConfig(
             protocol=protocol, scenario=scenario, n_values=n_values,
             realizations=realizations, master_seed=seed,
@@ -446,9 +451,8 @@ def cmd_fcs(args) -> int:
     var_m = (m2 - m1 * m1) / theta**2
     ratio = var_m / mean_m if mean_m else math.inf
     analytic = experiments.poisson_generating_function(kappa, total, theta, gf.lambda_values)
-    dev = np.abs(gf.values() - analytic)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dev_se = np.where(gf.statistical_error > 0, dev / gf.statistical_error, 0.0)
+    # the floor keeps a rounding-level stderr (at lambda = 0) from inflating the ratio
+    dev_se = np.abs(gf.values() - analytic) / np.maximum(gf.statistical_error, 1e-12)
     report = {
         "kappa": kappa,
         "theta": theta,

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import basis_state
 from .noise import (
     ColorSpec,
     estimate_psd,
@@ -33,7 +32,7 @@ from .noise import (
     gen_white_top,
     gen_zero_sum,
 )
-from .protocols import PROTOCOLS, batch_populations
+from .protocols import PROTOCOLS, basis_state, batch_populations
 
 __all__ = [
     "AMPLITUDE_AXIS",
@@ -55,9 +54,11 @@ __all__ = [
     "ZeroSumAmplitude",
     "ZeroFreqReport",
     "clustering_sweep",
+    "ensemble_markers",
     "fcs_estimate",
     "marker_table",
     "moments_from_gf",
+    "poisson_generating_function",
     "run_sweep",
     "sweep_kappa_N",
     "transparency_anomalies",

@@ -15,13 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pulses import Pulse
-
 __all__ = [
     "ColorSpec",
     "NoiseTrace",
     "ProtocolTiming",
-    "PulseSchedule",
     "TelegraphSpec",
     "COLOR_ALPHA",
     "estimate_acf",
@@ -36,7 +33,7 @@ __all__ = [
     "interval_sample_slices",
     "psd_to_csv",
     "trace_to_csv",
-    "trace_to_schedule",
+    "trace_to_segments",
 ]
 
 #: PSD scaling exponents by color name: S(f) proportional to f**(-alpha).
@@ -52,7 +49,8 @@ class NoiseTrace:
     """Uniformly sampled amplitude and phase noise series.
 
     zeta is the amplitude noise in rad/s, chi the phase noise in radians;
-    sample p covers the time slab [p, p+1) / sample_rate.
+    sample p covers the time slab [p, p+1) / sample_rate.  Every sample
+    must be finite.
     """
 
     sample_rate: float
@@ -71,6 +69,8 @@ class NoiseTrace:
                 f"series length must equal round(sample_rate * duration) = {n}, "
                 f"got zeta {zeta.shape}, chi {chi.shape}"
             )
+        if not (np.all(np.isfinite(zeta)) and np.all(np.isfinite(chi))):
+            raise ValueError("trace samples must be finite")
         object.__setattr__(self, "zeta", zeta)
         object.__setattr__(self, "chi", chi)
 
@@ -136,35 +136,6 @@ class ColorSpec:
     def __post_init__(self) -> None:
         if self.alpha not in (-2, -1, 0, 1, 2):
             raise ValueError(f"unsupported spectral exponent {self.alpha}")
-
-
-@dataclass(frozen=True)
-class PulseSchedule:
-    """Per-interval pulse segments plus the timing they were sliced with."""
-
-    pulses: tuple[Pulse, ...]
-    timing: ProtocolTiming
-
-    def __post_init__(self) -> None:
-        pulses = tuple(self.pulses)
-        if len(pulses) != self.timing.n_slots:
-            raise ValueError(
-                f"schedule holds {len(pulses)} pulses but timing declares "
-                f"{self.timing.n_slots} slots"
-            )
-        object.__setattr__(self, "pulses", pulses)
-
-    @property
-    def n_slots(self) -> int:
-        return self.timing.n_slots
-
-    def segment_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flatten to (dtheta, chi, offsets) arrays for the batch kernels."""
-        dtheta = np.concatenate([p.dtheta for p in self.pulses])
-        chi = np.concatenate([p.chi for p in self.pulses])
-        offsets = np.zeros(len(self.pulses) + 1, dtype=np.int64)
-        np.cumsum([len(p) for p in self.pulses], out=offsets[1:])
-        return dtheta, chi, offsets
 
 
 # ---------------------------------------------------------------------------
@@ -399,26 +370,30 @@ def interval_sample_slices(timing: ProtocolTiming, sample_rate: float) -> list[t
     return slices
 
 
-def trace_to_schedule(trace: NoiseTrace, timing: ProtocolTiming) -> PulseSchedule:
-    """Slice a noise trace into per-interval pulse segments.
+def trace_to_segments(trace: NoiseTrace, timing: ProtocolTiming
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slice a noise trace into a one-realization segment batch.
 
     Each trace sample p inside drive interval j becomes one segment with
     delta_theta = zeta[p] / sample_rate and axis chi[p]; samples inside
-    beam-splitter windows are discarded.
+    beam-splitter windows are discarded.  Returns (dtheta, chi, offsets):
+    dtheta and chi of shape (1, segments), and the slot boundaries, as
+    protocols.batch_populations takes them.
     """
     if trace.duration < timing.total_duration - 1e-12:
         raise ValueError(
             f"trace of duration {trace.duration:g} is shorter than the "
             f"protocol duration {timing.total_duration:g}"
         )
-    pulses = []
-    for j, (lo, hi) in enumerate(interval_sample_slices(timing, trace.sample_rate), start=1):
+    slices = interval_sample_slices(timing, trace.sample_rate)
+    for j, (lo, hi) in enumerate(slices, start=1):
         if hi <= lo or hi > trace.n_samples:
             raise ValueError(f"drive interval {j} contains no trace samples")
-        pulses.append(
-            Pulse(trace.zeta[lo:hi] / trace.sample_rate, trace.chi[lo:hi].copy())
-        )
-    return PulseSchedule(tuple(pulses), timing)
+    keep = np.concatenate([np.arange(lo, hi) for lo, hi in slices])
+    offsets = np.zeros(len(slices) + 1, dtype=np.int64)
+    np.cumsum([hi - lo for lo, hi in slices], out=offsets[1:])
+    return (trace.zeta[keep][np.newaxis, :] / trace.sample_rate,
+            trace.chi[keep][np.newaxis, :], offsets)
 
 
 # ---------------------------------------------------------------------------

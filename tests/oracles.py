@@ -1,4 +1,4 @@
-"""Pulse unitaries used by the detector protocols, plus closed-form checks.
+"""Dense reference implementations that the tests compare the kernels against.
 
 Conventions (qutrit basis |0>, |1>, |2>):
 
@@ -13,86 +13,43 @@ Conventions (qutrit basis |0>, |1>, |2>):
 
 theta + 4*pi gives the same pulse as theta (spinor period), which is what
 makes the detectors transparent to drive angles at integer multiples of 4*pi.
+Every function here is a literal matrix product or a closed form; none of
+them shares code with the kernels.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatchError
+from ifmsim.protocols import PROTOCOLS, basis_state, batch_populations
 
-__all__ = [
-    "BeamSplitterSpec",
-    "Pulse",
-    "beam_splitter",
-    "composed_pulse",
-    "lumped_pulse_amplitudes",
-    "n2_alternating_state",
-    "pifm_measure_channel",
-    "pifm_pi_train_p0",
-    "qubit_b_pulse",
-    "qutrit_b_pulse",
-]
+ATOL = 1e-12
+
+#: Axis angle of pure amplitude noise.
+AXIS = -math.pi / 2
 
 
-@dataclass(frozen=True)
-class BeamSplitterSpec:
-    """Beam-splitter strength for a protocol with n_slots pulse intervals.
-
-    The rotation angle is phi = pi / (n_slots + 1), so that the n_slots + 1
-    beam splitters of a noise-free run compose to a full 0-1 inversion.
-    """
-
-    n_slots: int
-
-    def __post_init__(self) -> None:
-        if self.n_slots < 1:
-            raise ValueError(f"n_slots must be >= 1, got {self.n_slots}")
-
-    @property
-    def phi(self) -> float:
-        return math.pi / (self.n_slots + 1)
+def pure_density(psi: np.ndarray) -> np.ndarray:
+    """Projector |psi><psi| as a dense density matrix."""
+    psi = np.asarray(psi, dtype=np.complex128)
+    return np.outer(psi, psi.conj())
 
 
-@dataclass(frozen=True)
-class Pulse:
-    """One drive interval as an ordered list of (delta_theta, chi) segments.
-
-    Segments are applied in time order: index 0 acts first.
-    """
-
-    dtheta: np.ndarray
-    chi: np.ndarray
-
-    def __post_init__(self) -> None:
-        dtheta = np.atleast_1d(np.asarray(self.dtheta, dtype=np.float64))
-        chi = np.atleast_1d(np.asarray(self.chi, dtype=np.float64))
-        if dtheta.shape != chi.shape or dtheta.ndim != 1:
-            raise ValueError("dtheta and chi must be 1-d arrays of equal length")
-        if dtheta.size < 1:
-            raise ValueError("a pulse needs at least one segment")
-        if not (np.all(np.isfinite(dtheta)) and np.all(np.isfinite(chi))):
-            raise ValueError("pulse segments must be finite")
-        object.__setattr__(self, "dtheta", dtheta)
-        object.__setattr__(self, "chi", chi)
-
-    def __len__(self) -> int:
-        return self.dtheta.size
-
-    @property
-    def total_angle(self) -> float:
-        return float(self.dtheta.sum())
+def is_unitary(u: np.ndarray, atol: float = ATOL) -> bool:
+    u = np.asarray(u)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        return False
+    eye = np.eye(u.shape[0])
+    return bool(np.all(np.abs(u.conj().T @ u - eye) <= atol))
 
 
-def beam_splitter(spec: BeamSplitterSpec | int) -> np.ndarray:
-    """3x3 beam-splitter unitary for the given slot count (or spec)."""
-    if isinstance(spec, int):
-        spec = BeamSplitterSpec(spec)
-    c = math.cos(spec.phi / 2.0)
-    s = math.sin(spec.phi / 2.0)
+def beam_splitter(n_slots: int) -> np.ndarray:
+    """3x3 beam splitter of strength phi = pi / (n_slots + 1)."""
+    phi = math.pi / (n_slots + 1)
+    c = math.cos(phi / 2.0)
+    s = math.sin(phi / 2.0)
     u = np.zeros((3, 3), dtype=np.complex128)
     u[0, 0] = c
     u[0, 1] = -s
@@ -104,8 +61,6 @@ def beam_splitter(spec: BeamSplitterSpec | int) -> np.ndarray:
 
 def qubit_b_pulse(theta: float, phi: float) -> np.ndarray:
     """2x2 drive pulse of angle theta about axis (cos(phi), -sin(phi))."""
-    if not (math.isfinite(theta) and math.isfinite(phi)):
-        raise ValueError("theta and phi must be finite")
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
     e = complex(math.cos(phi), math.sin(phi))
@@ -116,30 +71,24 @@ def qubit_b_pulse(theta: float, phi: float) -> np.ndarray:
 
 def qutrit_b_pulse(theta: float, phi: float) -> np.ndarray:
     """3x3 drive pulse: identity on |0>, rotation by theta on the 1-2 block."""
-    if not (math.isfinite(theta) and math.isfinite(phi)):
-        raise ValueError("theta and phi must be finite")
     u = np.zeros((3, 3), dtype=np.complex128)
     u[0, 0] = 1.0
     u[1:, 1:] = qubit_b_pulse(theta, phi)
     return u
 
 
-def composed_pulse(pulse: Pulse, dim: int) -> np.ndarray:
+def composed_pulse(dtheta, chi, dim: int) -> np.ndarray:
     """Time-ordered product of segment unitaries (earliest segment rightmost).
 
+    dtheta and chi are the 1-d angle and axis arrays of one slot's segments.
     This is a literal matrix product, not an averaged-rotation approximation;
     segments sharing one axis therefore compose exactly to the single pulse
     with the summed angle (up to double-precision roundoff).
     """
-    if dim == 2:
-        make = qubit_b_pulse
-    elif dim == 3:
-        make = qutrit_b_pulse
-    else:
-        raise DimensionMismatchError(f"dim must be 2 or 3, got {dim}")
+    make = {2: qubit_b_pulse, 3: qutrit_b_pulse}[dim]
     u = np.eye(dim, dtype=np.complex128)
-    for p in range(len(pulse)):
-        u = make(float(pulse.dtheta[p]), float(pulse.chi[p])) @ u
+    for theta, phi in zip(np.asarray(dtheta, dtype=float), np.asarray(chi, dtype=float)):
+        u = make(float(theta), float(phi)) @ u
     return u
 
 
@@ -150,10 +99,7 @@ def pifm_measure_channel(rho: np.ndarray) -> np.ndarray:
     coherence between |2> and the 0-1 subspace is set to exactly zero.
     Trace is preserved and the channel is idempotent.
     """
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (3, 3):
-        raise DimensionMismatchError(f"expected a 3x3 density matrix, got {rho.shape}")
-    out = rho.copy()
+    out = np.array(rho, dtype=np.complex128)
     out[0, 2] = 0.0
     out[1, 2] = 0.0
     out[2, 0] = 0.0
@@ -174,7 +120,7 @@ def lumped_pulse_amplitudes(n_slots: int, slot: int, theta: float) -> tuple[floa
         c2 = sin(n_slots * theta / 2) * sin(slot * phi / 2)
 
     and phi = pi / (n_slots + 1).  The amplitudes are exactly real for the
-    chi = -pi/2 axis convention used throughout this package.
+    chi = -pi/2 axis.
     """
     if not 0 < slot < n_slots:
         raise ValueError(f"slot must satisfy 0 < slot < n_slots, got {slot} of {n_slots}")
@@ -196,8 +142,6 @@ def n2_alternating_state(theta: float) -> np.ndarray:
     amplitude is second order in theta but nonzero, which is what lets the
     coherent detector see sign-alternating noise that a bare qubit misses.
     """
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
     r3 = math.sqrt(3.0)
@@ -213,7 +157,22 @@ def pifm_pi_train_p0(n_slots: int) -> float:
     p0 = cos^(2(n_slots+1))(pi / (2(n_slots+1))); monotonically increasing in
     n_slots and approaching 1, independent of the pulse axis angles.
     """
-    if n_slots < 1:
-        raise ValueError(f"n_slots must be >= 1, got {n_slots}")
     m = n_slots + 1
     return math.cos(math.pi / (2.0 * m)) ** (2 * m)
+
+
+def brute_force_mean(protocol: str, n: int, theta: float, flip_prob: float) -> float:
+    """Exact ensemble mean marker of binary slot noise, by enumeration.
+
+    Each of the 2^n sequences of slot angles +-theta on the amplitude axis
+    gets its Markov weight: 1/2 for the first sign, then flip_prob for each
+    sign change and 1 - flip_prob for each repeat.  One batch_populations
+    call runs the whole (2^n, n) block.
+    """
+    signs = 2.0 * (np.arange(1 << n)[:, np.newaxis] >> np.arange(n) & 1) - 1.0
+    steps = np.where(signs[:, 1:] != signs[:, :-1], flip_prob, 1.0 - flip_prob)
+    weights = 0.5 * np.prod(steps, axis=1)
+    levels, marker = PROTOCOLS[protocol]
+    pops = batch_populations(protocol, signs * theta, np.full(signs.shape, AXIS),
+                             np.arange(n + 1), basis_state(levels, 0))
+    return float(weights @ pops[:, marker])

@@ -29,8 +29,6 @@ from ifmsim.experiments import (
 )
 from ifmsim.noise import (
     ColorSpec,
-    ProtocolTiming,
-    PulseSchedule,
     TelegraphSpec,
     estimate_acf,
     estimate_psd,
@@ -38,17 +36,17 @@ from ifmsim.noise import (
     gen_colored,
     gen_telegraph,
 )
-from ifmsim.protocols import run_cifm, run_pifm, run_qubit
-from ifmsim.pulses import (
-    Pulse,
+from ifmsim.protocols import basis_state, batch_populations
+from oracles import (
+    AXIS,
     beam_splitter,
+    brute_force_mean,
     lumped_pulse_amplitudes,
     n2_alternating_state,
     pifm_pi_train_p0,
     qutrit_b_pulse,
 )
 
-AXIS = -np.pi / 2
 SEED = 20240905
 
 
@@ -56,11 +54,11 @@ def report(tag: str, ok: bool, detail: str) -> None:
     print(f"[ACCEPT] {tag}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
-def slot_schedule(thetas, phis=None):
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    phis = np.full_like(thetas, AXIS) if phis is None else np.asarray(phis, dtype=float)
-    timing = ProtocolTiming(len(thetas), 1.0, 0.0)
-    return PulseSchedule(tuple(Pulse([t], [p]) for t, p in zip(thetas, phis)), timing)
+def slot_populations(protocol, thetas):
+    """Final qutrit populations of one realization, one amplitude segment per slot."""
+    dtheta = np.asarray(thetas, dtype=float)[np.newaxis, :]
+    return batch_populations(protocol, dtheta, np.full_like(dtheta, AXIS),
+                             np.arange(dtheta.shape[1] + 1), basis_state(3, 0))[0]
 
 
 # -- A1 ---------------------------------------------------------------------
@@ -84,7 +82,7 @@ def test_a1_four_slot_marker_table():
 def test_a2_projective_pi_train_closed_form():
     worst = 0.0
     for n in range(1, 41):
-        got = run_pifm(slot_schedule([np.pi] * n)).marker
+        got = slot_populations("pifm", [np.pi] * n)[0]
         worst = max(worst, abs(got - pifm_pi_train_p0(n)))
     ok = worst < 1e-10
     report("A2 projective pi-train closed form", ok, f"n=1..40, worst diff {worst:.2e}")
@@ -102,7 +100,7 @@ def test_a3_lumped_pulse_closed_form():
         theta = rng.uniform(0.0, 2.0 * np.pi)
         thetas = np.zeros(n)
         thetas[slot - 1] = n * theta
-        pops = run_cifm(slot_schedule(thetas)).populations
+        pops = slot_populations("cifm", thetas)
         c = lumped_pulse_amplitudes(n, slot, theta)
         worst = max(worst, float(np.max(np.abs(pops - np.array(c) ** 2))))
     ok = worst < 1e-10
@@ -335,21 +333,6 @@ def test_a10_clustering_sensitivity():
 
 # -- A11 --------------------------------------------------------------------
 
-def _brute_force_mean(protocol, n, theta, flip_prob):
-    runner = {"qubit": run_qubit, "cifm": run_cifm, "pifm": run_pifm}[protocol]
-    timing = ProtocolTiming(n, 1.0, 0.0)
-    total = 0.0
-    for bits in range(1 << n):
-        signs = [1.0 if bits & (1 << j) else -1.0 for j in range(n)]
-        weight = 0.5
-        for a, b in zip(signs, signs[1:]):
-            weight *= flip_prob if a != b else (1.0 - flip_prob)
-        total += weight * runner(
-            PulseSchedule(tuple(Pulse([s * theta], [AXIS]) for s in signs), timing)
-        ).marker
-    return total
-
-
 def test_a11_brute_force_equivalence():
     n, theta, total_t = 10, 2.0, 1e-5
     kappa_inv = total_t / 3.0
@@ -357,7 +340,7 @@ def test_a11_brute_force_equivalence():
     details = []
     ok = True
     for protocol in ("qubit", "cifm", "pifm"):
-        exact = _brute_force_mean(protocol, n, theta, q)
+        exact = brute_force_mean(protocol, n, theta, q)
         markers = ensemble_markers(
             protocol, BinarySlotNoise(kappa_inv=kappa_inv, total_duration=total_t, theta=theta),
             n, 10_000, master_seed=SEED, point_index=0,

@@ -1,10 +1,13 @@
 import configparser
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ifmsim
 from ifmsim.cli import (
     _FCS_SCHEMA,
     _SWEEP_SCHEMA,
@@ -213,6 +216,8 @@ def test_bad_sweep_float_exits_2_naming_key(tmp_path, capsys, text, line, replac
 
 
 COLORED = SMALL_SWEEP.replace("zero_sum", "colored_phase") + "\n[noise]\nalpha = 1\n"
+AMPLITUDE = SMALL_SWEEP.replace("zero_sum", "amplitude") + "\n[noise]\ntheta_lo = 0\n"
+AMPLITUDE_PHASE = SMALL_SWEEP.replace("zero_sum", "amplitude_phase")
 
 
 @pytest.mark.parametrize("command, text, line, replacement, key", [
@@ -239,6 +244,12 @@ COLORED = SMALL_SWEEP.replace("zero_sum", "colored_phase") + "\n[noise]\nalpha =
     ("sweep", SMALL_SWEEP, "protocol = cifm", "protocol = cifmm", "[run] protocol"),
     ("sweep", SMALL_SWEEP, "mode = scenario", "mode = scenarios", "[run] mode"),
     ("sweep", SMALL_SWEEP, "scenario = zero_sum", "scenario = zero", "[run] scenario"),
+    ("sweep", AMPLITUDE, "theta_lo = 0", "theta_lo = 2\ntheta_hi = 1", "[noise] theta_lo"),
+    ("sweep", AMPLITUDE, "theta_lo = 0", "theta_lo = 4", "[noise] theta_lo"),
+    ("sweep", SMALL_SWEEP, "seed = 4242", "seed = 4242\n[noise]\ntheta_max = -1",
+     "[noise] theta_max"),
+    ("sweep", AMPLITUDE_PHASE, "seed = 4242", "seed = 4242\n[noise]\ntheta_max = -1",
+     "[noise] theta_max"),
     ("fcs", SMALL_FCS, "total_duration = 1e-5", "total_duration = 0", "[fcs] total_duration"),
     ("fcs", SMALL_FCS, "seed = 7", "seed = 7\nmoment_step = 0", "[fcs] moment_step"),
     ("fcs", SMALL_FCS, "theta = 0.785398163", "theta = 0", "[fcs] theta"),
@@ -249,6 +260,8 @@ COLORED = SMALL_SWEEP.replace("zero_sum", "colored_phase") + "\n[noise]\nalpha =
         "alpha_above_2", "alpha_below_minus_2", "n_values_list", "kappa_inv_fractions_list",
         "empty_float_list", "clustering_fraction_zero", "clustering_fraction_negative",
         "kappa_fraction_above_1", "unknown_protocol", "unknown_mode", "unknown_scenario",
+        "amplitude_range_reversed", "amplitude_lo_above_default_hi",
+        "zero_sum_theta_max_negative", "amplitude_phase_theta_max_negative",
         "fcs_total_duration_zero", "fcs_moment_step_zero", "fcs_theta_zero",
         "fcs_kappa_negative", "fcs_kappa_t_negative"])
 def test_out_of_range_value_exits_2_naming_key(tmp_path, capsys, command, text, line,
@@ -376,6 +389,17 @@ def test_fcs_command(tmp_path, capsys):
     assert report["realizations"] == 400
 
 
+def test_fcs_report_floors_the_stderr_at_zero_attenuation(tmp_path):
+    # the lambda = 0 stderr is rounding-level; dividing by it unfloored made
+    # this config report 19.97 stderr
+    text = SMALL_FCS.replace("theta = 0.785398163", "theta = 0.5")
+    cfg = write(tmp_path, "fcs.cfg", text.replace("seed = 7", "seed = 20240905"))
+    out = tmp_path / "fout"
+    assert main(["fcs", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "fcs_moments.json").read_text())
+    assert report["max_deviation_from_poisson_in_stderr"] < 3.0
+
+
 def test_noise_command_color(tmp_path, capsys):
     out = tmp_path / "noise_out"
     code = main(["noise", "--color", "pink", "--samples", "16384",
@@ -434,6 +458,18 @@ def test_noise_command_runs_at_the_smallest_sample_count(tmp_path):
 def test_noise_command_rejects_unknown_color(tmp_path, capsys):
     code = main(["noise", "--color", "octarine", "--out", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
+
+
+def test_importing_the_cli_loads_every_module_of_the_package():
+    # the package holds only what the CLI runs: a module it leaves unloaded
+    # would be code that only the tests use
+    package = Path(ifmsim.__file__).parent
+    code = "import sys, ifmsim.cli; print(*(m for m in sys.modules if m.startswith('ifmsim')))"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(package.parent)}, check=True)
+    files = {"ifmsim" if p.stem == "__init__" else f"ifmsim.{p.stem}"
+             for p in package.glob("*.py")}
+    assert set(run.stdout.split()) == files
 
 
 def test_version_command(capsys):

@@ -5,7 +5,6 @@ import pytest
 from scipy import stats
 
 from ifmsim import experiments
-from ifmsim.core import basis_state
 from ifmsim.experiments import (
     BinarySlotNoise,
     ColoredPhase,
@@ -19,11 +18,9 @@ from ifmsim.experiments import (
     sweep_kappa_N,
     transparency_anomalies,
 )
-from ifmsim.noise import ProtocolTiming, PulseSchedule, interval_sample_slices
-from ifmsim.protocols import batch_populations, run_cifm, run_pifm, run_qubit
-from ifmsim.pulses import Pulse, pifm_pi_train_p0
-
-AXIS = -np.pi / 2
+from ifmsim.noise import NoiseTrace, ProtocolTiming, interval_sample_slices, trace_to_segments
+from ifmsim.protocols import basis_state, batch_populations
+from oracles import AXIS, brute_force_mean, pifm_pi_train_p0
 
 
 def test_zero_amplitude_noise_gives_zero_marker():
@@ -152,23 +149,6 @@ def test_binomial_gaussian_limit():
     assert np.max(np.abs(hist - gauss)) < 0.01
 
 
-def brute_force_binary_mean(protocol, n, theta, flip_prob):
-    """Exact ensemble mean: enumerate sign sequences with Markov weights."""
-    runner = {"qubit": run_qubit, "cifm": run_cifm, "pifm": run_pifm}[protocol]
-    timing = ProtocolTiming(n, 1.0, 0.0)
-    total = 0.0
-    for bits in range(1 << n):
-        signs = [1.0 if bits & (1 << j) else -1.0 for j in range(n)]
-        weight = 0.5
-        for a, b in zip(signs, signs[1:]):
-            weight *= flip_prob if a != b else (1.0 - flip_prob)
-        schedule = PulseSchedule(
-            tuple(Pulse([s * theta], [AXIS]) for s in signs), timing
-        )
-        total += weight * runner(schedule).marker
-    return total
-
-
 @pytest.mark.parametrize("protocol", ["qubit", "cifm", "pifm"])
 def test_monte_carlo_matches_brute_force(protocol):
     n, theta = 8, 2.0
@@ -176,7 +156,7 @@ def test_monte_carlo_matches_brute_force(protocol):
     kappa_inv = t / 3
     tau = t / n
     q = 0.5 * (1.0 - math.exp(-2.0 * tau / kappa_inv))
-    exact = brute_force_binary_mean(protocol, n, theta, q)
+    exact = brute_force_mean(protocol, n, theta, q)
     markers = ensemble_markers(
         protocol, BinarySlotNoise(kappa_inv=kappa_inv, total_duration=t, theta=theta),
         n, 10_000, master_seed=77, point_index=0,
@@ -208,18 +188,13 @@ def test_colored_phase_curves_cluster_and_projective_identical():
 
 def test_engine_rows_match_trace_slicing_pipeline():
     # a realization row fed to the kernels must equal the same noise routed
-    # through NoiseTrace -> trace_to_schedule -> protocol runner
-    from ifmsim.noise import NoiseTrace, trace_to_schedule
-    from ifmsim import kernels
-    from ifmsim.pulses import BeamSplitterSpec
-
+    # through NoiseTrace -> trace_to_segments, each segment one trace sample
     n, total, rate = 8, 1e-5, 1e8
     scenario = experiments.BinarySampledNoise(
         kappa_inv=total / 4, total_duration=total, delta_theta=np.pi / 250, sample_rate=rate,
     )
     rng = np.random.default_rng([55, 0])
     dtheta, chi = scenario.sample(n, 1, rng)
-    dtheta_row, chi_row = dtheta[0], chi[0]
     offsets = np.arange(n + 1)  # one segment per slot
 
     timing = ProtocolTiming(n, total / n, 0.0)
@@ -227,17 +202,14 @@ def test_engine_rows_match_trace_slicing_pipeline():
     # expand each slot-level segment to its per-sample steps of +-delta_theta;
     # the trace's own slicing fixes how many steps each slot gets
     zeta = np.zeros(count)
-    for angle, (lo, hi) in zip(dtheta_row, interval_sample_slices(timing, rate)):
+    for angle, (lo, hi) in zip(dtheta[0], interval_sample_slices(timing, rate)):
         zeta[lo:hi] = np.sign(angle) * scenario.delta_theta * rate  # step = zeta / rate
     chi_full = np.full(count, AXIS)
-    schedule = trace_to_schedule(NoiseTrace(rate, timing.total_duration, zeta, chi_full), timing)
+    segments = trace_to_segments(NoiseTrace(rate, timing.total_duration, zeta, chi_full), timing)
 
-    direct = kernels.cifm_populations(
-        dtheta_row[np.newaxis, :], chi_row[np.newaxis, :], offsets,
-        BeamSplitterSpec(n).phi, basis_state(3, 0),
-    )[0, 0]
-    via_schedule = run_cifm(schedule).marker
-    assert abs(direct - via_schedule) < 1e-12
+    direct = batch_populations("cifm", dtheta, chi, offsets, basis_state(3, 0))[0, 0]
+    via_trace = batch_populations("cifm", *segments, basis_state(3, 0))[0, 0]
+    assert abs(direct - via_trace) < 1e-12
 
 
 @pytest.mark.parametrize("n", [5, 8])

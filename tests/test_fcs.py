@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from ifmsim.core import basis_state
 from ifmsim.experiments import (
     GFEstimate,
     _event_counts,
@@ -12,11 +11,8 @@ from ifmsim.experiments import (
     poisson_generating_function,
     zero_freq_psd_check,
 )
-from ifmsim.noise import ProtocolTiming, PulseSchedule
-from ifmsim.protocols import batch_populations, run_qubit
-from ifmsim.pulses import Pulse
-
-AXIS = -np.pi / 2
+from ifmsim.protocols import basis_state, batch_populations
+from oracles import AXIS
 
 
 def test_event_trains_extend_with_realizations():
@@ -81,11 +77,11 @@ def test_slot_placement_does_not_matter_for_qubit():
     counts = np.zeros(n)
     np.add.at(counts, rng.integers(0, n, 7), 1.0)
     theta = 0.37
-    timing = ProtocolTiming(n, 1.0, 0.0)
 
     def marker(c):
-        pulses = tuple(Pulse([k * theta], [AXIS]) for k in c)
-        return run_qubit(PulseSchedule(pulses, timing)).marker
+        dtheta = c[np.newaxis, :] * theta
+        return batch_populations("qubit", dtheta, np.full_like(dtheta, AXIS), None,
+                                 basis_state(2, 0))[0, 1]
 
     base = marker(counts)
     for _ in range(10):

@@ -16,7 +16,7 @@ from ifmsim.noise import (
     gen_white,
     gen_white_top,
     gen_zero_sum,
-    trace_to_schedule,
+    trace_to_segments,
 )
 
 
@@ -307,10 +307,11 @@ def test_schedule_constant_noise_collapses_to_single_angle():
     count = int(round(rate * timing.total_duration))
     zeta = np.full(count, 1.2e6)  # rad/s
     chi = np.full(count, 0.4)
-    schedule = trace_to_schedule(NoiseTrace(rate, timing.total_duration, zeta, chi), timing)
-    assert schedule.n_slots == n
-    for pulse in schedule.pulses:
-        assert abs(pulse.total_angle - 1.2e6 * tau_b) < 1e-9
+    dtheta, _, offsets = trace_to_segments(NoiseTrace(rate, timing.total_duration, zeta, chi),
+                                           timing)
+    assert offsets.size == n + 1
+    slot_angles = np.add.reduceat(dtheta[0], offsets[:-1])
+    assert np.max(np.abs(slot_angles - 1.2e6 * tau_b)) < 1e-9
 
 
 def test_schedule_one_sample_per_slot_regime():
@@ -319,8 +320,8 @@ def test_schedule_one_sample_per_slot_regime():
     count = int(round(rate * timing.total_duration))
     rng = np.random.default_rng(2)
     trace = NoiseTrace(rate, timing.total_duration, rng.normal(size=count), rng.normal(size=count))
-    schedule = trace_to_schedule(trace, timing)
-    assert all(len(p) == 1 for p in schedule.pulses)
+    _, _, offsets = trace_to_segments(trace, timing)
+    assert np.array_equal(offsets, np.arange(n + 1))
 
 
 def test_schedule_fast_sampling_regime():
@@ -331,8 +332,8 @@ def test_schedule_fast_sampling_regime():
     rate = 1e9
     count = int(round(rate * timing.total_duration))
     trace = NoiseTrace(rate, timing.total_duration, np.zeros(count), np.zeros(count))
-    schedule = trace_to_schedule(trace, timing)
-    assert all(len(p) == 250 for p in schedule.pulses)
+    _, _, offsets = trace_to_segments(trace, timing)
+    assert np.array_equal(offsets, np.arange(n + 1) * 250)
 
 
 def test_schedule_discards_beam_splitter_samples():
@@ -340,10 +341,10 @@ def test_schedule_discards_beam_splitter_samples():
     timing = ProtocolTiming(n, tau_b, tau_bs)
     count = int(round(rate * timing.total_duration))
     trace = NoiseTrace(rate, timing.total_duration, np.ones(count), np.zeros(count))
-    schedule = trace_to_schedule(trace, timing)
-    kept = sum(len(p) for p in schedule.pulses)
+    dtheta, chi, offsets = trace_to_segments(trace, timing)
     # 20 samples per interval survive out of 22 per (bs + drive) block
-    assert kept == n * 20
+    assert dtheta.shape == chi.shape == (1, n * 20)
+    assert np.array_equal(offsets, np.arange(n + 1) * 20)
 
 
 def test_schedule_preserves_segment_values():
@@ -353,8 +354,8 @@ def test_schedule_preserves_segment_values():
     rng = np.random.default_rng(8)
     zeta = rng.normal(size=count)
     chi = rng.normal(size=count)
-    schedule = trace_to_schedule(NoiseTrace(rate, timing.total_duration, zeta, chi), timing)
-    dtheta, chis, offsets = schedule.segment_arrays()
+    dtheta, chis, offsets = trace_to_segments(NoiseTrace(rate, timing.total_duration, zeta, chi),
+                                              timing)
     assert offsets[-1] == n * 2
     assert np.allclose(dtheta, zeta[: n * 2] / rate)
     assert np.allclose(chis, chi[: n * 2])
@@ -363,7 +364,7 @@ def test_schedule_preserves_segment_values():
 def test_schedule_rejects_short_trace():
     timing = ProtocolTiming(10, 2e-7, 2e-8)
     with pytest.raises(ValueError):
-        trace_to_schedule(NoiseTrace(5e6, 1e-6, np.zeros(5), np.zeros(5)), timing)
+        trace_to_segments(NoiseTrace(5e6, 1e-6, np.zeros(5), np.zeros(5)), timing)
 
 
 def test_schedule_rejects_empty_interval():
@@ -371,9 +372,18 @@ def test_schedule_rejects_empty_interval():
     rate = 1e6  # one sample per 1 us: drive intervals of 200 ns are skipped
     count = int(round(rate * timing.total_duration))
     with pytest.raises(ValueError):
-        trace_to_schedule(
+        trace_to_segments(
             NoiseTrace(rate, timing.total_duration, np.zeros(count), np.zeros(count)), timing
         )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["zeta", "chi"])
+def test_trace_rejects_non_finite_samples(which, bad):
+    series = {"zeta": np.zeros(5), "chi": np.zeros(5)}
+    series[which][2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        NoiseTrace(5e6, 1e-6, **series)
 
 
 def test_timing_warns_on_slow_beam_splitters():

@@ -1,22 +1,22 @@
 import numpy as np
 import pytest
 
-from ifmsim.core import basis_state, pure_density
-from ifmsim.noise import ProtocolTiming, PulseSchedule, gen_zero_sum
-from ifmsim.protocols import run_cifm, run_pifm, run_qubit
-from ifmsim.pulses import Pulse, lumped_pulse_amplitudes, pifm_pi_train_p0
-
-AXIS = -np.pi / 2
+from ifmsim.noise import gen_zero_sum
+from ifmsim.protocols import PROTOCOLS, DimensionMismatchError, basis_state, batch_populations
+from oracles import AXIS, lumped_pulse_amplitudes, pifm_pi_train_p0
 
 
-def slot_schedule(thetas, phis=None):
-    """One-segment-per-slot schedule with unit slot duration."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    if phis is None:
-        phis = np.full_like(thetas, AXIS)
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    timing = ProtocolTiming(len(thetas), 1.0, 0.0)
-    return PulseSchedule(tuple(Pulse([t], [p]) for t, p in zip(thetas, phis)), timing)
+def slot_run(protocol, thetas, phis=None, psi0=None):
+    """Final populations of one realization with one segment per slot."""
+    dtheta = np.atleast_2d(np.asarray(thetas, dtype=float))
+    chi = np.full_like(dtheta, AXIS) if phis is None else np.atleast_2d(np.asarray(phis, float))
+    if psi0 is None:
+        psi0 = basis_state(PROTOCOLS[protocol].levels, 0)
+    return batch_populations(protocol, dtheta, chi, np.arange(dtheta.shape[1] + 1), psi0)[0]
+
+
+def marker(protocol, thetas, phis=None):
+    return slot_run(protocol, thetas, phis)[PROTOCOLS[protocol].marker]
 
 
 # ---------------------------------------------------------------------------
@@ -24,33 +24,32 @@ def slot_schedule(thetas, phis=None):
 # ---------------------------------------------------------------------------
 
 def test_qubit_zero_noise():
-    assert run_qubit(slot_schedule([0.0, 0.0, 0.0])).marker == 0.0
+    assert marker("qubit", [0.0, 0.0, 0.0]) == 0.0
 
 
 def test_qubit_pi_pulse_excites():
-    result = run_qubit(slot_schedule([np.pi]))
-    assert abs(result.marker - 1.0) < 1e-12
-    assert abs(0.5 * (1 - np.cos(np.pi)) - result.marker) < 1e-12
+    p_e = marker("qubit", [np.pi])
+    assert abs(p_e - 1.0) < 1e-12
+    assert abs(0.5 * (1 - np.cos(np.pi)) - p_e) < 1e-12
 
 
 def test_qubit_same_axis_depends_only_on_angle_sum():
     rng = np.random.default_rng(4)
     for _ in range(20):
         thetas = rng.uniform(-2, 2, 8)
-        result = run_qubit(slot_schedule(thetas))
         expected = 0.5 * (1.0 - np.cos(thetas.sum()))
-        assert abs(result.marker - expected) < 1e-10
+        assert abs(marker("qubit", thetas) - expected) < 1e-10
 
 
 def test_qubit_zero_sum_schedule_blind():
     thetas = gen_zero_sum(np.pi, 40, 123)
-    assert run_qubit(slot_schedule(thetas)).marker < 1e-10
+    assert marker("qubit", thetas) < 1e-10
 
 
 def test_qubit_initial_superposition():
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    result = run_qubit(slot_schedule([0.7]), initial=plus)
-    assert abs(result.marker - 0.5 * (1 + np.sin(0.7))) < 1e-12
+    p_e = slot_run("qubit", [0.7], psi0=plus)[1]
+    assert abs(p_e - 0.5 * (1 + np.sin(0.7))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -58,20 +57,19 @@ def test_qubit_initial_superposition():
 # ---------------------------------------------------------------------------
 
 def test_cifm_zero_noise_ends_in_level1():
-    result = run_cifm(slot_schedule([0.0] * 6))
-    assert result.marker < 1e-12
-    assert abs(result.populations[1] - 1.0) < 1e-12
+    pops = slot_run("cifm", [0.0] * 6)
+    assert pops[0] < 1e-12
+    assert abs(pops[1] - 1.0) < 1e-12
 
 
 def test_cifm_transparent_to_4pi_pulses():
-    result = run_cifm(slot_schedule([4 * np.pi] * 4))
-    assert result.marker < 1e-12
-    assert abs(result.populations[1] - 1.0) < 1e-12
+    pops = slot_run("cifm", [4 * np.pi] * 4)
+    assert pops[0] < 1e-12
+    assert abs(pops[1] - 1.0) < 1e-12
 
 
 def test_cifm_two_pulse_configuration():
-    result = run_cifm(slot_schedule([np.pi, np.pi, 0.0, 0.0]))
-    assert abs(result.marker - 0.611) < 1e-3
+    assert abs(marker("cifm", [np.pi, np.pi, 0.0, 0.0]) - 0.611) < 1e-3
 
 
 def test_cifm_reproduces_lumped_closed_form():
@@ -82,17 +80,16 @@ def test_cifm_reproduces_lumped_closed_form():
         theta = rng.uniform(0, 2 * np.pi)
         thetas = np.zeros(n)
         thetas[slot - 1] = n * theta
-        result = run_cifm(slot_schedule(thetas))
         c = lumped_pulse_amplitudes(n, slot, theta)
         expected = np.array([x * x for x in c])
-        assert np.max(np.abs(result.populations - expected)) < 1e-10
+        assert np.max(np.abs(slot_run("cifm", thetas) - expected)) < 1e-10
 
 
 def test_cifm_sensitive_to_axis_angles():
     rng = np.random.default_rng(2)
-    base = run_cifm(slot_schedule([np.pi / 2] * 4)).marker
+    base = marker("cifm", [np.pi / 2] * 4)
     deviations = [
-        abs(run_cifm(slot_schedule([np.pi / 2] * 4, rng.uniform(-np.pi, np.pi, 4))).marker - base)
+        abs(marker("cifm", [np.pi / 2] * 4, rng.uniform(-np.pi, np.pi, 4)) - base)
         for _ in range(100)
     ]
     assert max(deviations) > 1e-6
@@ -107,14 +104,12 @@ def test_cifm_reversal_symmetry():
         ((np.pi, -np.pi, -np.pi, np.pi), (-np.pi, np.pi, np.pi, -np.pi)),
     ]
     for forward, reverse in pairs:
-        a = run_cifm(slot_schedule(forward)).marker
-        b = run_cifm(slot_schedule(reverse)).marker
-        assert abs(a - b) < 1e-12
+        assert abs(marker("cifm", forward) - marker("cifm", reverse)) < 1e-12
 
 
 def test_cifm_permutation_sensitivity():
-    assert abs(run_cifm(slot_schedule((0, np.pi, np.pi, 0))).marker - 0.937) < 1e-3
-    assert abs(run_cifm(slot_schedule((np.pi, 0, 0, np.pi))).marker - 0.393) < 1e-3
+    assert abs(marker("cifm", (0, np.pi, np.pi, 0)) - 0.937) < 1e-3
+    assert abs(marker("cifm", (np.pi, 0, 0, np.pi)) - 0.393) < 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -122,69 +117,58 @@ def test_cifm_permutation_sensitivity():
 # ---------------------------------------------------------------------------
 
 def test_pifm_zero_noise():
-    result = run_pifm(slot_schedule([0.0] * 5))
-    assert result.marker < 1e-12
-    assert abs(result.populations[1] - 1.0) < 1e-12
-    assert result.populations[2] < 1e-12
+    pops = slot_run("pifm", [0.0] * 5)
+    assert pops[0] < 1e-12
+    assert abs(pops[1] - 1.0) < 1e-12
+    assert pops[2] < 1e-12
 
 
 def test_pifm_pi_train_matches_closed_form():
     for n in range(1, 41):
-        result = run_pifm(slot_schedule([np.pi] * n))
-        assert abs(result.marker - pifm_pi_train_p0(n)) < 1e-10
+        assert abs(marker("pifm", [np.pi] * n) - pifm_pi_train_p0(n)) < 1e-10
 
 
 def test_pifm_two_pulse_configurations():
-    assert abs(run_pifm(slot_schedule([np.pi, np.pi, 0, 0])).marker - 0.283) < 1e-3
-    assert abs(run_pifm(slot_schedule([0, np.pi, np.pi, 0])).marker - 0.387) < 1e-3
+    assert abs(marker("pifm", [np.pi, np.pi, 0, 0]) - 0.283) < 1e-3
+    assert abs(marker("pifm", [0, np.pi, np.pi, 0]) - 0.387) < 1e-3
 
 
 def test_pifm_insensitive_to_axis_angles():
     rng = np.random.default_rng(8)
     thetas = [np.pi / 2] * 4
-    base = run_pifm(slot_schedule(thetas)).marker
+    base = marker("pifm", thetas)
     for _ in range(100):
         phis = rng.uniform(-np.pi, np.pi, 4)
-        assert abs(run_pifm(slot_schedule(thetas, phis)).marker - base) < 1e-12
+        assert abs(marker("pifm", thetas, phis) - base) < 1e-12
 
 
 def test_pifm_alternating_sign_matches_pi_train():
     # the projective detector sees only |theta| per slot
-    result = run_pifm(slot_schedule([np.pi, -np.pi, np.pi, -np.pi]))
-    assert abs(result.marker - pifm_pi_train_p0(4)) < 1e-12
+    p0 = marker("pifm", [np.pi, -np.pi, np.pi, -np.pi])
+    assert abs(p0 - pifm_pi_train_p0(4)) < 1e-12
 
 
 def test_pifm_populations_sum_to_one():
     rng = np.random.default_rng(14)
     for _ in range(20):
         thetas = rng.uniform(-2 * np.pi, 2 * np.pi, 6)
-        result = run_pifm(slot_schedule(thetas))
-        assert abs(result.populations.sum() - 1.0) < 1e-10
-
-
-def test_pifm_accepts_initial_density_matrix():
-    rho0 = pure_density((basis_state(3, 0) + basis_state(3, 1)) / np.sqrt(2))
-    result = run_pifm(slot_schedule([np.pi] * 3), initial=rho0)
-    assert 0.0 <= result.marker <= 1.0
+        assert abs(slot_run("pifm", thetas).sum() - 1.0) < 1e-10
 
 
 def test_initial_state_shape_is_checked():
-    from ifmsim.core import DimensionMismatchError
-
     with pytest.raises(DimensionMismatchError):
-        run_qubit(slot_schedule([0.1]), initial=basis_state(3, 0))
+        slot_run("qubit", [0.1], psi0=basis_state(3, 0))
     with pytest.raises(DimensionMismatchError):
-        run_cifm(slot_schedule([0.1]), initial=basis_state(2, 0))
+        slot_run("cifm", [0.1], psi0=basis_state(2, 0))
     with pytest.raises(DimensionMismatchError):
-        run_pifm(slot_schedule([0.1]), initial=basis_state(3, 0))
+        slot_run("pifm", [0.1], psi0=np.eye(3, dtype=complex))
 
 
 def test_multi_segment_schedule_matches_composed_slots():
     # two same-axis segments per slot behave like their summed angle
-    timing = ProtocolTiming(3, 1.0, 0.0)
-    split = PulseSchedule(
-        tuple(Pulse([t / 2, t / 2], [AXIS, AXIS]) for t in (0.9, 1.7, 2.4)), timing
-    )
-    merged = slot_schedule([0.9, 1.7, 2.4])
-    for runner in (run_qubit, run_cifm, run_pifm):
-        assert abs(runner(split).marker - runner(merged).marker) < 1e-12
+    thetas = np.array([0.9, 1.7, 2.4])
+    split = np.repeat(thetas / 2, 2)[np.newaxis, :]
+    for protocol, (levels, index) in PROTOCOLS.items():
+        split_run = batch_populations(protocol, split, np.full_like(split, AXIS),
+                                      np.arange(0, 7, 2), basis_state(levels, 0))[0]
+        assert abs(split_run[index] - marker(protocol, thetas)) < 1e-12
