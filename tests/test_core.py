@@ -1,83 +1,8 @@
+"""Checks of the unitarity predicate in oracles.py that the other tests rely on."""
+
 import numpy as np
-import pytest
 
-from ifmsim.core import (
-    DimensionMismatchError,
-    apply_unitary,
-    apply_unitary_dm,
-    basis_state,
-    is_unitary,
-    populations,
-    pure_density,
-    validate_density_matrix,
-    validate_pure_state,
-)
-from ifmsim.pulses import qutrit_b_pulse
-
-
-def test_identity_leaves_state():
-    psi = basis_state(3, 0)
-    out = apply_unitary(np.eye(3), psi)
-    assert np.array_equal(out, psi)
-
-
-def test_bit_flip():
-    sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
-    out = apply_unitary(sigma_x, basis_state(2, 0))
-    assert np.allclose(out, basis_state(2, 1))
-
-
-def test_dimension_mismatch_raises():
-    with pytest.raises(DimensionMismatchError):
-        apply_unitary(np.eye(3), basis_state(2, 0))
-    with pytest.raises(DimensionMismatchError):
-        apply_unitary_dm(np.eye(2), pure_density(basis_state(3, 0)))
-
-
-def test_dm_conjugation_preserves_trace_and_purity():
-    rng = np.random.default_rng(3)
-    psi = rng.normal(size=3) + 1j * rng.normal(size=3)
-    psi /= np.linalg.norm(psi)
-    rho = pure_density(psi)
-    u = qutrit_b_pulse(1.3, 0.4)
-    out = apply_unitary_dm(u, rho)
-    assert abs(np.trace(out) - 1.0) < 1e-12
-    assert abs(np.trace(out @ out) - 1.0) < 1e-12
-    # matches the outer product of the vector evolution elementwise
-    expected = pure_density(apply_unitary(u, psi))
-    assert np.max(np.abs(out - expected)) < 1e-12
-
-
-def test_populations_basis_and_superposition():
-    assert np.allclose(populations(basis_state(3, 1)), [0, 1, 0])
-    psi = (basis_state(3, 0) + basis_state(3, 2)) / np.sqrt(2)
-    assert np.allclose(populations(psi), [0.5, 0, 0.5])
-
-
-def test_populations_global_phase_invariant():
-    rng = np.random.default_rng(11)
-    psi = rng.normal(size=3) + 1j * rng.normal(size=3)
-    psi /= np.linalg.norm(psi)
-    for phase in rng.uniform(0, 2 * np.pi, 10):
-        assert np.allclose(populations(np.exp(1j * phase) * psi), populations(psi), atol=1e-14)
-
-
-def test_norm_stable_over_many_compositions():
-    rng = np.random.default_rng(7)
-    psi = basis_state(3, 0)
-    for _ in range(10_000):
-        psi = apply_unitary(qutrit_b_pulse(rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi)), psi)
-    assert abs(np.sum(np.abs(psi) ** 2) - 1.0) <= 1e-10
-
-
-def test_validators():
-    validate_pure_state(basis_state(2, 1))
-    with pytest.raises(ValueError):
-        validate_pure_state(np.array([1.0, 1.0], dtype=complex))
-    validate_density_matrix(pure_density(basis_state(3, 0)))
-    bad = pure_density(basis_state(3, 0)) * 2.0
-    with pytest.raises(ValueError):
-        validate_density_matrix(bad)
+from oracles import is_unitary, qutrit_b_pulse
 
 
 def test_is_unitary():
