@@ -3,11 +3,12 @@
 Configs are INI files (key = value under [section] headers) documented in
 the README and checked against one table per subcommand, _SWEEP_SCHEMA or
 _FCS_SCHEMA, of every key's kind, range and default; scenario [noise]
-defaults live in the scenario classes.  Every run writes a manifest JSON
-carrying the echoed config, its hash, the seed actually used, the RNG
-scheme, timestamps, and the list of output files, so any artifact can be
-regenerated byte-for-byte from (config, seed, version).  Runs are
-single-threaded; --threads is accepted and ignored.
+defaults live in the scenario classes.  A sweep config may set only the
+keys its mode reads (_MODE_KEYS, and in scenario mode _SCENARIOS).  Every
+run writes a manifest JSON carrying the echoed config, its hash, the seed
+actually used, the RNG scheme, timestamps, and the list of output files,
+so any artifact can be regenerated byte-for-byte from (config, seed,
+version).  Runs are single-threaded; --threads is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -173,6 +174,16 @@ _SCENARIOS = {
     "colored_phase": (experiments.ColoredPhase, ("alpha", "theta_slot")),
 }
 
+#: The keys each sweep mode reads besides [run] mode, realizations and seed
+#: and [grid] n_values; a scenario sweep also reads its scenario's [noise]
+#: keys.  A config that sets any other key exits 2.
+_MODE_KEYS = {
+    "scenario": ("protocol", "scenario"),
+    "kappa": ("protocol", "kappa_inv_fractions", "delta_theta", "total_duration",
+              "sample_rate"),
+    "clustering": ("kappa_inv_fractions", "theta", "total_duration"),
+}
+
 # Each subcommand's schema: section -> key -> (kind, range, default).  kind
 # is "choice" (range: the allowed strings), "int", "float", "ints" or
 # "floats" (comma lists).  A numeric range is "" (any finite value), "> b",
@@ -224,6 +235,21 @@ _FCS_SCHEMA = {
 }
 
 
+def _check_read(config: dict, values: dict) -> None:
+    """A ConfigError naming the first key the config sets that its sweep
+    mode, or in scenario mode its scenario, never reads."""
+    mode = values["mode"]
+    reads = ("mode", "realizations", "seed", "n_values") + _MODE_KEYS[mode]
+    where = f"{mode} mode"
+    if mode == "scenario":
+        reads += _SCENARIOS[values["scenario"]][1]
+        where += f" with scenario {values['scenario']}"
+    for section, raws in config.items():
+        for key in raws:
+            if key not in reads:
+                raise ConfigError(f"[{section}] {key} is not read in {where}")
+
+
 def _resolve_seed(values: dict, cli_seed) -> tuple[int, str]:
     env = os.environ.get("IFMSIM_SEED")
     if cli_seed is not None:
@@ -262,16 +288,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_stats_csv(path, rows) -> None:
-    """Rows of (n, param, mean, variance, std, count, seed)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("n,param,mean,variance,std,realizations,seed\n")
-        for n, param, mean, var, std, count, seed in rows:
-            fh.write(
-                f"{n},{_fmt(param)},{_fmt(mean)},{_fmt(var)},{_fmt(std)},{count},{seed}\n"
-            )
-
-
 def _write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -286,16 +302,12 @@ def cmd_sweep(args) -> int:
     config = load_config(args.config)
     values = _read(config, _SWEEP_SCHEMA)
     seed, seed_source = _resolve_seed(values, args.seed)
+    _check_read(config, values)
     mode, n_values = values["mode"], values["n_values"]
-    realizations, total = values["realizations"], values["total_duration"]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    prefix = Path(args.config).stem
+    common = {"realizations": values["realizations"], "master_seed": seed}
     started = _utcnow()
-    outputs = []
 
     if mode == "scenario":
-        protocol = values["protocol"]
         scenario_class, keys = _SCENARIOS[values["scenario"]]
         scenario = scenario_class(**_given(values, keys))
         # checked on the scenario, so that a class default counts as well
@@ -303,24 +315,10 @@ def cmd_sweep(args) -> int:
                 and scenario.theta_lo > scenario.theta_hi):
             raise ConfigError(f"[noise] theta_lo = {scenario.theta_lo:g} must not exceed "
                               f"[noise] theta_hi = {scenario.theta_hi:g}")
-        sweep = experiments.run_sweep(experiments.SweepConfig(
-            protocol=protocol, scenario=scenario, n_values=n_values,
-            realizations=realizations, master_seed=seed,
-        ))
-        stats_path = out_dir / f"{prefix}_stats.csv"
-        write_stats_csv(stats_path, [
-            (n, 0.0, sweep.stats.mean[i], sweep.stats.variance[i],
-             sweep.stats.std[i], realizations, seed)
-            for i, n in enumerate(n_values)
-        ])
-        outputs.append(stats_path)
-        results_payload = {
-            "n_values": list(n_values),
-            "mean": sweep.stats.mean.tolist(),
-            "variance": sweep.stats.variance.tolist(),
-            "std": sweep.stats.std.tolist(),
-        }
+        result = experiments.run_sweep(experiments.SweepConfig(
+            protocol=values["protocol"], scenario=scenario, n_values=n_values, **common))
     elif mode == "kappa":
+        total = values["total_duration"]
         kinvs = tuple(f * total for f in values["kappa_inv_fractions"])
         if max(values["kappa_inv_fractions"]) > 1:
             # sweep_kappa_N refuses correlation times longer than the sequence
@@ -334,54 +332,41 @@ def cmd_sweep(args) -> int:
                 f"[timing] sample_rate = {rate:g} leaves drive slots without trace samples: "
                 f"total_duration * sample_rate = {total * rate:g} must be >= every n "
                 f"(largest {max(n_values)})")
-        grid = experiments.sweep_kappa_N(
-            n_values, kinvs, delta, realizations=realizations, master_seed=seed,
-            total_duration=total, sample_rate=rate,
-        )
-        stats_path = out_dir / f"{prefix}_stats.csv"
-        rows = []
-        for i, n in enumerate(n_values):
-            for j, k in enumerate(kinvs):
-                rows.append((n, k, grid.mean[i, j], grid.variance[i, j],
-                             grid.std[i, j], realizations, seed))
-        write_stats_csv(stats_path, rows)
-        outputs.append(stats_path)
-        results_payload = {
-            "n_values": list(n_values),
-            "kappa_inv_values": list(kinvs),
-            "mean": grid.mean.tolist(),
-            "std": grid.std.tolist(),
-            "anomalous_n": list(grid.anomalies),
-        }
+        result = experiments.sweep_kappa_N(
+            n_values, kinvs, delta, total_duration=total, sample_rate=rate,
+            **common, **_given(values, ("protocol",)))
     else:  # clustering
+        total = values["total_duration"]
         kinvs = tuple(f * total for f in values["kappa_inv_fractions"])
         result = experiments.clustering_sweep(
-            n_values, kinvs, realizations=realizations, master_seed=seed,
-            total_duration=total, **_given(values, ("theta",)),
-        )
-        stats_path = out_dir / f"{prefix}_stats.csv"
-        control_path = out_dir / f"{prefix}_pifm_control.csv"
-        rows, control_rows = [], []
-        for i, n in enumerate(n_values):
-            for j, k in enumerate(kinvs):
-                rows.append((n, k, result.cifm_mean[i, j],
-                             result.cifm_std[i, j] ** 2, result.cifm_std[i, j],
-                             realizations, seed))
-                control_rows.append((n, k, result.pifm_mean[i, j], 0.0, 0.0,
-                                     realizations, seed))
-        write_stats_csv(stats_path, rows)
-        write_stats_csv(control_path, control_rows)
-        outputs.extend([stats_path, control_path])
-        results_payload = {
-            "n_values": list(n_values),
-            "kappa_inv_values": list(kinvs),
-            "cifm_mean": result.cifm_mean.tolist(),
-            "pifm_mean": result.pifm_mean.tolist(),
-        }
+            n_values, kinvs, total_duration=total, **common, **_given(values, ("theta",)))
+
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    prefix = Path(args.config).stem
+    outputs = []
+    # the first protocol is the detector under study, any other its control
+    for name, stats in result.stats.items():
+        suffix = f"{name}_control" if outputs else "stats"
+        path = out_dir / f"{prefix}_{suffix}.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("n,param,mean,variance,std,realizations,seed\n")
+            for i, n in enumerate(result.n_values):
+                for j, param in enumerate(result.params):
+                    cells = (param, stats.mean[i, j], stats.variance[i, j], stats.std[i, j])
+                    fh.write(f"{n},{','.join(map(_fmt, cells))},{stats.count},{seed}\n")
+        outputs.append(path)
 
     manifest = _manifest(config, seed, seed_source, outputs, started, _utcnow())
     if args.format == "json":
-        manifest["results"] = results_payload
+        manifest["results"] = {
+            "n_values": list(result.n_values),
+            "params": list(result.params),
+            "anomalous_n": list(result.anomalies),
+            "stats": {name: {"mean": stats.mean.tolist(), "variance": stats.variance.tolist(),
+                             "std": stats.std.tolist()}
+                      for name, stats in result.stats.items()},
+        }
     manifest_path = out_dir / f"{prefix}_manifest.json"
     _write_json(manifest_path, manifest)
     print(f"wrote {', '.join(str(p) for p in outputs)} and {manifest_path}")

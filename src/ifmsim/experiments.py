@@ -10,8 +10,10 @@ child streams; so results are bit-reproducible, and growing the realization
 count extends the ensemble rather than redrawing it.  Everything runs in
 one thread: results and speed do not depend on any thread count.
 
-run_sweep, sweep_kappa_N and clustering_sweep share one grid loop, _grid:
-each driver lists its (n_slots, scenario) points, n-major, and point k is
+run_sweep, sweep_kappa_N and clustering_sweep are each one call of the grid
+loop _grid, and all three return a GridResult.  A driver gives its slot
+counts, its parameter grid (the correlation times, or (0.0,) for a scenario
+sweep) and the scenario of each parameter; point k of the n-major grid is
 keyed by k.  Every protocol the driver asks for runs on the same batch, and
 the kernels receive the sampled segments as they are.
 """
@@ -38,14 +40,12 @@ __all__ = [
     "AMPLITUDE_AXIS",
     "BinarySampledNoise",
     "BinarySlotNoise",
-    "ClusteringResult",
     "ColoredPhase",
     "EnsembleStats",
     "GFEstimate",
-    "KappaSweepResult",
+    "GridResult",
     "RNG_SCHEME",
     "SweepConfig",
-    "SweepResult",
     "TABLE_CONFIGS",
     "TABLE_EXPECTED",
     "WhiteAmplitude",
@@ -217,12 +217,9 @@ class EnsembleStats:
     """Per-grid-point marker statistics over the realization ensemble."""
 
     mean: np.ndarray
-    variance: np.ndarray
+    variance: np.ndarray  # ddof-1
     std: np.ndarray
     count: int
-
-    def stderr(self) -> np.ndarray:
-        return self.std / math.sqrt(self.count)
 
 
 @dataclass(frozen=True)
@@ -246,13 +243,19 @@ class SweepConfig:
 
 
 @dataclass(frozen=True)
-class SweepResult:
-    config: SweepConfig
-    stats: EnsembleStats
+class GridResult:
+    """Marker statistics of a sweep over (n_slots, param) points.
 
-    @property
-    def n_values(self) -> tuple[int, ...]:
-        return self.config.n_values
+    stats maps each protocol to its EnsembleStats, whose arrays have shape
+    (len(n_values), len(params)).  params holds the correlation times, or
+    (0.0,) for a scenario sweep; anomalies holds the transparent slot
+    counts of a kappa sweep.
+    """
+
+    n_values: tuple[int, ...]
+    params: tuple[float, ...]
+    stats: dict[str, EnsembleStats]
+    anomalies: tuple[int, ...] = ()
 
 
 def _sample_batch(scenario, n_slots, realizations, master_seed, point_index):
@@ -275,32 +278,36 @@ def ensemble_markers(protocol, scenario, n_slots, realizations, master_seed,
     return _markers(protocol, batch)
 
 
-def _grid(points, protocols, realizations, master_seed) -> dict[str, EnsembleStats]:
-    """Marker statistics of every protocol at every (n_slots, scenario) point.
+def _grid(n_values, params, scenario_of, protocols, realizations, master_seed,
+          anomalies=()) -> GridResult:
+    """Marker statistics of every protocol at every (n_slots, param) point.
 
-    Point k draws one batch from the generator keyed by (master_seed, k),
-    and that batch feeds every protocol.  Each protocol's stats hold one
-    mean and one ddof-1 variance per point, in the order of points.
+    Point k of the n-major grid draws one batch of scenario_of(param) from
+    the generator keyed by (master_seed, k), and that batch feeds every
+    protocol.  Each protocol's stats hold one mean and one ddof-1 variance
+    per point.
     """
-    mean = np.empty((len(protocols), len(points)))
+    n_values = tuple(int(n) for n in n_values)
+    params = tuple(float(p) for p in params)
+    mean = np.empty((len(protocols), len(n_values), len(params)))
     var = np.zeros_like(mean)
-    for k, (n_slots, scenario) in enumerate(points):
-        batch = _sample_batch(scenario, n_slots, realizations, master_seed, k)
-        for i, protocol in enumerate(protocols):
+    for k, (i, j) in enumerate(np.ndindex(mean.shape[1:])):
+        batch = _sample_batch(scenario_of(params[j]), n_values[i], realizations, master_seed, k)
+        for p, protocol in enumerate(protocols):
             markers = _markers(protocol, batch)
-            mean[i, k] = markers.mean()
+            mean[p, i, j] = markers.mean()
             if realizations > 1:
-                var[i, k] = markers.var(ddof=1)
-    return {protocol: EnsembleStats(mean=mean[i], variance=var[i], std=np.sqrt(var[i]),
-                                    count=realizations)
-            for i, protocol in enumerate(protocols)}
+                var[p, i, j] = markers.var(ddof=1)
+    stats = {protocol: EnsembleStats(mean=mean[p], variance=var[p], std=np.sqrt(var[p]),
+                                     count=realizations)
+             for p, protocol in enumerate(protocols)}
+    return GridResult(n_values, params, stats, tuple(anomalies))
 
 
-def run_sweep(config: SweepConfig) -> SweepResult:
+def run_sweep(config: SweepConfig) -> GridResult:
     """Mean and variance of the marker population over the n_values grid."""
-    points = [(n, config.scenario) for n in config.n_values]
-    stats = _grid(points, (config.protocol,), config.realizations, config.master_seed)
-    return SweepResult(config=config, stats=stats[config.protocol])
+    return _grid(config.n_values, (0.0,), lambda _: config.scenario, (config.protocol,),
+                 config.realizations, config.master_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -322,21 +329,9 @@ def transparency_anomalies(n_values, delta_theta, total_duration, sample_rate) -
     return out
 
 
-@dataclass(frozen=True)
-class KappaSweepResult:
-    n_values: tuple[int, ...]
-    kappa_inv_values: tuple[float, ...]
-    mean: np.ndarray      # shape (len(n_values), len(kappa_inv_values))
-    variance: np.ndarray
-    std: np.ndarray
-    count: int
-    anomalies: tuple[int, ...]
-    protocol: str = "cifm"
-
-
 def sweep_kappa_N(n_values, kappa_inv_values, delta_theta, realizations=500,
                   master_seed=0, total_duration=1e-5, sample_rate=1e9,
-                  protocol="cifm") -> KappaSweepResult:
+                  protocol="cifm") -> GridResult:
     """Marker statistics over the (n_slots, correlation time) grid.
 
     Binary noise with per-sample steps of +-delta_theta whose sign is held
@@ -344,55 +339,29 @@ def sweep_kappa_N(n_values, kappa_inv_values, delta_theta, realizations=500,
     discretized Poisson rate.  Correlation times must not exceed the
     sequence duration.
     """
-    n_values = tuple(int(n) for n in n_values)
-    kappa_inv_values = tuple(float(k) for k in kappa_inv_values)
+    n_values, kappa_inv_values = tuple(n_values), tuple(kappa_inv_values)  # each read twice
     for k in kappa_inv_values:
         if not 0 < k <= total_duration:
             raise ValueError(f"kappa_inv {k:g} outside (0, {total_duration:g}]")
-    points = [(n, BinarySampledNoise(kappa_inv=kinv, total_duration=total_duration,
-                                      delta_theta=delta_theta, sample_rate=sample_rate))
-              for n in n_values for kinv in kappa_inv_values]
-    stats = _grid(points, (protocol,), realizations, master_seed)[protocol]
-    shape = (len(n_values), len(kappa_inv_values))
-    anomalies = transparency_anomalies(n_values, delta_theta, total_duration, sample_rate)
-    return KappaSweepResult(
-        n_values=n_values, kappa_inv_values=kappa_inv_values,
-        mean=stats.mean.reshape(shape), variance=stats.variance.reshape(shape),
-        std=stats.std.reshape(shape), count=realizations,
-        anomalies=tuple(anomalies), protocol=protocol,
-    )
-
-
-@dataclass(frozen=True)
-class ClusteringResult:
-    n_values: tuple[int, ...]
-    kappa_inv_values: tuple[float, ...]
-    cifm_mean: np.ndarray   # (len(n_values), len(kappa_inv_values))
-    cifm_std: np.ndarray
-    pifm_mean: np.ndarray
-    count: int
+    return _grid(n_values, kappa_inv_values,
+                 lambda kinv: BinarySampledNoise(kappa_inv=kinv, total_duration=total_duration,
+                                                 delta_theta=delta_theta, sample_rate=sample_rate),
+                 (protocol,), realizations, master_seed,
+                 transparency_anomalies(n_values, delta_theta, total_duration, sample_rate))
 
 
 def clustering_sweep(n_values, kappa_inv_values, realizations=2000, master_seed=0,
-                     theta=math.pi, total_duration=1e-5) -> ClusteringResult:
+                     theta=math.pi, total_duration=1e-5) -> GridResult:
     """Coherent-detector sensitivity to noise clustering, with projective control.
 
     One +-theta sample per drive interval; slower switching (larger
     correlation time) clusters equal signs together and raises the coherent
     marker, while the projective detector sees only |theta| and stays flat.
     """
-    n_values = tuple(int(n) for n in n_values)
-    kappa_inv_values = tuple(float(k) for k in kappa_inv_values)
-    points = [(n, BinarySlotNoise(kappa_inv=kinv, total_duration=total_duration, theta=theta))
-              for n in n_values for kinv in kappa_inv_values]
-    stats = _grid(points, ("cifm", "pifm"), realizations, master_seed)
-    shape = (len(n_values), len(kappa_inv_values))
-    return ClusteringResult(
-        n_values=n_values, kappa_inv_values=kappa_inv_values,
-        cifm_mean=stats["cifm"].mean.reshape(shape), cifm_std=stats["cifm"].std.reshape(shape),
-        pifm_mean=stats["pifm"].mean.reshape(shape),
-        count=realizations,
-    )
+    return _grid(n_values, kappa_inv_values,
+                 lambda kinv: BinarySlotNoise(kappa_inv=kinv, total_duration=total_duration,
+                                              theta=theta),
+                 ("cifm", "pifm"), realizations, master_seed)
 
 
 # ---------------------------------------------------------------------------

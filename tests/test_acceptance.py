@@ -156,8 +156,8 @@ def test_a5_transparency_anomaly_grid():
     assert grid.anomalies == (1, 2, 5, 10)
     anom_rows = [i for i, n in enumerate(n_values) if n in grid.anomalies]
     clear_rows = [i for i, n in enumerate(n_values) if n not in grid.anomalies]
-    worst_anom = float(grid.mean[anom_rows].max())
-    worst_clear = float(grid.mean[clear_rows].min())
+    worst_anom = float(grid.stats["cifm"].mean[anom_rows].max())
+    worst_clear = float(grid.stats["cifm"].mean[clear_rows].min())
     ok = worst_anom < 0.1 and worst_clear > 0.9 and elapsed < 120.0
     report("A5 transparency anomaly grid", ok,
            f"anomalous rows max {worst_anom:.3f} (< 0.1), clear rows min {worst_clear:.3f} "
@@ -314,15 +314,15 @@ def test_a10_clustering_sensitivity():
     mono_ok = True
     flat_ok = True
     for i, n in enumerate(n_values):
-        se = result.cifm_std[i] / math.sqrt(result.count)
-        diffs = np.diff(result.cifm_mean[i])
+        se = result.stats["cifm"].std[i] / math.sqrt(result.stats["cifm"].count)
+        diffs = np.diff(result.stats["cifm"].mean[i])
         slack = 2.0 * np.sqrt(se[1:] ** 2 + se[:-1] ** 2)
         mono_ok &= bool(np.all(diffs >= -slack))
-        flat_ok &= bool(np.max(np.abs(result.pifm_mean[i] - pifm_pi_train_p0(n))) < 1e-10)
+        flat_ok &= bool(np.max(np.abs(result.stats["pifm"].mean[i] - pifm_pi_train_p0(n))) < 1e-10)
     table_ok = all(abs(p - 0.605) < 1e-3 for _, _, p in marker_table()[6:])
     # larger slot counts wash out the correlation signature: the spread of
     # the coherent curve over the correlation-time grid shrinks
-    flatten_ok = bool(np.ptp(result.cifm_mean[-1]) < np.ptp(result.cifm_mean[0]))
+    flatten_ok = bool(np.ptp(result.stats["cifm"].mean[-1]) < np.ptp(result.stats["cifm"].mean[0]))
     ok = mono_ok and flat_ok and table_ok and flatten_ok
     report("A10 clustering sensitivity", ok,
            f"cifm nondecreasing within 2 sigma: {mono_ok}, pifm flat at closed form: {flat_ok}, "

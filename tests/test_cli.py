@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ifmsim
@@ -20,7 +21,7 @@ from ifmsim.cli import (
     main,
     parse_int_list,
 )
-from ifmsim.experiments import RNG_SCHEME
+from ifmsim.experiments import RNG_SCHEME, BinarySlotNoise, ensemble_markers, sweep_kappa_N
 
 SMALL_SWEEP = """
 [run]
@@ -130,7 +131,7 @@ def test_sweep_json_format_embeds_results(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out", str(out), "--format", "json"]) == EXIT_OK
     manifest = json.loads((out / "small_manifest.json").read_text())
     assert manifest["results"]["n_values"] == [2, 5, 10]
-    assert len(manifest["results"]["mean"]) == 3
+    assert len(manifest["results"]["stats"]["cifm"]["mean"]) == 3
 
 
 def test_missing_required_key_exits_2(tmp_path, capsys):
@@ -273,6 +274,98 @@ def test_out_of_range_value_exits_2_naming_key(tmp_path, capsys, command, text, 
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, line, replacement, key, where", [
+    (CLUSTERING, "mode = clustering", "mode = clustering\nprotocol = cifm", "[run] protocol",
+     "clustering mode"),
+    (CLUSTERING, "mode = clustering", "mode = clustering\nscenario = zero_sum",
+     "[run] scenario", "clustering mode"),
+    (CLUSTERING, "theta = 3.0", "theta = 3.0\ndelta_theta = 0.5", "[noise] delta_theta",
+     "clustering mode"),
+    (CLUSTERING, "theta = 3.0", "theta = 3.0\ntheta_max = 3.0", "[noise] theta_max",
+     "clustering mode"),
+    (CLUSTERING, "total_duration = 1e-5", "total_duration = 1e-5\nsample_rate = 1e9",
+     "[timing] sample_rate", "clustering mode"),
+    (SMALL_SWEEP, "seed = 4242", "seed = 4242\n[noise]\ntheta_lo = 0", "[noise] theta_lo",
+     "zero_sum"),
+    (SMALL_SWEEP, "seed = 4242", "seed = 4242\n[noise]\ndelta_theta = 0.5",
+     "[noise] delta_theta", "zero_sum"),
+    (SMALL_SWEEP, "seed = 4242", "seed = 4242\n[timing]\nsample_rate = 1e9",
+     "[timing] sample_rate", "zero_sum"),
+], ids=["clustering_protocol", "clustering_scenario", "clustering_delta_theta",
+        "clustering_theta_max", "clustering_sample_rate", "zero_sum_theta_lo",
+        "zero_sum_delta_theta", "zero_sum_sample_rate"])
+def test_key_the_mode_never_reads_exits_2_naming_it(tmp_path, capsys, text, line, replacement,
+                                                     key, where):
+    assert line in text
+    cfg = write(tmp_path, "bad.cfg", text.replace(line, replacement))
+    code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert key in err and where in err
+    assert not (tmp_path / "o").exists()
+
+
+def read_stats(path):
+    """The rows of a stats CSV as (n, param, mean, variance, std, count, seed) floats."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == "n,param,mean,variance,std,realizations,seed"
+    return np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+
+
+KAPPA_PIFM = KAPPA.replace("realizations = 4", "protocol = pifm\nrealizations = 30\nseed = 5")
+
+
+def test_kappa_mode_reads_the_protocol(tmp_path):
+    cfg = write(tmp_path, "kappa.cfg", KAPPA_PIFM)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+    written = read_stats(tmp_path / "o" / "kappa_stats.csv")[:, 2]
+    grid = {protocol: sweep_kappa_N((2,), (5e-6,), 0.5, realizations=30, master_seed=5,
+                                    total_duration=1e-5, sample_rate=1e6, protocol=protocol)
+            for protocol in ("pifm", "cifm")}
+    assert np.array_equal(written, grid["pifm"].stats["pifm"].mean.ravel())
+    assert not np.array_equal(written, grid["cifm"].stats["cifm"].mean.ravel())
+
+
+def test_clustering_files_hold_the_ensemble_statistics(tmp_path):
+    # the coherent marker in the stats file, the projective control in the
+    # control file; pifm sees only |theta|, so its variance is rounding-level
+    # and is compared relatively
+    text = CLUSTERING.replace("realizations = 4", "realizations = 50")
+    text = text.replace("n_values = 2", "n_values = 3,4").replace("= 0.5", "= 0.3,1.0")
+    cfg = write(tmp_path, "clu.cfg", text)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+    points = [(n, kinv) for n in (3, 4) for kinv in (3e-6, 1e-5)]
+    for name, protocol in (("clu_stats.csv", "cifm"), ("clu_pifm_control.csv", "pifm")):
+        rows = read_stats(tmp_path / "o" / name)
+        markers = [ensemble_markers(protocol, BinarySlotNoise(kinv, 1e-5, 3.0), n, 50, 3, k)
+                   for k, (n, kinv) in enumerate(points)]
+        np.testing.assert_allclose(rows[:, 0:2], points, rtol=1e-15)
+        np.testing.assert_allclose(rows[:, 3], [m.var(ddof=1) for m in markers],
+                                   rtol=1e-15, atol=0)
+        np.testing.assert_allclose(rows[:, 4], [m.std(ddof=1) for m in markers],
+                                   rtol=1e-15, atol=0)
+    assert np.any(rows[:, 3] > 0)
+
+
+def test_every_sweep_mode_writes_one_json_layout(tmp_path):
+    blocks = {}
+    for text, name in ((SMALL_SWEEP, "scenario"), (KAPPA_PIFM, "kappa"), (CLUSTERING, "clu")):
+        out = tmp_path / name
+        cfg = write(tmp_path, f"{name}.cfg", text)
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--format", "json"]) == EXIT_OK
+        manifest = json.loads((out / f"{name}_manifest.json").read_text())
+        blocks[name] = manifest["results"]
+        for i, (protocol, stats) in enumerate(blocks[name]["stats"].items()):
+            assert set(stats) == {"mean", "variance", "std"}
+            path = out / f"{name}_{'stats' if i == 0 else protocol + '_control'}.csv"
+            assert str(path) in manifest["outputs"]
+            assert read_stats(path)[:, 2].tolist() == np.ravel(stats["mean"]).tolist()
+    assert {name: set(results) for name, results in blocks.items()} == {
+        name: {"n_values", "params", "anomalous_n", "stats"} for name in blocks}
+    assert list(blocks["clu"]["stats"]) == ["cifm", "pifm"]
+
+
 def test_colored_config_runs_with_alpha_in_range(tmp_path):
     cfg = write(tmp_path, "colored.cfg", COLORED.replace("alpha = 1", "alpha = -2"))
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
@@ -338,6 +431,18 @@ def test_readme_config_format_names_exactly_the_schema_keys():
     documented = {s: set(parser[s]) for s in parser.sections()}
     schema = {s: set(keys) for s, keys in {**_SWEEP_SCHEMA, **_FCS_SCHEMA}.items()}
     assert documented == schema
+
+
+def test_readme_python_blocks_run(capsys):
+    # every python block of README, in order, in one namespace
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = [b.split("```", 1)[0] for b in text.split("```python\n")[1:]]
+    assert len(blocks) >= 2
+    namespace = {}
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i + 1}", "exec"), namespace)
+    printed = [round(float(x), 3) for x in capsys.readouterr().out.split()]
+    assert printed[:2] == [0.611, 0.283]
 
 
 def test_non_integer_env_seed_exits_2(tmp_path, capsys, monkeypatch):

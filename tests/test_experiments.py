@@ -29,7 +29,7 @@ def test_zero_amplitude_noise_gives_zero_marker():
         n_values=(1, 5, 20), realizations=10, master_seed=1,
     )
     result = run_sweep(config)
-    assert np.max(result.stats.mean) < 1e-12
+    assert np.max(result.stats["cifm"].mean) < 1e-12
 
 
 def test_zero_sum_scenario_handles_single_slot():
@@ -84,9 +84,9 @@ def test_kappa_sweep_anomalous_rows_vanish():
         realizations=40, master_seed=5, total_duration=1e-5, sample_rate=1e9,
     )
     assert grid.anomalies == (2,)
-    assert np.max(grid.mean[0]) < 1e-10       # transparent everywhere
-    assert np.min(grid.mean[1]) > 0.85        # detected everywhere
-    assert grid.mean.shape == (2, 2)
+    assert np.max(grid.stats["cifm"].mean[0]) < 1e-10       # transparent everywhere
+    assert np.min(grid.stats["cifm"].mean[1]) > 0.85        # detected everywhere
+    assert grid.stats["cifm"].mean.shape == (2, 2)
 
 
 def test_kappa_sweep_rejects_out_of_range_correlation_time():
@@ -100,13 +100,13 @@ def test_clustering_cifm_grows_and_pifm_flat():
     result = clustering_sweep((4, 10), kinvs, realizations=400, master_seed=11, total_duration=t)
     for i, n in enumerate((4, 10)):
         closed = pifm_pi_train_p0(n)
-        assert np.max(np.abs(result.pifm_mean[i] - closed)) < 1e-10
-        se = result.cifm_std[i] / math.sqrt(result.count)
-        diffs = np.diff(result.cifm_mean[i])
+        assert np.max(np.abs(result.stats["pifm"].mean[i] - closed)) < 1e-10
+        se = result.stats["cifm"].std[i] / math.sqrt(result.stats["cifm"].count)
+        diffs = np.diff(result.stats["cifm"].mean[i])
         slack = 2.0 * np.sqrt(se[1:] ** 2 + se[:-1] ** 2)
         assert np.all(diffs >= -slack)
     # clustering raises the coherent marker overall
-    assert result.cifm_mean[0, -1] > result.cifm_mean[0, 0] + 0.05
+    assert result.stats["cifm"].mean[0, -1] > result.stats["cifm"].mean[0, 0] + 0.05
 
 
 def test_marker_table_values_and_symmetries():
