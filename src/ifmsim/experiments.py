@@ -27,17 +27,17 @@ import numpy as np
 
 from .noise import (
     ColorSpec,
-    estimate_psd,
+    ProtocolTiming,
     gen_colored,
     gen_telegraph_slots,
     gen_white,
     gen_white_top,
     gen_zero_sum,
+    interval_sample_slices,
 )
 from .protocols import PROTOCOLS, basis_state, batch_populations
 
 __all__ = [
-    "AMPLITUDE_AXIS",
     "BinarySampledNoise",
     "BinarySlotNoise",
     "ColoredPhase",
@@ -52,7 +52,6 @@ __all__ = [
     "WhiteAmplitudePhase",
     "WhitePhase",
     "ZeroSumAmplitude",
-    "ZeroFreqReport",
     "clustering_sweep",
     "ensemble_markers",
     "fcs_estimate",
@@ -62,11 +61,7 @@ __all__ = [
     "run_sweep",
     "sweep_kappa_N",
     "transparency_anomalies",
-    "zero_freq_psd_check",
 ]
-
-#: Axis angle of pure amplitude noise: rotation axis (cos chi, -sin chi) = (0, 1).
-AMPLITUDE_AXIS = -math.pi / 2.0
 
 #: How ensembles are seeded; the CLI records it in every manifest.
 RNG_SCHEME = ("keyed-batch: PCG64(SeedSequence([master_seed, point_index])), "
@@ -79,12 +74,9 @@ def _stream(master_seed: int, point_index: int) -> np.random.Generator:
 
 # ---------------------------------------------------------------------------
 # noise scenarios: each draws a (realizations, segments) batch of
-# (dtheta, chi) segments in one call, the same number in every slot
+# (dtheta, chi) segments in one call, the same number in every slot; the
+# amplitude-noise scenarios return chi = None, the amplitude axis
 # ---------------------------------------------------------------------------
-
-def _amplitude_axis(dtheta: np.ndarray) -> np.ndarray:
-    return np.full(dtheta.shape, AMPLITUDE_AXIS)
-
 
 @dataclass(frozen=True)
 class ZeroSumAmplitude:
@@ -92,12 +84,12 @@ class ZeroSumAmplitude:
 
     theta_max: float = math.pi
 
-    def sample(self, n_slots: int, realizations: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    def sample(self, n_slots: int, realizations: int, rng) -> tuple[np.ndarray, None]:
         if n_slots == 1:
             dtheta = np.zeros((realizations, 1))  # a single-slot zero-sum sequence is empty
         else:
             dtheta = gen_zero_sum(self.theta_max, (realizations, n_slots), rng)
-        return dtheta, _amplitude_axis(dtheta)
+        return dtheta, None
 
 
 @dataclass(frozen=True)
@@ -107,9 +99,9 @@ class WhiteAmplitude:
     theta_lo: float = 0.0
     theta_hi: float = math.pi
 
-    def sample(self, n_slots: int, realizations: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    def sample(self, n_slots: int, realizations: int, rng) -> tuple[np.ndarray, None]:
         dtheta = gen_white_top(self.theta_lo, self.theta_hi, (realizations, n_slots), rng)
-        return dtheta, _amplitude_axis(dtheta)
+        return dtheta, None
 
 
 @dataclass(frozen=True)
@@ -173,22 +165,23 @@ class BinarySlotNoise:
     total_duration: float
     theta: float = math.pi
 
-    def sample(self, n_slots: int, realizations: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    def sample(self, n_slots: int, realizations: int, rng) -> tuple[np.ndarray, None]:
         tau_b = self.total_duration / n_slots
         dtheta = gen_telegraph_slots(1.0 / self.kappa_inv, self.theta, (realizations, n_slots),
                                      tau_b, rng)
-        return dtheta, _amplitude_axis(dtheta)
+        return dtheta, None
 
 
 @dataclass(frozen=True)
 class BinarySampledNoise:
-    """Telegraph sign held per slot over round(tau_b * sample_rate) samples.
+    """Telegraph sign held per slot over the trace samples inside the slot.
 
     Mirrors the fast-sampling regime: the trace carries per-sample steps of
-    +-delta_theta, with the sign constant across a drive interval.  Steps on
-    one axis compose to one rotation by their summed angle, so each slot is
-    emitted as a single segment of angle sign * delta_theta * (samples in
-    the slot).
+    +-delta_theta, with the sign constant across a drive interval.  A slot
+    holds the samples that noise.interval_sample_slices gives it, so a slot
+    here and a sliced NoiseTrace count the same steps.  Steps on one axis
+    compose to one rotation by their summed angle, so each slot is emitted
+    as a single segment of angle sign * delta_theta * (samples in the slot).
     """
 
     kappa_inv: float
@@ -197,15 +190,15 @@ class BinarySampledNoise:
     sample_rate: float
 
     def slot_samples(self, n_slots: int) -> np.ndarray:
-        """Trace samples inside each drive interval."""
-        tau_b = self.total_duration / n_slots
-        return np.diff(np.round(np.arange(n_slots + 1) * tau_b * self.sample_rate))
+        """Trace samples inside each drive interval, with no beam-splitter windows."""
+        timing = ProtocolTiming(n_slots, self.total_duration / n_slots)
+        return np.array([hi - lo for lo, hi in interval_sample_slices(timing, self.sample_rate)])
 
-    def sample(self, n_slots: int, realizations: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    def sample(self, n_slots: int, realizations: int, rng) -> tuple[np.ndarray, None]:
         tau_b = self.total_duration / n_slots
         signs = gen_telegraph_slots(1.0 / self.kappa_inv, 1.0, (realizations, n_slots), tau_b, rng)
         dtheta = signs * (self.delta_theta * self.slot_samples(n_slots))
-        return dtheta, _amplitude_axis(dtheta)
+        return dtheta, None
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +401,13 @@ def marker_table() -> list[tuple[tuple[float, ...], float, float]]:
 
     Every configuration drives the slots along the fixed amplitude axis;
     the twelve rows expose how the coherent marker depends on pulse
-    ordering while the projective marker sees only the multiset of angles.
+    ordering and signs, while the projective marker ignores the signs.
     """
     rows = []
     for config in TABLE_CONFIGS:
         dtheta = np.array(config)[np.newaxis, :]
-        chi = np.full_like(dtheta, AMPLITUDE_AXIS)
         offsets = np.arange(5, dtype=np.int64)
-        cifm, pifm = (batch_populations(protocol, dtheta, chi, offsets, basis_state(3, 0))[0, 0]
+        cifm, pifm = (batch_populations(protocol, dtheta, None, offsets, basis_state(3, 0))[0, 0]
                       for protocol in ("cifm", "pifm"))
         rows.append((config, float(cifm), float(pifm)))
     return rows
@@ -443,21 +435,6 @@ class GFEstimate:
         return self.re + 1j * self.im
 
 
-def _event_counts(master_seed, point_index, mean_events, realizations, n_slots) -> np.ndarray:
-    """(realizations, n_slots) event counts of Poisson pulse trains.
-
-    Each row holds a Poisson(mean_events) number of events, each in a
-    uniform slot.  The per-row event counts and the slots of all events come
-    from two child streams of the keyed generator, both drawn row by row.
-    """
-    count_rng, slot_rng = _stream(master_seed, point_index).spawn(2)
-    events = count_rng.poisson(mean_events, realizations)
-    slots = slot_rng.integers(0, n_slots, events.sum())
-    rows = np.repeat(np.arange(realizations), events)
-    flat = np.bincount(rows * n_slots + slots, minlength=realizations * n_slots)
-    return flat.reshape(realizations, n_slots)
-
-
 def fcs_estimate(kappa, theta, total_duration, lambda_values, realizations,
                  master_seed=0) -> GFEstimate:
     """Reconstruct the counting-field generating function from qubit runs.
@@ -465,9 +442,9 @@ def fcs_estimate(kappa, theta, total_duration, lambda_values, realizations,
     Each realization draws a Poisson number of theta pulses over the
     sequence.  The pulses all drive one axis, so they compose to a single
     rotation by their total angle and their positions in time do not
-    matter: only the per-row totals are drawn, from the same child stream
-    as the event counts of _event_counts(master_seed, 0, ...).  The same
-    totals are reused across the whole lambda grid (the attenuator is
+    matter: only the per-row totals are drawn, from the first of two child
+    streams of the generator keyed by (master_seed, 0).  The same totals
+    are reused across the whole lambda grid (the attenuator is
     swept, the noise is not redrawn), which makes finite differences across
     lambda nearly noise-free.  From the ground state the marker gives
     Re GF = 1 - 2 E[p_e]; from (|g> + |e>)/sqrt(2) it gives
@@ -479,7 +456,6 @@ def fcs_estimate(kappa, theta, total_duration, lambda_values, realizations,
     count_rng, _ = _stream(master_seed, 0).spawn(2)
     events = count_rng.poisson(kappa * total_duration, realizations)
     unit = (events * theta)[:, np.newaxis]
-    chi = _amplitude_axis(unit)
     ground = basis_state(2, 0)
     plus = np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0)
     re = np.empty(lambda_values.size)
@@ -488,8 +464,8 @@ def fcs_estimate(kappa, theta, total_duration, lambda_values, realizations,
     sqrt_r = math.sqrt(realizations)
     for i, lam in enumerate(lambda_values):
         dtheta = unit * lam
-        pe_g = batch_populations("qubit", dtheta, chi, None, ground)[:, 1]
-        pe_p = batch_populations("qubit", dtheta, chi, None, plus)[:, 1]
+        pe_g = batch_populations("qubit", dtheta, None, None, ground)[:, 1]
+        pe_p = batch_populations("qubit", dtheta, None, None, plus)[:, 1]
         re[i] = 1.0 - 2.0 * pe_g.mean()
         im[i] = 2.0 * pe_p.mean() - 1.0
         if realizations > 1:
@@ -529,45 +505,3 @@ def moments_from_gf(gf: GFEstimate, order: int) -> float:
         return float(deriv.imag)  # real part of -i * gf'
     second = (values[i0 + 1] - 2.0 * values[i0] + values[i0 - 1]) / (h * h)
     return float(-second.real)
-
-
-@dataclass(frozen=True)
-class ZeroFreqReport:
-    """Cross-check of the second moment against the zero-frequency PSD."""
-
-    theta_t2_fcs: float
-    theta_t2_psd: float
-    tolerance: float = 0.15
-
-    @property
-    def ratio(self) -> float:
-        if self.theta_t2_psd == 0.0:
-            return 1.0 if self.theta_t2_fcs == 0.0 else math.inf
-        return self.theta_t2_fcs / self.theta_t2_psd
-
-    @property
-    def agrees(self) -> bool:
-        return abs(self.ratio - 1.0) <= self.tolerance
-
-
-def zero_freq_psd_check(kappa, theta, total_duration, realizations,
-                        master_seed=0, n_slots=40, moment_step=0.01) -> ZeroFreqReport:
-    """Compare <theta_T^2> from the generating function with T * S(f=0).
-
-    The two sides use independently seeded ensembles: the left from
-    finite-difference moments of the reconstructed generating function, the
-    right from the lowest periodogram bin of the simulated drive-strength
-    train, scaled by the sequence duration.
-    """
-    gf = fcs_estimate(kappa, theta, total_duration,
-                      np.array([-moment_step, 0.0, moment_step]),
-                      realizations, master_seed=master_seed)
-    fcs_value = moments_from_gf(gf, 2)
-    tau_slot = total_duration / n_slots
-    trains = _event_counts(master_seed, 1, kappa * total_duration, realizations, n_slots)
-    dc = 0.0
-    for series in trains * (theta / tau_slot):
-        freqs, psd = estimate_psd(series, 1.0 / tau_slot)
-        dc += psd[np.argmin(np.abs(freqs))]
-    psd_value = total_duration * dc / realizations
-    return ZeroFreqReport(theta_t2_fcs=fcs_value, theta_t2_psd=psd_value)

@@ -3,7 +3,8 @@
 Every kernel takes realization-major arrays: dtheta and chi have shape
 (realizations, segments), offsets is the int64 slot-boundary array of
 length n_slots + 1 (slot j spans columns offsets[j]:offsets[j+1]), and the
-result is a (realizations, levels) array of final populations.
+result is a (realizations, levels) array of final populations.  chi=None
+puts every segment on the amplitude axis, chi = -pi/2.
 
 All three detectors run the same loop, _evolve, vectorized over the
 realizations with numpy.  A qutrit (cifm, pifm) gets a beam splitter on
@@ -17,6 +18,14 @@ is no beam splitter.  The loop is a literal time-ordered segment product
 in double precision and never renormalizes.  The segments run exactly as
 the noise scenarios emit them; where the noise holds one axis across a slot
 (BinarySampledNoise), the scenario already emits that slot as one segment.
+
+A segment of angle theta turns the driven pair (a, b) into
+(c a + u b, v a + c b), with c = cos(theta/2), s = sin(theta/2),
+u = -i e^{i chi} s and v = -i e^{-i chi} s.  On the amplitude axis these
+are u = -s and v = s, and the beam splitters are real too, so with chi=None
+and a real initial state the loop runs in float64; otherwise it runs in
+complex128.  The dtype and the coefficient rule are fixed before the loop;
+the loop body is the same on both paths.
 """
 
 from __future__ import annotations
@@ -38,8 +47,20 @@ def _beam_split(psi, c, s) -> None:
 def _evolve(dtheta, chi, offsets, phi, psi0, project) -> np.ndarray:
     """Final populations of every realization; offsets=None is one slot."""
     dtheta = np.ascontiguousarray(dtheta, dtype=np.float64)
-    chi = np.ascontiguousarray(chi, dtype=np.float64)
-    psi0 = np.asarray(psi0, dtype=np.complex128)
+    psi0 = np.asarray(psi0)
+    if chi is None:  # the amplitude axis: both coefficients are real
+        real = not np.any(np.imag(psi0))
+
+        def coefficients(p, s):
+            return -s, s
+    else:
+        real = False
+        chi = np.ascontiguousarray(chi, dtype=np.float64)
+
+        def coefficients(p, s):
+            e = np.exp(1j * chi[:, p])
+            return -1j * e * s, -1j * np.conj(e) * s
+    psi0 = np.real(psi0).astype(np.float64) if real else psi0.astype(np.complex128)
     r, n_seg = dtheta.shape
     edges = (0, n_seg) if offsets is None else np.asarray(offsets, dtype=np.int64)
     qutrit = psi0.size == 3
@@ -56,11 +77,11 @@ def _evolve(dtheta, chi, offsets, phi, psi0, project) -> np.ndarray:
             half = 0.5 * dtheta[:, p]
             c = np.cos(half)
             s = np.sin(half)
-            e = np.exp(1j * chi[:, p])
+            u, v = coefficients(p, s)
             a = psi[:, x].copy()
             b = psi[:, y]
-            psi[:, x] = c * a - 1j * e * s * b
-            psi[:, y] = -1j * np.conj(e) * s * a + c * b
+            psi[:, x] = c * a + u * b
+            psi[:, y] = v * a + c * b
         if project:
             clicks += np.abs(psi[:, 2]) ** 2
             psi[:, 2] = 0.0

@@ -3,10 +3,12 @@
 A detector run is a batch of realizations given as segment arrays: dtheta
 and chi of shape (realizations, segments) hold each drive segment's angle
 and axis, and offsets marks the slot boundaries (slot j spans columns
-offsets[j]:offsets[j+1]).  batch_populations checks the initial state and
-the offsets, then runs the protocol's kernel, which returns the final
-level populations of every realization.  The marker population signalling
-a detection is p_e for the qubit and p0 for either qutrit protocol.
+offsets[j]:offsets[j+1]).  chi=None puts every segment on the amplitude
+axis, chi = -pi/2.  batch_populations checks the initial state, the shape
+of chi and the offsets, then runs the protocol's kernel, which returns the
+final level populations of every realization.  The marker population
+signalling a detection is p_e for the qubit and p0 for either qutrit
+protocol.
 
 * qubit: the absorptive detector.  The segments drive its only transition
   in time order; on one axis its marker is (1 - cos(sum of angles)) / 2.
@@ -60,6 +62,10 @@ def basis_state(dim: int, index: int) -> np.ndarray:
 def batch_populations(protocol: str, dtheta, chi, offsets, psi0) -> np.ndarray:
     """(realizations, levels) final populations of a segment batch from psi0.
 
+    chi has dtheta's shape, or is None.  None puts every segment on the
+    amplitude axis, chi = -pi/2, where every rotation and beam splitter is
+    real: from a real psi0 the kernel then runs in float64 instead of
+    complex128, and agrees with an explicit chi = -pi/2 to 1e-13.
     psi0 must have the protocol's level count and unit norm within 1e-12.
     A qutrit's offsets must hold at least one slot, start at 0, never
     decrease, and end at the segment count (the qubit has no slots and
@@ -76,6 +82,9 @@ def batch_populations(protocol: str, dtheta, chi, offsets, psi0) -> np.ndarray:
     norm2 = float(np.sum(np.abs(psi0) ** 2))  # np.vdot would load BLAS: +0.3 MB peak RSS
     if abs(norm2 - 1.0) > 1e-12:
         raise ValueError(f"{protocol} initial state must have unit norm, got norm^2 {norm2:g}")
+    if chi is not None and np.shape(chi) != np.shape(dtheta):
+        raise ValueError(f"chi must be None or have dtheta's shape {np.shape(dtheta)}, "
+                         f"got {np.shape(chi)}")
     if protocol == "qubit":
         return kernels.qubit_populations(dtheta, chi, psi0)
     edges, segments = np.asarray(offsets), np.shape(dtheta)[1]

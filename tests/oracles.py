@@ -15,14 +15,22 @@ theta + 4*pi gives the same pulse as theta (spinor period), which is what
 makes the detectors transparent to drive angles at integer multiples of 4*pi.
 Every function here is a literal matrix product or a closed form; none of
 them shares code with the kernels.
+
+The last section holds the counting-statistics cross-checks: slot-resolved
+Poisson pulse trains from the keyed generator that fcs_estimate draws its
+totals from, and the comparison of the generating function's second moment
+with the zero-frequency power spectral density of those trains.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from ifmsim.experiments import fcs_estimate, moments_from_gf
+from ifmsim.noise import estimate_psd
 from ifmsim.protocols import PROTOCOLS, basis_state, batch_populations
 
 ATOL = 1e-12
@@ -176,3 +184,67 @@ def brute_force_mean(protocol: str, n: int, theta: float, flip_prob: float) -> f
     pops = batch_populations(protocol, signs * theta, np.full(signs.shape, AXIS),
                              np.arange(n + 1), basis_state(levels, 0))
     return float(weights @ pops[:, marker])
+
+
+# ---------------------------------------------------------------------------
+# counting statistics
+# ---------------------------------------------------------------------------
+
+def event_counts(master_seed, point_index, mean_events, realizations, n_slots) -> np.ndarray:
+    """(realizations, n_slots) event counts of Poisson pulse trains.
+
+    Each row holds a Poisson(mean_events) number of events, each in a
+    uniform slot.  The per-row event counts and the slots of all events come
+    from two child streams of the generator keyed by (master_seed,
+    point_index), both drawn row by row; fcs_estimate draws its per-row
+    totals from the first of them at point_index 0.
+    """
+    keyed = np.random.default_rng(np.random.SeedSequence([master_seed, point_index]))
+    count_rng, slot_rng = keyed.spawn(2)
+    events = count_rng.poisson(mean_events, realizations)
+    slots = slot_rng.integers(0, n_slots, events.sum())
+    rows = np.repeat(np.arange(realizations), events)
+    flat = np.bincount(rows * n_slots + slots, minlength=realizations * n_slots)
+    return flat.reshape(realizations, n_slots)
+
+
+@dataclass(frozen=True)
+class ZeroFreqReport:
+    """Cross-check of the second moment against the zero-frequency PSD."""
+
+    theta_t2_fcs: float
+    theta_t2_psd: float
+    tolerance: float = 0.15
+
+    @property
+    def ratio(self) -> float:
+        if self.theta_t2_psd == 0.0:
+            return 1.0 if self.theta_t2_fcs == 0.0 else math.inf
+        return self.theta_t2_fcs / self.theta_t2_psd
+
+    @property
+    def agrees(self) -> bool:
+        return abs(self.ratio - 1.0) <= self.tolerance
+
+
+def zero_freq_psd_check(kappa, theta, total_duration, realizations,
+                        master_seed=0, n_slots=40, moment_step=0.01) -> ZeroFreqReport:
+    """Compare <theta_T^2> from the generating function with T * S(f=0).
+
+    The two sides use independently seeded ensembles: the left from
+    finite-difference moments of the reconstructed generating function, the
+    right from the lowest periodogram bin of the simulated drive-strength
+    train, scaled by the sequence duration.
+    """
+    gf = fcs_estimate(kappa, theta, total_duration,
+                      np.array([-moment_step, 0.0, moment_step]),
+                      realizations, master_seed=master_seed)
+    fcs_value = moments_from_gf(gf, 2)
+    tau_slot = total_duration / n_slots
+    trains = event_counts(master_seed, 1, kappa * total_duration, realizations, n_slots)
+    dc = 0.0
+    for series in trains * (theta / tau_slot):
+        freqs, psd = estimate_psd(series, 1.0 / tau_slot)
+        dc += psd[np.argmin(np.abs(freqs))]
+    psd_value = total_duration * dc / realizations
+    return ZeroFreqReport(theta_t2_fcs=fcs_value, theta_t2_psd=psd_value)

@@ -57,6 +57,10 @@ SCENARIOS = {
 }
 
 
+#: The scenarios whose every segment lies on the amplitude axis (chi = None).
+AMPLITUDE_AXIS_SCENARIOS = {"zero_sum", "amplitude", "binary_slot", "binary_sampled"}
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_every_scenario_batch_extends_with_realizations(name):
     # each random quantity is one row-major draw from its own stream, and
@@ -65,6 +69,9 @@ def test_every_scenario_batch_extends_with_realizations(name):
     scenario = SCENARIOS[name]
     small = scenario.sample(7, 20, np.random.default_rng([5, 3]))
     large = scenario.sample(7, 50, np.random.default_rng([5, 3]))
+    if name in AMPLITUDE_AXIS_SCENARIOS:
+        assert small[1] is None and large[1] is None
+        small, large = small[:1], large[:1]
     for a, b in zip(small, large):
         assert a.shape[0] == 20 and a.shape[1] >= 7 and a.shape[1] % 7 == 0
         assert a.shape == small[0].shape
@@ -212,9 +219,10 @@ def test_engine_rows_match_trace_slicing_pipeline():
     assert abs(direct - via_trace) < 1e-12
 
 
-@pytest.mark.parametrize("n", [5, 8])
+@pytest.mark.parametrize("n", [3, 5, 8])
 def test_slot_level_binary_noise_matches_per_sample_expansion(n):
-    # n = 5 puts 2000 samples of pi/250 in a slot, 8 pi in total: transparent
+    # n = 5 puts 2000 samples of pi/250 in a slot, 8 pi in total: transparent;
+    # at n = 3 the slot edges fall between samples
     total, rate, delta = 1e-5, 1e9, np.pi / 250
     scenario = experiments.BinarySampledNoise(
         kappa_inv=total / 3, total_duration=total, delta_theta=delta, sample_rate=rate,

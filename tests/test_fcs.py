@@ -5,23 +5,21 @@ import pytest
 
 from ifmsim.experiments import (
     GFEstimate,
-    _event_counts,
     fcs_estimate,
     moments_from_gf,
     poisson_generating_function,
-    zero_freq_psd_check,
 )
 from ifmsim.protocols import basis_state, batch_populations
-from oracles import AXIS
+from oracles import AXIS, event_counts, zero_freq_psd_check
 
 
 def test_event_trains_extend_with_realizations():
-    small = _event_counts(3, 0, 4.0, 30, 40)
-    large = _event_counts(3, 0, 4.0, 80, 40)
+    small = event_counts(3, 0, 4.0, 30, 40)
+    large = event_counts(3, 0, 4.0, 80, 40)
     assert small.shape == (30, 40)
     assert np.array_equal(small, large[:30])
     # the zero-frequency check draws its trains under key 1, independent of key 0
-    assert not np.array_equal(small, _event_counts(3, 1, 4.0, 30, 40))
+    assert not np.array_equal(small, event_counts(3, 1, 4.0, 30, 40))
 
 
 def test_gf_from_event_totals_matches_slot_resolved_trains():
@@ -30,7 +28,7 @@ def test_gf_from_event_totals_matches_slot_resolved_trains():
     kappa, theta, total, r = 4e5, 0.5, 1e-5, 50
     lambdas = np.array([-1.0, 0.3, 2.0])
     gf = fcs_estimate(kappa, theta, total, lambdas, r, master_seed=5)
-    counts = _event_counts(5, 0, kappa * total, r, 40)
+    counts = event_counts(5, 0, kappa * total, r, 40)
     chi = np.full(counts.shape, AXIS)
     for i, lam in enumerate(lambdas):
         pe_g = batch_populations("qubit", counts * theta * lam, chi, None, basis_state(2, 0))

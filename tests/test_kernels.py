@@ -1,9 +1,14 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ifmsim import kernels
 from ifmsim.protocols import PROTOCOLS, basis_state, batch_populations
-from oracles import beam_splitter, composed_pulse, pifm_measure_channel, pure_density
+from oracles import AXIS, beam_splitter, composed_pulse, pifm_measure_channel, pure_density
 
 
 def random_batch(seed, r=40, slots=5, per_slot=3):
@@ -131,6 +136,17 @@ def test_dispatch_rejects_offsets_that_do_not_tile_the_segments(protocol, offset
                           basis_state(3, 0))
 
 
+@pytest.mark.parametrize("chi_shape", [(2, 6), (1, 4), (4,)],
+                         ids=["wider", "one_row", "one_dimensional"])
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_dispatch_rejects_chi_of_another_shape(protocol, chi_shape):
+    dtheta = np.full((2, 4), 0.3)
+    message = f"chi must be None or have dtheta's shape (2, 4), got {chi_shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        batch_populations(protocol, dtheta, np.zeros(chi_shape), np.arange(5),
+                          basis_state(PROTOCOLS[protocol].levels, 0))
+
+
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 def test_dispatch_rejects_initial_state_without_unit_norm(protocol):
     dtheta = np.full((2, 4), 0.3)
@@ -196,3 +212,133 @@ def test_four_pi_slot_shift_leaves_outputs_unchanged(protocol, batch):
     psi0 = basis_state(PROTOCOLS[protocol].levels, 0)
     ref = batch_populations(protocol, dtheta, chi, offsets, psi0)
     assert np.max(np.abs(batch_populations(protocol, shifted, chi, offsets, psi0) - ref)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the amplitude axis: chi=None against an explicit chi = -pi/2
+# ---------------------------------------------------------------------------
+
+AMPLITUDE_AXIS_STATES = {
+    # a real state with weight on every level runs in float64 and sees the
+    # sign of u and v; a complex one keeps the amplitude axis in complex128
+    ("qubit", "real"): np.array([0.6, -0.8]),
+    ("qubit", "complex"): np.array([1.0, 1.0j]) / np.sqrt(2.0),
+    ("cifm", "real"): np.array([0.6, 0.48, -0.64]),
+    ("cifm", "complex"): np.array([1.0, 1.0j, 0.0]) / np.sqrt(2.0),
+    ("pifm", "real"): np.array([0.6, 0.48, -0.64]),
+    ("pifm", "complex"): np.array([1.0, 1.0j, 0.0]) / np.sqrt(2.0),
+}
+
+
+@pytest.mark.parametrize("protocol, kind", sorted(AMPLITUDE_AXIS_STATES))
+def test_amplitude_axis_matches_explicit_axis(protocol, kind):
+    dtheta, _, offsets = random_batch(10)
+    psi0 = AMPLITUDE_AXIS_STATES[protocol, kind]
+    implicit = batch_populations(protocol, dtheta, None, offsets, psi0)
+    explicit = batch_populations(protocol, dtheta, np.full_like(dtheta, AXIS), offsets, psi0)
+    assert np.max(np.abs(implicit - explicit)) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# property tests: random batches, axes and initial states
+# ---------------------------------------------------------------------------
+
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
+ANGLES = st.floats(-4 * np.pi, 4 * np.pi)
+AXES = st.floats(-np.pi, np.pi)
+
+
+@st.composite
+def batches(draw, chi=True):
+    """(dtheta, chi, offsets): 1-3 realizations, 1-4 slots of 0-3 segments.
+
+    chi is None (the amplitude axis) or an array of random axes; chi=False
+    draws only None.
+    """
+    counts = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    shape = (draw(st.integers(1, 3)), int(offsets[-1]))
+    dtheta = draw(hnp.arrays(np.float64, shape, elements=ANGLES))
+    axes = hnp.arrays(np.float64, shape, elements=AXES)
+    return dtheta, draw(st.none() | axes) if chi else None, offsets
+
+
+@st.composite
+def states(draw, levels, real=False):
+    """A unit-norm initial state of the given level count."""
+    parts = hnp.arrays(np.float64, levels, elements=st.floats(-1.0, 1.0))
+    psi = draw(parts) + (0.0 if real else 1j * draw(parts))
+    norm = np.sqrt(np.sum(np.abs(psi) ** 2))
+    assume(norm > 0.1)
+    return psi / norm
+
+
+def protocol_cases(chi=True, real=False):
+    """(protocol, batch, psi0) for every protocol."""
+    return st.sampled_from(sorted(PROTOCOLS)).flatmap(lambda protocol: st.tuples(
+        st.just(protocol), batches(chi), states(PROTOCOLS[protocol].levels, real)))
+
+
+@PROPERTY_SETTINGS
+@given(protocol_cases())
+def test_property_norm_is_conserved(case):
+    protocol, batch, psi0 = case
+    out = batch_populations(protocol, *batch, psi0)
+    assert np.all(out >= 0.0)
+    assert np.max(np.abs(out.sum(axis=1) - 1.0)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(protocol_cases(), st.data())
+def test_property_four_pi_shift_of_a_segment_changes_nothing(case, data):
+    protocol, (dtheta, chi, offsets), psi0 = case
+    assume(dtheta.shape[1] > 0)
+    p = data.draw(st.integers(0, dtheta.shape[1] - 1))
+    shifted = dtheta.copy()
+    shifted[:, p] += data.draw(st.sampled_from((-4.0 * np.pi, 4.0 * np.pi)))
+    ref = batch_populations(protocol, dtheta, chi, offsets, psi0)
+    assert np.max(np.abs(batch_populations(protocol, shifted, chi, offsets, psi0) - ref)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(protocol_cases(), st.data())
+def test_property_splitting_a_segment_on_its_axis_changes_nothing(case, data):
+    protocol, (dtheta, chi, offsets), psi0 = case
+    assume(dtheta.shape[1] > 0)
+    p = data.draw(st.integers(0, dtheta.shape[1] - 1))
+    w = data.draw(st.floats(0.0, 1.0))
+    cols = np.insert(np.arange(dtheta.shape[1]), p, p)  # segment p twice
+    split = dtheta[:, cols]
+    split[:, p] *= w
+    split[:, p + 1] *= 1.0 - w
+    split_chi = None if chi is None else chi[:, cols]
+    split_offsets = offsets + (offsets > p)  # the slot holding p gains a segment
+    ref = batch_populations(protocol, dtheta, chi, offsets, psi0)
+    out = batch_populations(protocol, split, split_chi, split_offsets, psi0)
+    assert np.max(np.abs(out - ref)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.floats(0.0, 4 * np.pi), st.lists(st.sampled_from((-1.0, 1.0)), min_size=n, max_size=n),
+    st.permutations(range(n)))), states(2).map(lambda psi: np.append(psi, 0.0)))
+def test_property_pifm_ignores_the_order_of_equal_magnitude_slots(slots, psi0):
+    # Table 1's alternating-sign rows: from a state without |2>, the
+    # measurement after every slot keeps only cos(theta/2) of its drive, so
+    # permuting slot angles of one magnitude (amplitude axis) leaves every
+    # pifm population unchanged
+    theta, signs, order = slots
+    dtheta = theta * np.array([signs])
+    offsets = np.arange(dtheta.shape[1] + 1)
+    ref = batch_populations("pifm", dtheta, None, offsets, psi0)
+    out = batch_populations("pifm", dtheta[:, order], None, offsets, psi0)
+    assert np.max(np.abs(out - ref)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(protocol_cases(chi=False, real=True))
+def test_property_real_path_matches_complex_path(case):
+    protocol, (dtheta, _, offsets), psi0 = case
+    real = batch_populations(protocol, dtheta, None, offsets, psi0)
+    complex_ = batch_populations(protocol, dtheta, np.full_like(dtheta, AXIS), offsets, psi0)
+    assert np.max(np.abs(real - complex_)) <= 1e-13
