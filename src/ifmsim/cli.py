@@ -6,9 +6,10 @@ _FCS_SCHEMA, of every key's kind, range and default; scenario [noise]
 defaults live in the scenario classes.  A sweep config may set only the
 keys its mode reads (_MODE_KEYS, and in scenario mode _SCENARIOS).  Every
 run writes a manifest JSON carrying the echoed config, its hash, the seed
-actually used, the RNG scheme, timestamps, and the list of output files,
-so any artifact can be regenerated byte-for-byte from (config, seed,
-version).  Runs are single-threaded; --threads is accepted and ignored.
+actually used, the RNG scheme, the python and numpy versions, timestamps,
+and the list of output files, so any artifact can be regenerated
+byte-for-byte from (config, seed, version).  Runs are single-threaded;
+--threads is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -274,6 +276,8 @@ def _manifest(config, seed, seed_source, outputs, started, finished) -> dict:
         "master_seed": seed,
         "seed_source": seed_source,
         "rng_scheme": experiments.RNG_SCHEME,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "started_utc": started,
         "finished_utc": finished,
         "outputs": [str(p) for p in outputs],

@@ -448,7 +448,8 @@ def fcs_estimate(kappa, theta, total_duration, lambda_values, realizations,
     swept, the noise is not redrawn), which makes finite differences across
     lambda nearly noise-free.  From the ground state the marker gives
     Re GF = 1 - 2 E[p_e]; from (|g> + |e>)/sqrt(2) it gives
-    Im GF = 2 E[p_e] - 1.
+    Im GF = 2 E[p_e] - 1.  Both states run in one kernel sweep per lambda
+    point, which computes each realization's cos and sin once for the two.
     """
     lambda_values = np.asarray(lambda_values, dtype=np.float64)
     if realizations < 1:
@@ -463,9 +464,8 @@ def fcs_estimate(kappa, theta, total_duration, lambda_values, realizations,
     err = np.empty(lambda_values.size)
     sqrt_r = math.sqrt(realizations)
     for i, lam in enumerate(lambda_values):
-        dtheta = unit * lam
-        pe_g = batch_populations("qubit", dtheta, None, None, ground)[:, 1]
-        pe_p = batch_populations("qubit", dtheta, None, None, plus)[:, 1]
+        pops_g, pops_p = batch_populations("qubit", unit * lam, None, None, ground, plus)
+        pe_g, pe_p = pops_g[:, 1], pops_p[:, 1]
         re[i] = 1.0 - 2.0 * pe_g.mean()
         im[i] = 2.0 * pe_p.mean() - 1.0
         if realizations > 1:

@@ -4,7 +4,10 @@ Every kernel takes realization-major arrays: dtheta and chi have shape
 (realizations, segments), offsets is the int64 slot-boundary array of
 length n_slots + 1 (slot j spans columns offsets[j]:offsets[j+1]), and the
 result is a (realizations, levels) array of final populations.  chi=None
-puts every segment on the amplitude axis, chi = -pi/2.
+puts every segment on the amplitude axis, chi = -pi/2.  psi0 is one initial
+state of shape (levels,), or a stack of shape (states, levels) that runs in
+the same sweep over the batch; a stack gives a (states, realizations,
+levels) result, whose entry k is exactly what state k alone would give.
 
 All three detectors run the same loop, _evolve, vectorized over the
 realizations with numpy.  A qutrit (cifm, pifm) gets a beam splitter on
@@ -23,9 +26,16 @@ A segment of angle theta turns the driven pair (a, b) into
 (c a + u b, v a + c b), with c = cos(theta/2), s = sin(theta/2),
 u = -i e^{i chi} s and v = -i e^{-i chi} s.  On the amplitude axis these
 are u = -s and v = s, and the beam splitters are real too, so with chi=None
-and a real initial state the loop runs in float64; otherwise it runs in
+and real initial states the loop runs in float64; otherwise it runs in
 complex128.  The dtype and the coefficient rule are fixed before the loop;
 the loop body is the same on both paths.
+
+The state is held level-major, shape (levels, states, realizations), so
+each level is one contiguous row per state.  A segment's cos and sin are
+computed once per realization and broadcast over the states, and every
+2x2 update (drive and beam splitter alike, _rotate) works in place through
+two preallocated scratch rows, in the order of the products above, so a
+population does not depend on the layout or on which states share a sweep.
 """
 
 from __future__ import annotations
@@ -37,60 +47,71 @@ import numpy as np
 # the state-vector loop
 # ---------------------------------------------------------------------------
 
-def _beam_split(psi, c, s) -> None:
-    a = psi[:, 0].copy()
-    b = psi[:, 1]
-    psi[:, 0] = c * a - s * b
-    psi[:, 1] = s * a + c * b
+def _rotate(a, b, c, u, v, t1, t2) -> None:
+    """(a, b) <- (c a + u b, v a + c b) in place; t1, t2 are scratch rows."""
+    np.multiply(v, a, out=t1)
+    np.multiply(u, b, out=t2)
+    a *= c
+    a += t2
+    b *= c
+    b += t1
 
 
 def _evolve(dtheta, chi, offsets, phi, psi0, project) -> np.ndarray:
     """Final populations of every realization; offsets=None is one slot."""
     dtheta = np.ascontiguousarray(dtheta, dtype=np.float64)
     psi0 = np.asarray(psi0)
+    stack = psi0.reshape(-1, psi0.shape[-1])  # (states, levels)
+    r, n_seg = dtheta.shape
+    # coefficient rows of shape (1, r), the rank of a level's (states, r)
+    # row: numpy rounds the complex product of a (1,) and a (1, 1) array
+    # differently from the same product in any other layout
+    half, c, s, u = np.empty((4, 1, r))
     if chi is None:  # the amplitude axis: both coefficients are real
-        real = not np.any(np.imag(psi0))
+        real = not np.any(np.imag(stack))
 
-        def coefficients(p, s):
-            return -s, s
+        def coefficients(p):
+            return np.negative(s, out=u), s
     else:
         real = False
         chi = np.ascontiguousarray(chi, dtype=np.float64)
 
-        def coefficients(p, s):
+        def coefficients(p):
             e = np.exp(1j * chi[:, p])
             return -1j * e * s, -1j * np.conj(e) * s
-    psi0 = np.real(psi0).astype(np.float64) if real else psi0.astype(np.complex128)
-    r, n_seg = dtheta.shape
+    states, levels = stack.shape
+    psi = np.empty((levels, states, r), dtype=np.float64 if real else np.complex128)
+    psi[...] = (np.real(stack) if real else stack).T[:, :, np.newaxis]
+    t1, t2 = np.empty((2, states, r), dtype=psi.dtype)
     edges = (0, n_seg) if offsets is None else np.asarray(offsets, dtype=np.int64)
-    qutrit = psi0.size == 3
-    x, y = (1, 2) if qutrit else (0, 1)  # the driven level pair
+    qutrit = levels == 3
+    a, b = psi[1:] if qutrit else psi  # the driven level pair
     cb = np.cos(float(phi) / 2.0)
     sb = np.sin(float(phi) / 2.0)
-    psi = np.tile(psi0, (r, 1))
-    clicks = np.zeros(r)
+    if project:
+        clicks = np.zeros((states, r))
+        shelved = np.empty((states, r))
     if qutrit:
-        _beam_split(psi, cb, sb)
+        _rotate(psi[0], psi[1], cb, -sb, sb, t1, t2)
     for j in range(len(edges) - 1):
         for p in range(edges[j], edges[j + 1]):
             # rotation by dtheta about the axis (cos chi, -sin chi)
-            half = 0.5 * dtheta[:, p]
-            c = np.cos(half)
-            s = np.sin(half)
-            u, v = coefficients(p, s)
-            a = psi[:, x].copy()
-            b = psi[:, y]
-            psi[:, x] = c * a + u * b
-            psi[:, y] = v * a + c * b
+            np.multiply(dtheta[:, p], 0.5, out=half)
+            np.cos(half, out=c)
+            np.sin(half, out=s)
+            _rotate(a, b, c, *coefficients(p), t1, t2)
         if project:
-            clicks += np.abs(psi[:, 2]) ** 2
-            psi[:, 2] = 0.0
+            np.abs(psi[2], out=shelved)
+            clicks += np.square(shelved, out=shelved)
+            psi[2] = 0.0
         if qutrit:
-            _beam_split(psi, cb, sb)
-    out = np.abs(psi) ** 2
+            _rotate(psi[0], psi[1], cb, -sb, sb, t1, t2)
+    out = psi if real else np.abs(psi)  # a float64 x*x is |x|^2 to the bit
+    np.square(out, out=out)
     if project:
-        out[:, 2] += clicks
-    return out
+        out[2] += clicks
+    out = out.transpose(1, 2, 0)  # (states, realizations, levels)
+    return out if psi0.ndim == 2 else out[0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,13 @@ and axis, and offsets marks the slot boundaries (slot j spans columns
 offsets[j]:offsets[j+1]).  chi=None puts every segment on the amplitude
 axis, chi = -pi/2.  batch_populations checks the initial state, the shape
 of chi and the offsets, then runs the protocol's kernel, which returns the
-final level populations of every realization.  The marker population
-signalling a detection is p_e for the qubit and p0 for either qutrit
-protocol.
+final level populations of every realization.  Further initial states
+after the first run in the same kernel sweep over the batch, which
+computes each segment's cos and sin once for all of them, and come back as
+one populations array per state.  A non-finite angle or axis is caught
+from the populations, which it turns to NaN, and named by its realization
+and segment.  The marker population signalling a detection is p_e for the
+qubit and p0 for either qutrit protocol.
 
 * qubit: the absorptive detector.  The segments drive its only transition
   in time order; on one axis its marker is (1 - cos(sum of angles)) / 2.
@@ -59,39 +63,76 @@ def basis_state(dim: int, index: int) -> np.ndarray:
     return psi
 
 
-def batch_populations(protocol: str, dtheta, chi, offsets, psi0) -> np.ndarray:
+def _checked_state(protocol: str, levels: int, psi, name: str) -> np.ndarray:
+    psi = np.asarray(psi, dtype=np.complex128)
+    if psi.shape != (levels,):
+        raise DimensionMismatchError(
+            f"{protocol} {name} must have shape ({levels},), got {psi.shape}")
+    norm2 = float(np.sum(np.abs(psi) ** 2))  # np.vdot would load BLAS: +0.3 MB peak RSS
+    if not abs(norm2 - 1.0) <= 1e-12:  # NaN fails too
+        raise ValueError(f"{protocol} {name} must have unit norm, got norm^2 {norm2:g}")
+    return psi
+
+
+def _nonfinite_segment(protocol: str, dtheta, chi) -> str:
+    """Names the first (realization, segment) whose angle or axis is not finite."""
+    dtheta = np.asarray(dtheta)
+    bad = ~np.isfinite(dtheta)
+    if chi is not None:
+        bad |= ~np.isfinite(chi)
+    i, p = np.argwhere(bad)[0]
+    axis = "None" if chi is None else f"{np.asarray(chi)[i, p]:g}"
+    return (f"{protocol} segments must be finite: realization {i}, segment {p} "
+            f"has dtheta {dtheta[i, p]:g}, chi {axis}")
+
+
+def batch_populations(protocol: str, dtheta, chi, offsets, psi0, *more_psi0):
     """(realizations, levels) final populations of a segment batch from psi0.
 
     chi has dtheta's shape, or is None.  None puts every segment on the
     amplitude axis, chi = -pi/2, where every rotation and beam splitter is
-    real: from a real psi0 the kernel then runs in float64 instead of
-    complex128, and agrees with an explicit chi = -pi/2 to 1e-13.
-    psi0 must have the protocol's level count and unit norm within 1e-12.
+    real: from real initial states the kernel then runs in float64 instead
+    of complex128, and agrees with an explicit chi = -pi/2 to 1e-13.
+    Every initial state must have the protocol's level count and unit norm
+    within 1e-12 (a NaN fails); an error names its position, 0 for psi0,
+    when more than one is given.  Further initial states after psi0 share
+    one kernel sweep over the batch: each segment's cos and sin are computed
+    once for all of them.  The call then returns a tuple of (realizations,
+    levels) arrays in the order of the states, each equal bit for bit to
+    what that state alone gives.  The arrays may be views of one buffer in
+    any memory order.
     A qutrit's offsets must hold at least one slot, start at 0, never
     decrease, and end at the segment count (the qubit has no slots and
     ignores them); the checks never read the segments.  The beam splitters
     of a qutrit turn by phi = pi / (n_slots + 1), so that the n_slots + 1
     of a noise-free run compose to a full 0-1 inversion.  The kernel is
-    looked up in `kernels` at call time.
+    looked up in `kernels` at call time.  Every update carries a NaN
+    forward, so a non-finite angle or axis shows in the populations; only
+    then are dtheta and chi searched, and the first bad (realization,
+    segment) is named in a ValueError.
     """
     levels = PROTOCOLS[protocol].levels
-    psi0 = np.asarray(psi0, dtype=np.complex128)
-    if psi0.shape != (levels,):
-        raise DimensionMismatchError(
-            f"{protocol} initial state must have shape ({levels},), got {psi0.shape}")
-    norm2 = float(np.sum(np.abs(psi0) ** 2))  # np.vdot would load BLAS: +0.3 MB peak RSS
-    if abs(norm2 - 1.0) > 1e-12:
-        raise ValueError(f"{protocol} initial state must have unit norm, got norm^2 {norm2:g}")
+    states = [_checked_state(protocol, levels, psi,
+                             f"initial state {k}" if more_psi0 else "initial state")
+              for k, psi in enumerate((psi0, *more_psi0))]
+    stack = np.stack(states) if more_psi0 else states[0]
     if chi is not None and np.shape(chi) != np.shape(dtheta):
         raise ValueError(f"chi must be None or have dtheta's shape {np.shape(dtheta)}, "
                          f"got {np.shape(chi)}")
     if protocol == "qubit":
-        return kernels.qubit_populations(dtheta, chi, psi0)
-    edges, segments = np.asarray(offsets), np.shape(dtheta)[1]
-    if (len(edges) < 2 or edges[0] != 0 or edges[-1] != segments
-            or np.any(edges[1:] < edges[:-1])):
-        raise ValueError(f"offsets must hold at least one slot, start at 0, never decrease, "
-                         f"and end at the segment count {segments}; got {edges.tolist()}")
-    n_slots = len(edges) - 1
-    return getattr(kernels, f"{protocol}_populations")(dtheta, chi, edges,
-                                                       math.pi / (n_slots + 1), psi0)
+        out = kernels.qubit_populations(dtheta, chi, stack)
+    else:
+        edges, segments = np.asarray(offsets), np.shape(dtheta)[1]
+        if (len(edges) < 2 or edges[0] != 0 or edges[-1] != segments
+                or np.any(edges[1:] < edges[:-1])):
+            raise ValueError(f"offsets must hold at least one slot, start at 0, never "
+                             f"decrease, and end at the segment count {segments}; "
+                             f"got {edges.tolist()}")
+        n_slots = len(edges) - 1
+        out = getattr(kernels, f"{protocol}_populations")(dtheta, chi, edges,
+                                                          math.pi / (n_slots + 1), stack)
+    # the populations are >= 0, so their sum is finite exactly when each one
+    # is; np.isfinite(out).all() would load more numpy code: +0.1 MB peak RSS
+    if not math.isfinite(out.sum()):
+        raise ValueError(_nonfinite_segment(protocol, dtheta, chi))
+    return tuple(out) if more_psi0 else out

@@ -1,6 +1,7 @@
 import configparser
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -85,6 +86,26 @@ def test_sweep_writes_stats_and_manifest(tmp_path):
     assert manifest["config_hash"] == config_hash(load_config(cfg))
     assert manifest["rng_scheme"] == RNG_SCHEME
     assert str(stats) in manifest["outputs"]
+
+
+@pytest.mark.parametrize("command, text, name, digest", [
+    ("sweep", SMALL_SWEEP, "small",
+     "be704a0dcaeb7582f12999e88b930ebe8530af29c42a34beed74472b1fd1e939"),
+    ("fcs", SMALL_FCS, "fcs", "279523ab2773307eee72b315c62dfa148d62eb5c0a01bae79b785dfdb8db8523"),
+])
+def test_manifest_records_library_versions_outside_the_hash(tmp_path, command, text, name,
+                                                            digest):
+    cfg = write(tmp_path, f"{name}.cfg", text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / f"{name}_manifest.json").read_text())
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    # the versions stay out of the hash (the digest is that of the config
+    # alone, as before the versions were recorded) and out of the CSVs
+    assert manifest["config_hash"] == config_hash(load_config(cfg)) == digest
+    for csv in out.glob("*.csv"):
+        assert np.__version__ not in csv.read_text()
 
 
 def test_sweep_rerun_is_byte_identical(tmp_path):
