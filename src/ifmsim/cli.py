@@ -294,7 +294,7 @@ def _fmt(x: float) -> str:
 
 def _write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -411,6 +411,10 @@ def cmd_fcs(args) -> int:
     values = _read(config, _FCS_SCHEMA)
     seed, seed_source = _resolve_seed(values, args.seed)
     total = values["total_duration"]
+    if "kappa_t" in values and "kappa" in values:
+        raise ConfigError("[fcs] kappa is not read when [fcs] kappa_t is set")
+    if "kappa_t" not in values and "kappa" not in values:
+        raise ConfigError("missing required key: set [fcs] kappa_t or [fcs] kappa")
     kappa = values["kappa_t"] / total if "kappa_t" in values else values["kappa"]
     theta = values["theta"]
     realizations = values["realizations"]
@@ -438,7 +442,8 @@ def cmd_fcs(args) -> int:
     m2 = experiments.moments_from_gf(gf_moments, 2)
     mean_m = m1 / theta
     var_m = (m2 - m1 * m1) / theta**2
-    ratio = var_m / mean_m if mean_m else math.inf
+    # no events (kappa_t = 0) leave the ratio undefined: null in the report
+    ratio = var_m / mean_m if mean_m else None
     analytic = experiments.poisson_generating_function(kappa, total, theta, gf.lambda_values)
     # the floor keeps a rounding-level stderr (at lambda = 0) from inflating the ratio
     dev_se = np.abs(gf.values() - analytic) / np.maximum(gf.statistical_error, 1e-12)
@@ -452,7 +457,7 @@ def cmd_fcs(args) -> int:
         "event_mean": mean_m,
         "event_variance": var_m,
         "variance_mean_ratio": ratio,
-        "variance_mean_ratio_deviation": abs(ratio - 1.0),
+        "variance_mean_ratio_deviation": None if ratio is None else abs(ratio - 1.0),
         "max_deviation_from_poisson_in_stderr": float(np.max(dev_se)),
     }
     report_path = out_dir / f"{prefix}_moments.json"
@@ -461,7 +466,9 @@ def cmd_fcs(args) -> int:
     manifest = _manifest(config, seed, seed_source, outputs, started, _utcnow())
     manifest_path = out_dir / f"{prefix}_manifest.json"
     _write_json(manifest_path, manifest)
-    print(f"variance/mean ratio {ratio:.4f} (deviation {abs(ratio - 1.0):.4f}); "
+    ratio_text = ("undefined (event mean 0)" if ratio is None
+                  else f"{ratio:.4f} (deviation {abs(ratio - 1.0):.4f})")
+    print(f"variance/mean ratio {ratio_text}; "
           f"max |gf - poisson| = {report['max_deviation_from_poisson_in_stderr']:.2f} stderr")
     print(f"wrote {gf_path}, {report_path}, {manifest_path}")
     return EXIT_OK

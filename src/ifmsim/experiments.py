@@ -448,15 +448,23 @@ def fcs_estimate(kappa, theta, total_duration, lambda_values, realizations,
     swept, the noise is not redrawn), which makes finite differences across
     lambda nearly noise-free.  From the ground state the marker gives
     Re GF = 1 - 2 E[p_e]; from (|g> + |e>)/sqrt(2) it gives
-    Im GF = 2 E[p_e] - 1.  Both states run in one kernel sweep per lambda
-    point, which computes each realization's cos and sin once for the two.
+    Im GF = 2 E[p_e] - 1.
+
+    A realization's populations depend only on its own total, so each lambda
+    point makes one kernel call over the distinct totals alone (a handful of
+    Poisson counts, however many realizations), running both states in one
+    sweep, and gathers the rows back to every realization.  The mean and
+    the standard deviation then run over the same values in the same order
+    as if every realization were evolved, so the estimate is bit-identical
+    to that; a count-weighted mean would sum in another order.
     """
     lambda_values = np.asarray(lambda_values, dtype=np.float64)
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
     count_rng, _ = _stream(master_seed, 0).spawn(2)
     events = count_rng.poisson(kappa * total_duration, realizations)
-    unit = (events * theta)[:, np.newaxis]
+    counts, row = np.unique(events, return_inverse=True)
+    unit = (counts * theta)[:, np.newaxis]
     ground = basis_state(2, 0)
     plus = np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0)
     re = np.empty(lambda_values.size)
@@ -465,7 +473,7 @@ def fcs_estimate(kappa, theta, total_duration, lambda_values, realizations,
     sqrt_r = math.sqrt(realizations)
     for i, lam in enumerate(lambda_values):
         pops_g, pops_p = batch_populations("qubit", unit * lam, None, None, ground, plus)
-        pe_g, pe_p = pops_g[:, 1], pops_p[:, 1]
+        pe_g, pe_p = pops_g[row, 1], pops_p[row, 1]
         re[i] = 1.0 - 2.0 * pe_g.mean()
         im[i] = 2.0 * pe_p.mean() - 1.0
         if realizations > 1:

@@ -109,7 +109,7 @@ def batch_populations(protocol: str, dtheta, chi, offsets, psi0, *more_psi0):
     looked up in `kernels` at call time.  Every update carries a NaN
     forward, so a non-finite angle or axis shows in the populations; only
     then are dtheta and chi searched, and the first bad (realization,
-    segment) is named in a ValueError.
+    segment) is named in a ValueError, with no numpy RuntimeWarning before it.
     """
     levels = PROTOCOLS[protocol].levels
     states = [_checked_state(protocol, levels, psi,
@@ -120,7 +120,7 @@ def batch_populations(protocol: str, dtheta, chi, offsets, psi0, *more_psi0):
         raise ValueError(f"chi must be None or have dtheta's shape {np.shape(dtheta)}, "
                          f"got {np.shape(chi)}")
     if protocol == "qubit":
-        out = kernels.qubit_populations(dtheta, chi, stack)
+        kernel, slot_args = kernels.qubit_populations, ()
     else:
         edges, segments = np.asarray(offsets), np.shape(dtheta)[1]
         if (len(edges) < 2 or edges[0] != 0 or edges[-1] != segments
@@ -129,8 +129,12 @@ def batch_populations(protocol: str, dtheta, chi, offsets, psi0, *more_psi0):
                              f"decrease, and end at the segment count {segments}; "
                              f"got {edges.tolist()}")
         n_slots = len(edges) - 1
-        out = getattr(kernels, f"{protocol}_populations")(dtheta, chi, edges,
-                                                          math.pi / (n_slots + 1), stack)
+        kernel = getattr(kernels, f"{protocol}_populations")
+        slot_args = (edges, math.pi / (n_slots + 1))
+    # a non-finite angle or axis turns to NaN inside the kernel; the check
+    # below names it, so numpy's RuntimeWarning would only come first
+    with np.errstate(invalid="ignore"):
+        out = kernel(dtheta, chi, *slot_args, stack)
     # the populations are >= 0, so their sum is finite exactly when each one
     # is; np.isfinite(out).all() would load more numpy code: +0.1 MB peak RSS
     if not math.isfinite(out.sum()):

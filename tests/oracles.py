@@ -18,8 +18,9 @@ them shares code with the kernels.
 
 The last section holds the counting-statistics cross-checks: slot-resolved
 Poisson pulse trains from the keyed generator that fcs_estimate draws its
-totals from, and the comparison of the generating function's second moment
-with the zero-frequency power spectral density of those trains.
+totals from, the generating function with every realization evolved, and
+the comparison of the generating function's second moment with the
+zero-frequency power spectral density of those trains.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ifmsim.experiments import fcs_estimate, moments_from_gf
+from ifmsim.experiments import GFEstimate, fcs_estimate, moments_from_gf
 from ifmsim.noise import estimate_psd
 from ifmsim.protocols import PROTOCOLS, basis_state, batch_populations
 
@@ -206,6 +207,32 @@ def event_counts(master_seed, point_index, mean_events, realizations, n_slots) -
     rows = np.repeat(np.arange(realizations), events)
     flat = np.bincount(rows * n_slots + slots, minlength=realizations * n_slots)
     return flat.reshape(realizations, n_slots)
+
+
+def fcs_every_row(kappa, theta, total_duration, lambda_values, realizations,
+                  master_seed=0) -> GFEstimate:
+    """fcs_estimate as it reads with every realization evolved.
+
+    The same keyed Poisson totals, one kernel row per realization at every
+    lambda point, with no distinct-count reduction: fcs_estimate must equal
+    it bit for bit.
+    """
+    lambda_values = np.asarray(lambda_values, dtype=np.float64)
+    keyed = np.random.default_rng(np.random.SeedSequence([master_seed, 0]))
+    count_rng, _ = keyed.spawn(2)
+    events = count_rng.poisson(kappa * total_duration, realizations)
+    unit = (events * theta)[:, np.newaxis]
+    plus = np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0)
+    re, im, err = (np.empty(lambda_values.size) for _ in range(3))
+    for i, lam in enumerate(lambda_values):
+        pops_g, pops_p = batch_populations("qubit", unit * lam, None, None,
+                                           basis_state(2, 0), plus)
+        pe_g, pe_p = pops_g[:, 1], pops_p[:, 1]
+        re[i] = 1.0 - 2.0 * pe_g.mean()
+        im[i] = 2.0 * pe_p.mean() - 1.0
+        err[i] = (2.0 * max(pe_g.std(ddof=1), pe_p.std(ddof=1)) / math.sqrt(realizations)
+                  if realizations > 1 else 0.0)
+    return GFEstimate(lambda_values=lambda_values, re=re, im=im, statistical_error=err)
 
 
 @dataclass(frozen=True)

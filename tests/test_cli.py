@@ -1,7 +1,9 @@
 import configparser
 import json
+import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +19,7 @@ from ifmsim.cli import (
     EXIT_OK,
     ConfigError,
     _read,
+    _write_json,
     config_hash,
     load_config,
     main,
@@ -524,6 +527,48 @@ def test_fcs_report_floors_the_stderr_at_zero_attenuation(tmp_path):
     assert main(["fcs", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     report = json.loads((out / "fcs_moments.json").read_text())
     assert report["max_deviation_from_poisson_in_stderr"] < 3.0
+
+
+def test_fcs_config_setting_both_kappa_keys_exits_2(tmp_path, capsys):
+    # kappa_t wins, so a kappa beside it is a key the run never reads
+    text = SMALL_FCS.replace("kappa_t = 4.0", "kappa_t = 4.0\nkappa = 1e9")
+    cfg = write(tmp_path, "fcs.cfg", text.replace("theta = 0.785398163", "theta = 0.5"))
+    code = main(["fcs", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "[fcs] kappa is not read" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_fcs_config_setting_neither_kappa_key_exits_2_naming_both(tmp_path, capsys):
+    cfg = write(tmp_path, "fcs.cfg", SMALL_FCS.replace("kappa_t = 4.0\n", ""))
+    code = main(["fcs", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "[fcs] kappa_t" in err and re.search(r"\[fcs\] kappa(?!_t)", err)
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_fcs_with_no_events_writes_strict_json(tmp_path, capsys):
+    # kappa_t = 0 leaves the variance/mean ratio undefined; Infinity is not JSON
+    cfg = write(tmp_path, "fcs.cfg", SMALL_FCS.replace("kappa_t = 4.0", "kappa_t = 0"))
+    out = tmp_path / "fout"
+    assert main(["fcs", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    json.loads((out / "fcs_manifest.json").read_text(), parse_constant=reject_constant)
+    report = json.loads((out / "fcs_moments.json").read_text(), parse_constant=reject_constant)
+    assert report["event_mean"] == 0.0
+    assert report["variance_mean_ratio"] is None
+    assert report["variance_mean_ratio_deviation"] is None
+    assert "variance/mean ratio undefined" in capsys.readouterr().out
+
+
+def test_json_writer_refuses_non_finite_numbers(tmp_path):
+    with pytest.raises(ValueError):
+        _write_json(tmp_path / "x.json", {"ratio": math.inf})
+    with pytest.raises(ValueError):
+        _write_json(tmp_path / "x.json", {"ratio": math.nan})
 
 
 def test_noise_command_color(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ifmsim import kernels
 from ifmsim.experiments import (
     GFEstimate,
     fcs_estimate,
@@ -10,7 +11,7 @@ from ifmsim.experiments import (
     poisson_generating_function,
 )
 from ifmsim.protocols import basis_state, batch_populations
-from oracles import AXIS, event_counts, zero_freq_psd_check
+from oracles import AXIS, event_counts, fcs_every_row, zero_freq_psd_check
 
 
 def test_event_trains_extend_with_realizations():
@@ -157,3 +158,36 @@ def test_stderr_shrinks_with_realizations():
     large = fcs_estimate(kappa_t / total, theta, total, lam, 4000, master_seed=29)
     ratio = large.statistical_error[0] / small.statistical_error[0]
     assert abs(ratio - 0.5) < 0.1  # 1/sqrt(R) scaling within 20 percent
+
+
+@pytest.mark.parametrize("seed", [3, 20240905, 77])
+@pytest.mark.parametrize("kappa_t, realizations", [
+    (4.0, 10_000), (4.0, 1), (0.0, 500), (300.0, 2000),
+], ids=["shipped", "one_realization", "one_distinct_count", "many_distinct_counts"])
+def test_distinct_counts_give_every_row_bit_for_bit(seed, kappa_t, realizations):
+    # the gathered rows feed the mean and std in the order of the realizations,
+    # so the estimate must not move in the last bit
+    total, theta = 1e-5, 0.5
+    lambdas = np.concatenate([np.linspace(-2.0, 2.0, 7), [-0.01, 0.01, 1e-300]])
+    got = fcs_estimate(kappa_t / total, theta, total, lambdas, realizations, master_seed=seed)
+    ref = fcs_every_row(kappa_t / total, theta, total, lambdas, realizations, master_seed=seed)
+    assert np.array_equal(got.re, ref.re)
+    assert np.array_equal(got.im, ref.im)
+    assert np.array_equal(got.statistical_error, ref.statistical_error)
+
+
+def test_kernel_runs_once_per_lambda_over_the_distinct_counts(monkeypatch):
+    kappa_t, total, r, seed = 30.0, 1e-5, 3000, 11
+    shapes = []
+    qubit = kernels.qubit_populations
+
+    def recording(dtheta, *rest):
+        shapes.append(np.shape(dtheta))
+        return qubit(dtheta, *rest)
+
+    monkeypatch.setattr(kernels, "qubit_populations", recording)
+    lambdas = np.linspace(-1.0, 1.0, 5)
+    fcs_estimate(kappa_t / total, 0.5, total, lambdas, r, master_seed=seed)
+    distinct = np.unique(event_counts(seed, 0, kappa_t, r, 1).sum(axis=1)).size
+    assert 10 < distinct < r
+    assert shapes == [(distinct, 1)] * lambdas.size
