@@ -3,12 +3,14 @@
 Configs are INI files (key = value under [section] headers) documented in
 the README and checked against one table per subcommand, _SWEEP_SCHEMA or
 _FCS_SCHEMA, of every key's kind, range and default; scenario [noise]
-defaults live in the scenario classes.  A sweep config may set only the
-keys its mode reads (_MODE_KEYS, and in scenario mode _SCENARIOS).  Every
-run writes a manifest JSON carrying the echoed config, its hash, the seed
-actually used, the RNG scheme, the python and numpy versions, timestamps,
-and the list of output files, so any artifact can be regenerated
-byte-for-byte from (config, seed, version).  Runs are single-threaded;
+defaults live in the scenario classes, whose fields are the scenario's
+keys.  A sweep config may set only the keys its mode reads (_MODE_KEYS,
+and in scenario mode its scenario's fields).  Every run writes a manifest
+JSON carrying the echoed config, its hash, the seed actually used and
+where it came from (--seed, the config, or the default 0), the RNG
+scheme, the python and numpy versions, timestamps, and the list of output
+files, so any artifact can be regenerated byte-for-byte from (config,
+seed, version).  Runs are single-threaded;
 --threads is accepted and ignored.
 """
 
@@ -20,10 +22,10 @@ import datetime as _dt
 import hashlib
 import json
 import math
-import os
 import platform
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -166,14 +168,14 @@ def _given(values: dict, keys) -> dict:
     return {key: values[key] for key in keys if key in values}
 
 
-#: Each scenario by name: its class and the [noise] keys it takes.  A key
-#: the config leaves out keeps the class default.
+#: Each scenario's class by name.  Its fields are the [noise] keys it
+#: takes, and a key the config leaves out keeps the field's default.
 _SCENARIOS = {
-    "zero_sum": (experiments.ZeroSumAmplitude, ("theta_max",)),
-    "amplitude": (experiments.WhiteAmplitude, ("theta_lo", "theta_hi")),
-    "amplitude_phase": (experiments.WhiteAmplitudePhase, ("theta_max", "samples_per_slot")),
-    "phase": (experiments.WhitePhase, ("theta_slot", "samples_per_slot")),
-    "colored_phase": (experiments.ColoredPhase, ("alpha", "theta_slot")),
+    "zero_sum": experiments.ZeroSumAmplitude,
+    "amplitude": experiments.WhiteAmplitude,
+    "amplitude_phase": experiments.WhiteAmplitudePhase,
+    "phase": experiments.WhitePhase,
+    "colored_phase": experiments.ColoredPhase,
 }
 
 #: The keys each sweep mode reads besides [run] mode, realizations and seed
@@ -244,7 +246,7 @@ def _check_read(config: dict, values: dict) -> None:
     reads = ("mode", "realizations", "seed", "n_values") + _MODE_KEYS[mode]
     where = f"{mode} mode"
     if mode == "scenario":
-        reads += _SCENARIOS[values["scenario"]][1]
+        reads += tuple(field.name for field in fields(_SCENARIOS[values["scenario"]]))
         where += f" with scenario {values['scenario']}"
     for section, raws in config.items():
         for key in raws:
@@ -253,11 +255,8 @@ def _check_read(config: dict, values: dict) -> None:
 
 
 def _resolve_seed(values: dict, cli_seed) -> tuple[int, str]:
-    env = os.environ.get("IFMSIM_SEED")
     if cli_seed is not None:
         return _check(cli_seed, ">= 0", "--seed"), "cli"
-    if env is not None:
-        return _value(env, "int", ">= 0", "IFMSIM_SEED"), "env"
     if "seed" in values:
         return values["seed"], "config"
     return 0, "default"
@@ -312,7 +311,8 @@ def cmd_sweep(args) -> int:
     started = _utcnow()
 
     if mode == "scenario":
-        scenario_class, keys = _SCENARIOS[values["scenario"]]
+        scenario_class = _SCENARIOS[values["scenario"]]
+        keys = (field.name for field in fields(scenario_class))
         scenario = scenario_class(**_given(values, keys))
         # checked on the scenario, so that a class default counts as well
         if (isinstance(scenario, experiments.WhiteAmplitude)
@@ -328,16 +328,14 @@ def cmd_sweep(args) -> int:
             # sweep_kappa_N refuses correlation times longer than the sequence
             raise ConfigError("[grid] kappa_inv_fractions entries must be <= 1 in kappa mode")
         rate = values["sample_rate"]
-        delta = values["delta_theta"]
-        probe = experiments.BinarySampledNoise(kinvs[0], total, delta, rate)
-        if any(probe.slot_samples(n).min() < 1 for n in n_values):
+        if any(experiments.slot_samples(n, total, rate).min() < 1 for n in n_values):
             # a slot without samples carries no noise: the detector would see none
             raise ConfigError(
                 f"[timing] sample_rate = {rate:g} leaves drive slots without trace samples: "
                 f"total_duration * sample_rate = {total * rate:g} must be >= every n "
                 f"(largest {max(n_values)})")
         result = experiments.sweep_kappa_N(
-            n_values, kinvs, delta, total_duration=total, sample_rate=rate,
+            n_values, kinvs, values["delta_theta"], total_duration=total, sample_rate=rate,
             **common, **_given(values, ("protocol",)))
     else:  # clustering
         total = values["total_duration"]
@@ -479,7 +477,7 @@ def cmd_fcs(args) -> int:
 # ---------------------------------------------------------------------------
 
 #: The range of each numeric noise flag.
-_NOISE_FLAGS = {"rate": "> 0", "kappa": "> 0", "amplitude": "", "seed": ">= 0",
+_NOISE_FLAGS = {"rate": "> 0", "kappa": "> 0", "amplitude": "!= 0", "seed": ">= 0",
                 "samples": ">= 64"}
 
 
@@ -487,19 +485,30 @@ def cmd_noise(args) -> int:
     for flag, bounds in _NOISE_FLAGS.items():
         if getattr(args, flag) is not None:
             _check(getattr(args, flag), bounds, f"--{flag}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else 0
     rate = args.rate
+    if args.telegraph:
+        if args.color is not None:
+            raise ConfigError("--color and --telegraph exclude each other; choose one")
+        # the ACF fit spans lags up to 3 / (2 kappa), three e-folds of its decay
+        max_lag = min(int(3.0 / (2.0 * args.kappa) * rate), args.samples // 4)
+        if max_lag < 1:
+            raise ConfigError(f"--kappa must be at most about 1.5 * --rate = {1.5 * rate:g}, "
+                              f"so that the ACF fit holds a lag beyond 0; got {args.kappa:g}")
+    elif args.color is None:
+        raise ConfigError("choose --color NAME or --telegraph")
+    elif args.color not in noise.COLOR_ALPHA:
+        raise ConfigError(f"--color must be one of {', '.join(sorted(noise.COLOR_ALPHA))}; "
+                          f"got {args.color!r}")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.telegraph:
         spec = noise.TelegraphSpec(kappa=args.kappa, amplitude=args.amplitude, sample_rate=rate)
         duration = args.samples / rate
         series = noise.gen_telegraph(spec, duration, seed)
-        trace = noise.NoiseTrace(rate, duration, series, np.zeros_like(series))
         trace_path = out_dir / "telegraph_trace.csv"
-        noise.trace_to_csv(trace, trace_path)
-        max_lag = min(int(3.0 / (2.0 * args.kappa) * rate), series.size // 4)
+        noise.trace_to_csv(series, rate, trace_path)
         acf = np.zeros(max_lag + 1)
         n_traces = 200
         for i in range(n_traces):
@@ -520,19 +529,11 @@ def cmd_noise(args) -> int:
         print(f"wrote {trace_path}, {psd_path}")
         return EXIT_OK
 
-    if args.color is None:
-        print("error: choose --color NAME or --telegraph", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.color not in noise.COLOR_ALPHA:
-        print(f"error: unsupported color {args.color!r}; "
-              f"choose from {sorted(noise.COLOR_ALPHA)}", file=sys.stderr)
-        return EXIT_CONFIG
     alpha = noise.COLOR_ALPHA[args.color]
     count = 1 << (args.samples - 1).bit_length()  # round up to a power of two
     series = noise.gen_colored(noise.ColorSpec(alpha), count, seed)
-    trace = noise.NoiseTrace(rate, count / rate, series, np.zeros(count))
     trace_path = out_dir / f"{args.color}_trace.csv"
-    noise.trace_to_csv(trace, trace_path)
+    noise.trace_to_csv(series, rate, trace_path)
     acc = None
     n_traces = 32
     for i in range(n_traces):

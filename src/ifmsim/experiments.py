@@ -16,6 +16,12 @@ counts, its parameter grid (the correlation times, or (0.0,) for a scenario
 sweep) and the scenario of each parameter; point k of the n-major grid is
 keyed by k.  Every protocol the driver asks for runs on the same batch, and
 the kernels receive the sampled segments as they are.
+
+The fields of the five scenario classes that the CLI names (ZeroSumAmplitude
+to ColoredPhase) are exactly their config keys; what no config sets, such
+as the [-pi, pi] range of the white phases, is a constant of the class.
+slot_samples is the one rule for the trace samples a kappa-sweep slot
+holds, for sampling and for transparency_anomalies alike.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ __all__ = [
     "moments_from_gf",
     "poisson_generating_function",
     "run_sweep",
+    "slot_samples",
     "sweep_kappa_N",
     "transparency_anomalies",
 ]
@@ -106,33 +113,28 @@ class WhiteAmplitude:
 
 @dataclass(frozen=True)
 class WhiteAmplitudePhase:
-    """White amplitude and white phase, several samples per slot."""
+    """White amplitude and white phase on [-pi, pi], several samples per slot."""
 
     theta_max: float = math.pi
     samples_per_slot: int = 2
-    phase_lo: float = -math.pi
-    phase_hi: float = math.pi
 
     def sample(self, n_slots: int, realizations: int, rng) -> tuple[np.ndarray, np.ndarray]:
         shape = (realizations, n_slots * self.samples_per_slot)
         amplitude_rng, phase_rng = rng.spawn(2)
         dtheta = gen_white_top(0.0, self.theta_max / self.samples_per_slot, shape, amplitude_rng)
-        chi = gen_white(self.phase_lo, self.phase_hi, shape, phase_rng)
+        chi = gen_white(-math.pi, math.pi, shape, phase_rng)
         return dtheta, chi
 
 
 @dataclass(frozen=True)
 class WhitePhase:
-    """Constant drive strength, white phase per sample."""
+    """Constant drive strength, white phase on [-pi, pi] per sample."""
 
     theta_slot: float = math.pi
     samples_per_slot: int = 2
-    phase_lo: float = -math.pi
-    phase_hi: float = math.pi
 
     def sample(self, n_slots: int, realizations: int, rng) -> tuple[np.ndarray, np.ndarray]:
-        chi = gen_white(self.phase_lo, self.phase_hi,
-                        (realizations, n_slots * self.samples_per_slot), rng)
+        chi = gen_white(-math.pi, math.pi, (realizations, n_slots * self.samples_per_slot), rng)
         return np.full(chi.shape, self.theta_slot / self.samples_per_slot), chi
 
 
@@ -148,12 +150,11 @@ class ColoredPhase:
 
     alpha: int = 0
     theta_slot: float = math.pi / 2.0
-    phase_scale: float = 2.0 * math.pi
 
     def sample(self, n_slots: int, realizations: int, rng) -> tuple[np.ndarray, np.ndarray]:
         count = max(64, 1 << (n_slots - 1).bit_length())
         series = gen_colored(ColorSpec(self.alpha), (realizations, count), rng)[:, :n_slots]
-        chi = np.mod(series * self.phase_scale + math.pi, 2.0 * math.pi) - math.pi
+        chi = np.mod(series * math.tau + math.pi, math.tau) - math.pi
         return np.full(chi.shape, self.theta_slot), chi
 
 
@@ -172,16 +173,23 @@ class BinarySlotNoise:
         return dtheta, None
 
 
+def slot_samples(n_slots: int, total_duration: float, sample_rate: float) -> np.ndarray:
+    """Trace samples inside each of n_slots equal drive intervals filling
+    total_duration, with no beam-splitter windows (interval_sample_slices)."""
+    timing = ProtocolTiming(n_slots, total_duration / n_slots)
+    return np.array([hi - lo for lo, hi in interval_sample_slices(timing, sample_rate)])
+
+
 @dataclass(frozen=True)
 class BinarySampledNoise:
     """Telegraph sign held per slot over the trace samples inside the slot.
 
     Mirrors the fast-sampling regime: the trace carries per-sample steps of
     +-delta_theta, with the sign constant across a drive interval.  A slot
-    holds the samples that noise.interval_sample_slices gives it, so a slot
-    here and a sliced NoiseTrace count the same steps.  Steps on one axis
-    compose to one rotation by their summed angle, so each slot is emitted
-    as a single segment of angle sign * delta_theta * (samples in the slot).
+    holds the samples that slot_samples counts, so a slot here and a sliced
+    NoiseTrace count the same steps.  Steps on one axis compose to one
+    rotation by their summed angle, so each slot is emitted as a single
+    segment of angle sign * delta_theta * (samples in the slot).
     """
 
     kappa_inv: float
@@ -189,15 +197,11 @@ class BinarySampledNoise:
     delta_theta: float
     sample_rate: float
 
-    def slot_samples(self, n_slots: int) -> np.ndarray:
-        """Trace samples inside each drive interval, with no beam-splitter windows."""
-        timing = ProtocolTiming(n_slots, self.total_duration / n_slots)
-        return np.array([hi - lo for lo, hi in interval_sample_slices(timing, self.sample_rate)])
-
     def sample(self, n_slots: int, realizations: int, rng) -> tuple[np.ndarray, None]:
         tau_b = self.total_duration / n_slots
         signs = gen_telegraph_slots(1.0 / self.kappa_inv, 1.0, (realizations, n_slots), tau_b, rng)
-        dtheta = signs * (self.delta_theta * self.slot_samples(n_slots))
+        dtheta = signs * (self.delta_theta
+                          * slot_samples(n_slots, self.total_duration, self.sample_rate))
         return dtheta, None
 
 
@@ -308,16 +312,19 @@ def run_sweep(config: SweepConfig) -> GridResult:
 # ---------------------------------------------------------------------------
 
 def transparency_anomalies(n_values, delta_theta, total_duration, sample_rate) -> list[int]:
-    """Slot counts whose full-slot drive angle is an integer multiple of 4 pi.
+    """Slot counts at which every slot's drive angle is a nonzero multiple of 4 pi.
 
-    A slot whose samples all share one sign accumulates
-    delta_theta * tau_b * sample_rate; when that is 4 pi k the pulse acts as
-    the identity and the detectors are blind to it.
+    A slot whose samples all share one sign accumulates delta_theta times
+    the samples it holds (slot_samples); when that is 4 pi k, k >= 1, the
+    pulse acts as the identity, and when every slot is such a pulse the
+    detectors are blind to the noise.  Slots of a nominal 2.5 samples hold
+    2 or 3, so 4 pi / 2.5 per sample makes no slot a whole turn.
     """
     out = []
     for n in n_values:
-        ratio = abs(delta_theta) * (total_duration / n) * sample_rate / (4.0 * math.pi)
-        if ratio >= 0.5 and abs(ratio - round(ratio)) < 1e-9:
+        samples = slot_samples(n, total_duration, sample_rate)
+        turns = (abs(delta_theta) * samples / (4.0 * math.pi)).tolist()
+        if all(t >= 0.5 and abs(t - round(t)) < 1e-9 for t in turns):
             out.append(int(n))
     return out
 

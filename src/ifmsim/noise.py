@@ -3,8 +3,11 @@
 All generators are deterministic under a fixed seed: pass either an integer
 seed or a numpy Generator.  The white, zero-sum, slot-telegraph and colored
 generators also take a batch shape (rows, n) in place of a count n, with
-time on the last axis, and fill the rows in order.  Amplitude series are in rad/s (the instantaneous
-drive strength), phase series in radians.
+time on the last axis, and fill the rows in order.  gen_white and
+gen_white_top draw one clipped-Gaussian law, centered at the midpoint and
+at the top of the range.  Amplitude series are in rad/s (the instantaneous
+drive strength), phase series in radians.  estimate_psd is an unwindowed
+averaged periodogram, and trace_to_csv writes one uniformly sampled series.
 """
 
 from __future__ import annotations
@@ -147,13 +150,9 @@ def _shape(count) -> tuple[int, ...]:
     return (int(count),) if np.ndim(count) == 0 else tuple(int(c) for c in count)
 
 
-def gen_white(range_lo: float, range_hi: float, count, seed) -> np.ndarray:
-    """I.i.d. clipped-Gaussian samples over [range_lo, range_hi].
-
-    The Gaussian is centered at the midpoint with sigma = span / 6, then
-    clipped to the range, so about 0.3 percent of the mass piles up on the
-    boundaries.  count is n or a batch shape (rows, n).
-    """
+def _clipped_normal(range_lo: float, range_hi: float, center: float, count, seed
+                    ) -> np.ndarray:
+    """Normal(center, span / 6) samples clipped to [range_lo, range_hi]."""
     shape = _shape(count)
     if range_lo > range_hi:
         raise ValueError("range_lo must not exceed range_hi")
@@ -161,10 +160,18 @@ def gen_white(range_lo: float, range_hi: float, count, seed) -> np.ndarray:
         raise ValueError("count must be positive")
     if range_lo == range_hi:
         return np.full(shape, range_lo)
-    mid = 0.5 * (range_lo + range_hi)
-    sigma = (range_hi - range_lo) / 6.0
-    x = _rng(seed).normal(mid, sigma, shape)
+    x = _rng(seed).normal(center, (range_hi - range_lo) / 6.0, shape)
     return np.clip(x, range_lo, range_hi)
+
+
+def gen_white(range_lo: float, range_hi: float, count, seed) -> np.ndarray:
+    """I.i.d. clipped-Gaussian samples over [range_lo, range_hi].
+
+    The Gaussian is centered at the midpoint with sigma = span / 6, then
+    clipped to the range, so about 0.3 percent of the mass piles up on the
+    boundaries.  count is n or a batch shape (rows, n).
+    """
+    return _clipped_normal(range_lo, range_hi, 0.5 * (range_lo + range_hi), count, seed)
 
 
 def gen_white_top(range_lo: float, range_hi: float, count, seed) -> np.ndarray:
@@ -176,16 +183,7 @@ def gen_white_top(range_lo: float, range_hi: float, count, seed) -> np.ndarray:
     a maximum drive strength rather than a symmetric spread.  count is n or
     a batch shape (rows, n).
     """
-    shape = _shape(count)
-    if range_lo > range_hi:
-        raise ValueError("range_lo must not exceed range_hi")
-    if min(shape) <= 0:
-        raise ValueError("count must be positive")
-    if range_lo == range_hi:
-        return np.full(shape, range_lo)
-    sigma = (range_hi - range_lo) / 6.0
-    x = _rng(seed).normal(range_hi, sigma, shape)
-    return np.clip(x, range_lo, range_hi)
+    return _clipped_normal(range_lo, range_hi, range_hi, count, seed)
 
 
 def gen_zero_sum(theta_max: float, count, seed) -> np.ndarray:
@@ -251,7 +249,7 @@ def gen_telegraph_slots(kappa: float, amplitude: float, n_slots,
     return amplitude * np.cumprod(steps, axis=-1)
 
 
-def gen_colored(spec: ColorSpec | int, count, seed) -> np.ndarray:
+def gen_colored(spec: ColorSpec, count, seed) -> np.ndarray:
     """Zero-mean, unit-variance noise with PSD proportional to f**(-alpha).
 
     White Gaussian samples are shaped in the frequency domain by
@@ -259,8 +257,6 @@ def gen_colored(spec: ColorSpec | int, count, seed) -> np.ndarray:
     to unit sample variance.  count is n or a batch shape (rows, n), with n
     a power of two >= 64; the transform runs along the last axis.
     """
-    if not isinstance(spec, ColorSpec):
-        spec = ColorSpec(spec)
     shape = _shape(count)
     n = shape[-1]
     if n < 64 or n & (n - 1):
@@ -296,15 +292,14 @@ def estimate_acf(series: np.ndarray, max_lag: int) -> np.ndarray:
     return out
 
 
-def estimate_psd(series: np.ndarray, sample_rate: float, window: str = "rectangular",
+def estimate_psd(series: np.ndarray, sample_rate: float,
                  segment_count: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Averaged-periodogram power spectral density (two-sided).
 
     The series is split into segment_count equal non-overlapping segments;
-    each is windowed, Fourier transformed, and scaled so that
-    sum(psd) * df recovers the series mean square for the rectangular
-    window.  Frequencies are returned in ascending order, negative to
-    positive.
+    each is Fourier transformed with no window and scaled so that
+    sum(psd) * df recovers the series mean square.  Frequencies are
+    returned in ascending order, negative to positive.
     """
     x = np.asarray(series, dtype=np.float64)
     if segment_count < 1 or x.size % segment_count:
@@ -312,17 +307,10 @@ def estimate_psd(series: np.ndarray, sample_rate: float, window: str = "rectangu
             f"series of length {x.size} cannot be split into {segment_count} equal segments"
         )
     n_seg = x.size // segment_count
-    if window == "rectangular":
-        w = np.ones(n_seg)
-    elif window == "hann":
-        w = np.hanning(n_seg)
-    else:
-        raise ValueError(f"unknown window {window!r}")
-    scale = 1.0 / (sample_rate * np.sum(w**2))
+    scale = 1.0 / (sample_rate * n_seg)
     acc = np.zeros(n_seg)
     for i in range(segment_count):
-        seg = x[i * n_seg:(i + 1) * n_seg] * w
-        acc += np.abs(np.fft.fft(seg)) ** 2
+        acc += np.abs(np.fft.fft(x[i * n_seg:(i + 1) * n_seg])) ** 2
     psd = np.fft.fftshift(acc * scale / segment_count)
     freqs = np.fft.fftshift(np.fft.fftfreq(n_seg, d=1.0 / sample_rate))
     return freqs, psd
@@ -400,10 +388,9 @@ def trace_to_segments(trace: NoiseTrace, timing: ProtocolTiming
 # csv export
 # ---------------------------------------------------------------------------
 
-def trace_to_csv(trace: NoiseTrace, path, which: str = "zeta") -> None:
-    """Write one trace component as (time_s, value) rows."""
-    series = trace.zeta if which == "zeta" else trace.chi
-    t = np.arange(trace.n_samples) / trace.sample_rate
+def trace_to_csv(series: np.ndarray, sample_rate: float, path) -> None:
+    """Write a uniformly sampled series as (time_s, value) rows."""
+    t = np.arange(len(series)) / sample_rate
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("time_s,value\n")
         for ti, vi in zip(t, series):

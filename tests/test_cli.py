@@ -1,4 +1,6 @@
+import argparse
 import configparser
+import dataclasses
 import json
 import math
 import os
@@ -14,12 +16,15 @@ import pytest
 import ifmsim
 from ifmsim.cli import (
     _FCS_SCHEMA,
+    _MODE_KEYS,
+    _SCENARIOS,
     _SWEEP_SCHEMA,
     EXIT_CONFIG,
     EXIT_OK,
     ConfigError,
     _read,
     _write_json,
+    build_parser,
     config_hash,
     load_config,
     main,
@@ -457,6 +462,37 @@ def test_readme_config_format_names_exactly_the_schema_keys():
     assert documented == schema
 
 
+def test_scenario_fields_are_noise_schema_keys():
+    # the fields of a scenario class are the [noise] keys a config may set
+    # for it, so each needs a schema entry of its kind; together with the
+    # modes' own keys they are every [noise] key of the schema
+    noise_keys = _SWEEP_SCHEMA["noise"]
+    read = {key for keys in _MODE_KEYS.values() for key in keys if key in noise_keys}
+    for name, scenario_class in _SCENARIOS.items():
+        for field in dataclasses.fields(scenario_class):
+            assert field.name in noise_keys, (name, field.name)
+            assert noise_keys[field.name][0] == field.type, (name, field.name)
+            read.add(field.name)
+    assert read == set(noise_keys)
+
+
+def test_readme_usage_block_names_exactly_the_parser_flags():
+    # the "ifmsim sweep ... ifmsim version" block of README's "Command line"
+    # section against every subcommand of the parser, in both directions
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```\n", 2)[1]
+    documented = {}
+    for line in block.splitlines():
+        _, command, *rest = line.split()
+        documented[command] = set(re.findall(r"--[a-z]+", " ".join(rest)))
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    flags = {command: {option for action in sub._actions for option in action.option_strings
+                       if option != "--help" and option.startswith("--")}
+             for command, sub in subparsers.choices.items()}
+    assert documented == flags
+
+
 def test_readme_python_blocks_run(capsys):
     # every python block of README, in order, in one namespace
     text = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -467,27 +503,6 @@ def test_readme_python_blocks_run(capsys):
         exec(compile(block, f"README.md python block {i + 1}", "exec"), namespace)
     printed = [round(float(x), 3) for x in capsys.readouterr().out.split()]
     assert printed[:2] == [0.611, 0.283]
-
-
-def test_non_integer_env_seed_exits_2(tmp_path, capsys, monkeypatch):
-    cfg = write(tmp_path, "small.cfg", SMALL_SWEEP)
-    monkeypatch.setenv("IFMSIM_SEED", "12ab")
-    code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert code == EXIT_CONFIG
-    assert "IFMSIM_SEED" in capsys.readouterr().err
-
-
-def test_env_seed_override_recorded(tmp_path):
-    cfg = write(tmp_path, "small.cfg", SMALL_SWEEP)
-    out = tmp_path / "env_out"
-    os.environ["IFMSIM_SEED"] = "777"
-    try:
-        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-    finally:
-        del os.environ["IFMSIM_SEED"]
-    manifest = json.loads((out / "small_manifest.json").read_text())
-    assert manifest["master_seed"] == 777
-    assert manifest["seed_source"] == "env"
 
 
 def test_table1_command(tmp_path, capsys):
@@ -612,8 +627,12 @@ def test_noise_command_telegraph_odd_sample_count(tmp_path, capsys):
     (["--telegraph", "--amplitude", "nan"], "--amplitude"),
     (["--telegraph", "--samples", "3"], "--samples"),
     (["--color", "pink", "--samples", "10"], "--samples"),
+    # a zero amplitude leaves no positive ACF value to fit
+    (["--telegraph", "--amplitude", "0"], "--amplitude"),
+    # at the default rate of 1e6/s, the fit window 3 / (2 kappa) holds lag 0 only
+    (["--telegraph", "--kappa", "1.6e6"], "--kappa"),
 ], ids=["rate_telegraph", "rate_color", "kappa", "seed", "amplitude", "samples_telegraph",
-        "samples_color"])
+        "samples_color", "amplitude_zero", "kappa_beyond_fit_window"])
 def test_noise_flag_out_of_range_exits_2_naming_it(tmp_path, capsys, argv, flag):
     code = main(["noise", *argv, "--out", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
@@ -627,8 +646,16 @@ def test_noise_command_runs_at_the_smallest_sample_count(tmp_path):
 
 
 def test_noise_command_rejects_unknown_color(tmp_path, capsys):
-    code = main(["noise", "--color", "octarine", "--out", str(tmp_path / "x")])
-    assert code == EXIT_CONFIG
+    # and a call naming neither mode or both; the mode is checked before the
+    # output directory is made
+    for argv, named in ((["--color", "octarine"], ("--color", "octarine")),
+                        ([], ("--color", "--telegraph")),
+                        (["--color", "pink", "--telegraph"], ("--color", "--telegraph"))):
+        code = main(["noise", *argv, "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert all(word in err for word in named)
+        assert not (tmp_path / "x").exists()
 
 
 def test_importing_the_cli_loads_every_module_of_the_package():

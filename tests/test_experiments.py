@@ -96,6 +96,22 @@ def test_kappa_sweep_anomalous_rows_vanish():
     assert grid.stats["cifm"].mean.shape == (2, 2)
 
 
+def test_anomalies_count_the_samples_each_slot_holds():
+    # at n = 4000 the nominal slot holds 2.5 samples of 4 pi / 2.5, a whole
+    # turn; the slots really hold 2 or 3 samples (0.8 and 1.2 turns), so the
+    # detector sees the noise.  At n = 5000 every slot holds 2 samples of
+    # 2 pi: 4 pi, transparent.
+    total, rate = 1e-5, 1e9
+    assert transparency_anomalies((4000,), 4 * np.pi / 2.5, total, rate) == []
+    assert transparency_anomalies((5000,), 2 * np.pi, total, rate) == [5000]
+    seen = sweep_kappa_N((4000,), (2e-6,), 4 * np.pi / 2.5, realizations=40, master_seed=3,
+                         total_duration=total, sample_rate=rate)
+    blind = sweep_kappa_N((5000,), (2e-6,), 2 * np.pi, realizations=40, master_seed=3,
+                          total_duration=total, sample_rate=rate)
+    assert seen.anomalies == () and seen.stats["cifm"].mean[0, 0] > 0.1
+    assert blind.anomalies == (5000,) and blind.stats["cifm"].mean[0, 0] < 1e-10
+
+
 def test_kappa_sweep_rejects_out_of_range_correlation_time():
     with pytest.raises(ValueError):
         sweep_kappa_N((4,), (2e-5,), np.pi / 250, realizations=2, total_duration=1e-5)
