@@ -490,21 +490,29 @@ def cmd_noise(args) -> int:
     if args.telegraph:
         if args.color is not None:
             raise ConfigError("--color and --telegraph exclude each other; choose one")
-        # the ACF fit spans lags up to 3 / (2 kappa), three e-folds of its decay
-        max_lag = min(int(3.0 / (2.0 * args.kappa) * rate), args.samples // 4)
+        kappa = args.kappa if args.kappa is not None else 1e5
+        amplitude = args.amplitude if args.amplitude is not None else 1.0
+        # the ACF fit spans lags up to 3 / (2 kappa), three e-folds of its
+        # decay; clamped before int(), which an infinite product would fail
+        max_lag = int(min(1.5 / kappa * rate, args.samples // 4))
         if max_lag < 1:
             raise ConfigError(f"--kappa must be at most about 1.5 * --rate = {1.5 * rate:g}, "
-                              f"so that the ACF fit holds a lag beyond 0; got {args.kappa:g}")
+                              f"so that the ACF fit holds a lag beyond 0; got {kappa:g}")
     elif args.color is None:
         raise ConfigError("choose --color NAME or --telegraph")
     elif args.color not in noise.COLOR_ALPHA:
         raise ConfigError(f"--color must be one of {', '.join(sorted(noise.COLOR_ALPHA))}; "
                           f"got {args.color!r}")
+    else:
+        for flag in ("kappa", "amplitude"):
+            if getattr(args, flag) is not None:
+                raise ConfigError(f"--{flag} sets the telegraph noise only; "
+                                  f"--color {args.color} does not read it")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.telegraph:
-        spec = noise.TelegraphSpec(kappa=args.kappa, amplitude=args.amplitude, sample_rate=rate)
+        spec = noise.TelegraphSpec(kappa=kappa, amplitude=amplitude, sample_rate=rate)
         duration = args.samples / rate
         series = noise.gen_telegraph(spec, duration, seed)
         trace_path = out_dir / "telegraph_trace.csv"
@@ -515,17 +523,19 @@ def cmd_noise(args) -> int:
             s = noise.gen_telegraph(spec, duration, [seed, i])
             acf += noise.estimate_acf(s, max_lag)
         acf /= n_traces
-        lags = np.arange(max_lag + 1) / rate
+        # fitted on lag indices and scaled by the rate after: lags k / rate
+        # underflow at extreme rates, and the fit would then fail
+        lags = np.arange(max_lag + 1)
         positive = acf > 0
-        slope = np.polyfit(lags[positive], np.log(acf[positive]), 1)[0]
+        slope = float(np.polyfit(lags[positive], np.log(acf[positive]), 1)[0]) * rate
         kappa_hat = -slope / 2.0
         n_segments = max(1, series.size // 256)
         usable = series[: n_segments * 256]  # whole segments only
         freqs, psd = noise.estimate_psd(usable, rate, segment_count=n_segments)
         psd_path = out_dir / "telegraph_psd.csv"
         noise.psd_to_csv(freqs, psd, psd_path)
-        print(f"telegraph: kappa = {args.kappa:g}, extracted kappa = {kappa_hat:g} "
-              f"({abs(kappa_hat / args.kappa - 1) * 100:.1f}% off)")
+        print(f"telegraph: kappa = {kappa:g}, extracted kappa = {kappa_hat:g} "
+              f"({abs(kappa_hat / kappa - 1) * 100:.1f}% off)")
         print(f"wrote {trace_path}, {psd_path}")
         return EXIT_OK
 
@@ -587,8 +597,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_noise = sub.add_parser("noise", help="generate a noise trace and its spectrum")
     p_noise.add_argument("--color", default=None)
     p_noise.add_argument("--telegraph", action="store_true")
-    p_noise.add_argument("--kappa", type=float, default=1e5)
-    p_noise.add_argument("--amplitude", type=float, default=1.0)
+    p_noise.add_argument("--kappa", type=float, default=None,
+                         help="telegraph switching rate (default 1e5)")
+    p_noise.add_argument("--amplitude", type=float, default=None,
+                         help="telegraph amplitude (default 1.0)")
     p_noise.add_argument("--samples", type=int, default=50000)
     p_noise.add_argument("--rate", type=float, default=1e6)
     p_noise.add_argument("--seed", type=int, default=None)

@@ -36,6 +36,11 @@ computed once per realization and broadcast over the states, and every
 2x2 update (drive and beam splitter alike, _rotate) works in place through
 two preallocated scratch rows, in the order of the products above, so a
 population does not depend on the layout or on which states share a sweep.
+Where every realization drives a segment with one magnitude, +-m as the
+telegraph and fixed-strength phase scenarios do, cos(m/2) and sin(m/2) are
+computed once for the column and sin takes each angle's sign: numpy's cos
+is even and its sin odd to the bit, and a scalar call rounds as an array
+element does, so the populations are those of the per-element calls.
 """
 
 from __future__ import annotations
@@ -97,8 +102,19 @@ def _evolve(dtheta, chi, offsets, phi, psi0, project) -> np.ndarray:
         for p in range(edges[j], edges[j + 1]):
             # rotation by dtheta about the axis (cos chi, -sin chi)
             np.multiply(dtheta[:, p], 0.5, out=half)
-            np.cos(half, out=c)
-            np.sin(half, out=s)
+            # one magnitude m in the column (a NaN fails); comparing the end
+            # rows first rules out most other columns without two reductions
+            if (r and abs(half[0, 0]) == abs(half[0, -1])
+                    and np.abs(half, out=s).max() == s.min()):
+                # cos is even and sin odd to the bit, so cos(m) and
+                # +-sin(m) are what the per-element calls would give
+                m = s[0, 0]
+                c.fill(np.cos(m))
+                np.copysign(1.0, half, out=s)  # the sign of -0.0 is -1
+                s *= np.sin(m)
+            else:
+                np.cos(half, out=c)
+                np.sin(half, out=s)
             _rotate(a, b, c, *coefficients(p), t1, t2)
         if project:
             np.abs(psi[2], out=shelved)

@@ -8,6 +8,7 @@ import platform
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -656,6 +657,36 @@ def test_noise_command_rejects_unknown_color(tmp_path, capsys):
         err = capsys.readouterr().err
         assert all(word in err for word in named)
         assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--kappa", "5"), ("--amplitude", "3")])
+def test_noise_color_mode_rejects_telegraph_flags(tmp_path, capsys, flag, value):
+    # a flag that the chosen mode never reads exits 2, as a config key does
+    code = main(["noise", "--color", "pink", flag, value, "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert flag in err and "--color pink" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_noise_telegraph_defaults_kappa_and_amplitude(tmp_path, capsys):
+    out = tmp_path / "tele"
+    assert main(["noise", "--telegraph", "--samples", "64", "--out", str(out)]) == EXIT_OK
+    assert "telegraph: kappa = 100000," in capsys.readouterr().out
+    trace = np.loadtxt(out / "telegraph_trace.csv", delimiter=",", skiprows=1)
+    assert set(np.abs(trace[:, 1])) == {1.0}
+
+
+def test_noise_telegraph_runs_at_an_extreme_rate_without_a_numpy_warning(tmp_path):
+    # 3 / (2 kappa) * rate overflows to inf, and lags k / rate would underflow
+    out = tmp_path / "tele"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["noise", "--telegraph", "--rate", "1e308", "--kappa", "1e-10",
+                     "--samples", "64", "--out", str(out)])
+    assert code == EXIT_OK
+    assert (out / "telegraph_trace.csv").exists()
+    assert (out / "telegraph_psd.csv").exists()
 
 
 def test_importing_the_cli_loads_every_module_of_the_package():

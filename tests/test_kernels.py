@@ -435,6 +435,16 @@ def test_non_finite_segment_raises_without_a_numpy_warning(protocol, where, valu
         with pytest.raises(ValueError, match="realization 1, segment 2 has"):
             batch_populations(protocol, dtheta, chi, offsets,
                               basis_state(PROTOCOLS[protocol].levels, 0))
+    # a column that is value in every row: an inf column has one magnitude,
+    # so the kernel takes one cos and one sin of it, which must stay silent too
+    dtheta, chi, offsets = random_batch(15, r=3, slots=2, per_slot=2)
+    {"dtheta": dtheta, "chi": chi}[where][:, 2] = value
+    for axes in (chi, None) if where == "dtheta" else (chi,):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="realization 0, segment 2 has"):
+                batch_populations(protocol, dtheta, axes, offsets,
+                                  basis_state(PROTOCOLS[protocol].levels, 0))
 
 
 @PROPERTY_SETTINGS
@@ -460,3 +470,52 @@ def test_one_realization_runs_as_its_row_of_the_batch(protocol):
     for i in range(dtheta.shape[0]):
         row = batch_populations(protocol, dtheta[i:i + 1], chi[i:i + 1], offsets, psi0)
         assert np.array_equal(row, whole[i:i + 1])
+
+
+# ---------------------------------------------------------------------------
+# one-magnitude columns: the kernel takes one cos and one sin for a segment
+# column whose angles are all +-m
+# ---------------------------------------------------------------------------
+
+def test_cos_is_even_and_sin_odd_to_the_bit():
+    # the premise of the one-magnitude path: if a numpy or libm update broke
+    # it, populations would shift silently instead of failing here
+    rng = np.random.default_rng(0)
+    spread = np.ldexp(rng.uniform(0.5, 1.0, 20_000), rng.integers(-1074, 1024, 20_000))
+    x = np.concatenate((rng.uniform(-1e6, 1e6, 1_000_000), spread,
+                        [0.0, np.pi, 2 * np.pi, np.finfo(np.float64).max]))
+    cos, sin = np.cos(x), np.sin(x)
+    assert np.array_equal(np.cos(-x), cos)
+    assert np.array_equal(np.sin(-x), -sin)
+    # a scalar call rounds as the same value's element of a wide array
+    for i in rng.integers(0, x.size, 20_000):
+        assert np.cos(x[i]) == cos[i] and np.sin(x[i]) == sin[i]
+
+
+@pytest.mark.parametrize("axes", ["amplitude", "random"])
+@pytest.mark.parametrize("magnitudes", ["one", "per_column"])
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_one_magnitude_columns_match_per_element_cos_and_sin(protocol, magnitudes, axes):
+    # one row of another magnitude, at the end or between rows of equal
+    # magnitude, sends every column through per-element cos and sin; the
+    # one-magnitude rows must not change by a bit
+    rng = np.random.default_rng(16)
+    _, chi, offsets = random_batch(16, r=8, slots=4, per_slot=3)
+    n_seg = int(offsets[-1])
+    if magnitudes == "one":  # +-theta in every slot, as telegraph clustering
+        m = np.full(n_seg, np.pi)
+    else:  # one magnitude per column, as BinarySampledNoise in kappa mode
+        m = rng.uniform(0.0, 4 * np.pi, n_seg)
+        m[:2] = 0.0, 2 * np.pi + 1.0  # signed zeros; sin(m/2) < 0
+    dtheta = rng.choice((-1.0, 1.0), (7, n_seg)) * m
+    real = axes == "amplitude"  # the float64 path; random axes run in complex128
+    psi0 = np.array([0.6, 0.8 if real else 0.8j, 0.0])[:PROTOCOLS[protocol].levels]
+    for at in (7, 3):
+        one = batch_populations(protocol, dtheta, None if real else np.delete(chi, at, axis=0),
+                                offsets, psi0)
+        mixed = batch_populations(protocol, np.insert(dtheta, at, 0.1, axis=0),
+                                  None if real else chi, offsets, psi0)
+        assert np.array_equal(one, np.delete(mixed, at, axis=0))
+        alone = batch_populations(protocol, np.full((1, n_seg), 0.1),
+                                  None if real else chi[at:at + 1], offsets, psi0)
+        assert np.array_equal(mixed[at:at + 1], alone)
