@@ -13,7 +13,6 @@ kernel_backend = "numpy"
 
 from .noise import (
     ColorSpec,
-    NoiseTrace,
     ProtocolTiming,
     TelegraphSpec,
     estimate_acf,
@@ -24,14 +23,12 @@ from .noise import (
     gen_white,
     gen_white_top,
     gen_zero_sum,
-    trace_to_segments,
 )
 from .protocols import DimensionMismatchError, basis_state, batch_populations
 
 __all__ = [
     "ColorSpec",
     "DimensionMismatchError",
-    "NoiseTrace",
     "ProtocolTiming",
     "TelegraphSpec",
     "basis_state",
@@ -45,5 +42,4 @@ __all__ = [
     "gen_white_top",
     "gen_zero_sum",
     "kernel_backend",
-    "trace_to_segments",
 ]

@@ -527,17 +527,26 @@ def cmd_noise(args) -> int:
         # underflow at extreme rates, and the fit would then fail
         lags = np.arange(max_lag + 1)
         positive = acf > 0
-        slope = float(np.polyfit(lags[positive], np.log(acf[positive]), 1)[0]) * rate
-        kappa_hat = -slope / 2.0
+        kappa_hat = math.nan
+        if np.count_nonzero(positive) >= 2:
+            slope = float(np.polyfit(lags[positive], np.log(acf[positive]), 1)[0]) * rate
+            kappa_hat = -slope / 2.0
         n_segments = max(1, series.size // 256)
         usable = series[: n_segments * 256]  # whole segments only
         freqs, psd = noise.estimate_psd(usable, rate, segment_count=n_segments)
         psd_path = out_dir / "telegraph_psd.csv"
         noise.psd_to_csv(freqs, psd, psd_path)
-        print(f"telegraph: kappa = {kappa:g}, extracted kappa = {kappa_hat:g} "
-              f"({abs(kappa_hat / kappa - 1) * 100:.1f}% off)")
+        # a trace without switches leaves a flat ACF, and one that switches
+        # every sample leaves at most lag 0 positive: neither shows a decay
+        determined = math.isfinite(kappa_hat) and kappa_hat > 0
+        if determined:
+            print(f"telegraph: kappa = {kappa:g}, extracted kappa = {kappa_hat:g} "
+                  f"({abs(kappa_hat / kappa - 1) * 100:.1f}% off)")
+        else:
+            print(f"telegraph: kappa = {kappa:g}, extracted kappa undetermined: "
+                  f"the ACF over lags 0-{max_lag} holds no decay the fit can resolve")
         print(f"wrote {trace_path}, {psd_path}")
-        return EXIT_OK
+        return EXIT_OK if determined else EXIT_MISMATCH
 
     alpha = noise.COLOR_ALPHA[args.color]
     count = 1 << (args.samples - 1).bit_length()  # round up to a power of two

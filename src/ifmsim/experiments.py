@@ -186,10 +186,12 @@ class BinarySampledNoise:
 
     Mirrors the fast-sampling regime: the trace carries per-sample steps of
     +-delta_theta, with the sign constant across a drive interval.  A slot
-    holds the samples that slot_samples counts, so a slot here and a sliced
-    NoiseTrace count the same steps.  Steps on one axis compose to one
-    rotation by their summed angle, so each slot is emitted as a single
-    segment of angle sign * delta_theta * (samples in the slot).
+    holds the samples that slot_samples counts, so a slot here and a trace
+    sliced sample by sample (NoiseTrace and trace_to_segments in
+    tests/oracles.py, the tests' reference) count the same steps.  Steps on
+    one axis compose to one rotation by their summed angle, so each slot is
+    emitted as a single segment of angle sign * delta_theta * (samples in
+    the slot).
     """
 
     kappa_inv: float
@@ -457,13 +459,15 @@ def fcs_estimate(kappa, theta, total_duration, lambda_values, realizations,
     Re GF = 1 - 2 E[p_e]; from (|g> + |e>)/sqrt(2) it gives
     Im GF = 2 E[p_e] - 1.
 
-    A realization's populations depend only on its own total, so each lambda
-    point makes one kernel call over the distinct totals alone (a handful of
-    Poisson counts, however many realizations), running both states in one
-    sweep, and gathers the rows back to every realization.  The mean and
-    the standard deviation then run over the same values in the same order
-    as if every realization were evolved, so the estimate is bit-identical
-    to that; a count-weighted mean would sum in another order.
+    A realization's populations depend only on its own total, so the kernel
+    evolves only the distinct totals (a handful of Poisson counts, however
+    many realizations), at every lambda point at once: one batch whose rows
+    are every (lambda, distinct count) pair, and one call per initial state,
+    two calls per estimate.  Each lambda point gathers its rows back to
+    every realization, so the mean and the standard deviation run over the
+    same values in the same order as if every realization were evolved, and
+    the estimate is bit-identical to that; a count-weighted mean would sum
+    in another order.
     """
     lambda_values = np.asarray(lambda_values, dtype=np.float64)
     if realizations < 1:
@@ -471,16 +475,18 @@ def fcs_estimate(kappa, theta, total_duration, lambda_values, realizations,
     count_rng, _ = _stream(master_seed, 0).spawn(2)
     events = count_rng.poisson(kappa * total_duration, realizations)
     counts, row = np.unique(events, return_inverse=True)
-    unit = (counts * theta)[:, np.newaxis]
+    dtheta = (lambda_values[:, np.newaxis] * (counts * theta)).reshape(-1, 1)
     ground = basis_state(2, 0)
     plus = np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0)
+    # (lambda, distinct count, level): row i of a lambda's block is counts[i]
+    pops_g, pops_p = (batch_populations("qubit", dtheta, None, None, psi0)
+                      .reshape(lambda_values.size, counts.size, 2) for psi0 in (ground, plus))
     re = np.empty(lambda_values.size)
     im = np.empty(lambda_values.size)
     err = np.empty(lambda_values.size)
     sqrt_r = math.sqrt(realizations)
-    for i, lam in enumerate(lambda_values):
-        pops_g, pops_p = batch_populations("qubit", unit * lam, None, None, ground, plus)
-        pe_g, pe_p = pops_g[row, 1], pops_p[row, 1]
+    for i in range(lambda_values.size):
+        pe_g, pe_p = pops_g[i, row, 1], pops_p[i, row, 1]
         re[i] = 1.0 - 2.0 * pe_g.mean()
         im[i] = 2.0 * pe_p.mean() - 1.0
         if realizations > 1:

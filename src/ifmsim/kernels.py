@@ -4,10 +4,9 @@ Every kernel takes realization-major arrays: dtheta and chi have shape
 (realizations, segments), offsets is the int64 slot-boundary array of
 length n_slots + 1 (slot j spans columns offsets[j]:offsets[j+1]), and the
 result is a (realizations, levels) array of final populations.  chi=None
-puts every segment on the amplitude axis, chi = -pi/2.  psi0 is one initial
-state of shape (levels,), or a stack of shape (states, levels) that runs in
-the same sweep over the batch; a stack gives a (states, realizations,
-levels) result, whose entry k is exactly what state k alone would give.
+puts every segment on the amplitude axis, chi = -pi/2.  psi0 is the one
+initial state of every realization, of shape (levels,): one initial state
+per call.
 
 All three detectors run the same loop, _evolve, vectorized over the
 realizations with numpy.  A qutrit (cifm, pifm) gets a beam splitter on
@@ -30,12 +29,12 @@ and real initial states the loop runs in float64; otherwise it runs in
 complex128.  The dtype and the coefficient rule are fixed before the loop;
 the loop body is the same on both paths.
 
-The state is held level-major, shape (levels, states, realizations), so
-each level is one contiguous row per state.  A segment's cos and sin are
-computed once per realization and broadcast over the states, and every
-2x2 update (drive and beam splitter alike, _rotate) works in place through
-two preallocated scratch rows, in the order of the products above, so a
-population does not depend on the layout or on which states share a sweep.
+The state is held level-major, shape (levels, realizations), so each
+level is one contiguous row.  A segment's cos and sin are computed once per
+realization into preallocated rows, and every 2x2 update (drive and beam
+splitter alike, _rotate) works in place through two preallocated scratch
+rows, in the order of the products above, so a realization's populations
+do not depend on the batch around it.
 Where every realization drives a segment with one magnitude, +-m as the
 telegraph and fixed-strength phase scenarios do, cos(m/2) and sin(m/2) are
 computed once for the column and sin takes each angle's sign: numpy's cos
@@ -66,14 +65,10 @@ def _evolve(dtheta, chi, offsets, phi, psi0, project) -> np.ndarray:
     """Final populations of every realization; offsets=None is one slot."""
     dtheta = np.ascontiguousarray(dtheta, dtype=np.float64)
     psi0 = np.asarray(psi0)
-    stack = psi0.reshape(-1, psi0.shape[-1])  # (states, levels)
     r, n_seg = dtheta.shape
-    # coefficient rows of shape (1, r), the rank of a level's (states, r)
-    # row: numpy rounds the complex product of a (1,) and a (1, 1) array
-    # differently from the same product in any other layout
-    half, c, s, u = np.empty((4, 1, r))
+    half, c, s, u = np.empty((4, r))
     if chi is None:  # the amplitude axis: both coefficients are real
-        real = not np.any(np.imag(stack))
+        real = not np.any(np.imag(psi0))
 
         def coefficients(p):
             return np.negative(s, out=u), s
@@ -84,18 +79,18 @@ def _evolve(dtheta, chi, offsets, phi, psi0, project) -> np.ndarray:
         def coefficients(p):
             e = np.exp(1j * chi[:, p])
             return -1j * e * s, -1j * np.conj(e) * s
-    states, levels = stack.shape
-    psi = np.empty((levels, states, r), dtype=np.float64 if real else np.complex128)
-    psi[...] = (np.real(stack) if real else stack).T[:, :, np.newaxis]
-    t1, t2 = np.empty((2, states, r), dtype=psi.dtype)
+    levels = psi0.size
+    psi = np.empty((levels, r), dtype=np.float64 if real else np.complex128)
+    psi[...] = (np.real(psi0) if real else psi0)[:, np.newaxis]
+    t1, t2 = np.empty((2, r), dtype=psi.dtype)
     edges = (0, n_seg) if offsets is None else np.asarray(offsets, dtype=np.int64)
     qutrit = levels == 3
     a, b = psi[1:] if qutrit else psi  # the driven level pair
     cb = np.cos(float(phi) / 2.0)
     sb = np.sin(float(phi) / 2.0)
     if project:
-        clicks = np.zeros((states, r))
-        shelved = np.empty((states, r))
+        clicks = np.zeros(r)
+        shelved = np.empty(r)
     if qutrit:
         _rotate(psi[0], psi[1], cb, -sb, sb, t1, t2)
     for j in range(len(edges) - 1):
@@ -104,11 +99,11 @@ def _evolve(dtheta, chi, offsets, phi, psi0, project) -> np.ndarray:
             np.multiply(dtheta[:, p], 0.5, out=half)
             # one magnitude m in the column (a NaN fails); comparing the end
             # rows first rules out most other columns without two reductions
-            if (r and abs(half[0, 0]) == abs(half[0, -1])
+            if (r and abs(half[0]) == abs(half[-1])
                     and np.abs(half, out=s).max() == s.min()):
                 # cos is even and sin odd to the bit, so cos(m) and
                 # +-sin(m) are what the per-element calls would give
-                m = s[0, 0]
+                m = s[0]
                 c.fill(np.cos(m))
                 np.copysign(1.0, half, out=s)  # the sign of -0.0 is -1
                 s *= np.sin(m)
@@ -126,8 +121,7 @@ def _evolve(dtheta, chi, offsets, phi, psi0, project) -> np.ndarray:
     np.square(out, out=out)
     if project:
         out[2] += clicks
-    out = out.transpose(1, 2, 0)  # (states, realizations, levels)
-    return out if psi0.ndim == 2 else out[0]
+    return out.T
 
 
 # ---------------------------------------------------------------------------

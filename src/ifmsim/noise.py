@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "ColorSpec",
-    "NoiseTrace",
     "ProtocolTiming",
     "TelegraphSpec",
     "COLOR_ALPHA",
@@ -36,7 +35,6 @@ __all__ = [
     "interval_sample_slices",
     "psd_to_csv",
     "trace_to_csv",
-    "trace_to_segments",
 ]
 
 #: PSD scaling exponents by color name: S(f) proportional to f**(-alpha).
@@ -45,41 +43,6 @@ COLOR_ALPHA = {"purple": -2, "blue": -1, "white": 0, "pink": 1, "brown": 2}
 
 def _rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-
-@dataclass(frozen=True)
-class NoiseTrace:
-    """Uniformly sampled amplitude and phase noise series.
-
-    zeta is the amplitude noise in rad/s, chi the phase noise in radians;
-    sample p covers the time slab [p, p+1) / sample_rate.  Every sample
-    must be finite.
-    """
-
-    sample_rate: float
-    duration: float
-    zeta: np.ndarray
-    chi: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
-        n = int(round(self.sample_rate * self.duration))
-        zeta = np.asarray(self.zeta, dtype=np.float64)
-        chi = np.asarray(self.chi, dtype=np.float64)
-        if zeta.shape != (n,) or chi.shape != (n,):
-            raise ValueError(
-                f"series length must equal round(sample_rate * duration) = {n}, "
-                f"got zeta {zeta.shape}, chi {chi.shape}"
-            )
-        if not (np.all(np.isfinite(zeta)) and np.all(np.isfinite(chi))):
-            raise ValueError("trace samples must be finite")
-        object.__setattr__(self, "zeta", zeta)
-        object.__setattr__(self, "chi", chi)
-
-    @property
-    def n_samples(self) -> int:
-        return self.zeta.size
 
 
 @dataclass(frozen=True)
@@ -356,32 +319,6 @@ def interval_sample_slices(timing: ProtocolTiming, sample_rate: float) -> list[t
         hi = int(math.ceil((start + timing.tau_b) * sample_rate - eps))
         slices.append((lo, hi))
     return slices
-
-
-def trace_to_segments(trace: NoiseTrace, timing: ProtocolTiming
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slice a noise trace into a one-realization segment batch.
-
-    Each trace sample p inside drive interval j becomes one segment with
-    delta_theta = zeta[p] / sample_rate and axis chi[p]; samples inside
-    beam-splitter windows are discarded.  Returns (dtheta, chi, offsets):
-    dtheta and chi of shape (1, segments), and the slot boundaries, as
-    protocols.batch_populations takes them.
-    """
-    if trace.duration < timing.total_duration - 1e-12:
-        raise ValueError(
-            f"trace of duration {trace.duration:g} is shorter than the "
-            f"protocol duration {timing.total_duration:g}"
-        )
-    slices = interval_sample_slices(timing, trace.sample_rate)
-    for j, (lo, hi) in enumerate(slices, start=1):
-        if hi <= lo or hi > trace.n_samples:
-            raise ValueError(f"drive interval {j} contains no trace samples")
-    keep = np.concatenate([np.arange(lo, hi) for lo, hi in slices])
-    offsets = np.zeros(len(slices) + 1, dtype=np.int64)
-    np.cumsum([hi - lo for lo, hi in slices], out=offsets[1:])
-    return (trace.zeta[keep][np.newaxis, :] / trace.sample_rate,
-            trace.chi[keep][np.newaxis, :], offsets)
 
 
 # ---------------------------------------------------------------------------

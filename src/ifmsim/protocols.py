@@ -6,10 +6,8 @@ and axis, and offsets marks the slot boundaries (slot j spans columns
 offsets[j]:offsets[j+1]).  chi=None puts every segment on the amplitude
 axis, chi = -pi/2.  batch_populations checks the initial state, the shape
 of chi and the offsets, then runs the protocol's kernel, which returns the
-final level populations of every realization.  Further initial states
-after the first run in the same kernel sweep over the batch, which
-computes each segment's cos and sin once for all of them, and come back as
-one populations array per state.  A non-finite angle or axis is caught
+final level populations of every realization, all from one initial
+state: one initial state per call.  A non-finite angle or axis is caught
 from the populations, which it turns to NaN, and named by its realization
 and segment.  The marker population signalling a detection is p_e for the
 qubit and p0 for either qutrit protocol.
@@ -63,14 +61,14 @@ def basis_state(dim: int, index: int) -> np.ndarray:
     return psi
 
 
-def _checked_state(protocol: str, levels: int, psi, name: str) -> np.ndarray:
+def _checked_state(protocol: str, levels: int, psi) -> np.ndarray:
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.shape != (levels,):
         raise DimensionMismatchError(
-            f"{protocol} {name} must have shape ({levels},), got {psi.shape}")
+            f"{protocol} initial state must have shape ({levels},), got {psi.shape}")
     norm2 = float(np.sum(np.abs(psi) ** 2))  # np.vdot would load BLAS: +0.3 MB peak RSS
     if not abs(norm2 - 1.0) <= 1e-12:  # NaN fails too
-        raise ValueError(f"{protocol} {name} must have unit norm, got norm^2 {norm2:g}")
+        raise ValueError(f"{protocol} initial state must have unit norm, got norm^2 {norm2:g}")
     return psi
 
 
@@ -86,21 +84,16 @@ def _nonfinite_segment(protocol: str, dtheta, chi) -> str:
             f"has dtheta {dtheta[i, p]:g}, chi {axis}")
 
 
-def batch_populations(protocol: str, dtheta, chi, offsets, psi0, *more_psi0):
+def batch_populations(protocol: str, dtheta, chi, offsets, psi0) -> np.ndarray:
     """(realizations, levels) final populations of a segment batch from psi0.
 
     chi has dtheta's shape, or is None.  None puts every segment on the
     amplitude axis, chi = -pi/2, where every rotation and beam splitter is
-    real: from real initial states the kernel then runs in float64 instead
+    real: from a real initial state the kernel then runs in float64 instead
     of complex128, and agrees with an explicit chi = -pi/2 to 1e-13.
-    Every initial state must have the protocol's level count and unit norm
-    within 1e-12 (a NaN fails); an error names its position, 0 for psi0,
-    when more than one is given.  Further initial states after psi0 share
-    one kernel sweep over the batch: each segment's cos and sin are computed
-    once for all of them.  The call then returns a tuple of (realizations,
-    levels) arrays in the order of the states, each equal bit for bit to
-    what that state alone gives.  The arrays may be views of one buffer in
-    any memory order.
+    psi0 is the one initial state of every realization; it must have the
+    protocol's level count and unit norm within 1e-12 (a NaN fails).  The
+    result may be a view in any memory order.
     A qutrit's offsets must hold at least one slot, start at 0, never
     decrease, and end at the segment count (the qubit has no slots and
     ignores them); the checks never read the segments.  The beam splitters
@@ -112,10 +105,7 @@ def batch_populations(protocol: str, dtheta, chi, offsets, psi0, *more_psi0):
     segment) is named in a ValueError, with no numpy RuntimeWarning before it.
     """
     levels = PROTOCOLS[protocol].levels
-    states = [_checked_state(protocol, levels, psi,
-                             f"initial state {k}" if more_psi0 else "initial state")
-              for k, psi in enumerate((psi0, *more_psi0))]
-    stack = np.stack(states) if more_psi0 else states[0]
+    psi0 = _checked_state(protocol, levels, psi0)
     if chi is not None and np.shape(chi) != np.shape(dtheta):
         raise ValueError(f"chi must be None or have dtheta's shape {np.shape(dtheta)}, "
                          f"got {np.shape(chi)}")
@@ -134,9 +124,9 @@ def batch_populations(protocol: str, dtheta, chi, offsets, psi0, *more_psi0):
     # a non-finite angle or axis turns to NaN inside the kernel; the check
     # below names it, so numpy's RuntimeWarning would only come first
     with np.errstate(invalid="ignore"):
-        out = kernel(dtheta, chi, *slot_args, stack)
+        out = kernel(dtheta, chi, *slot_args, psi0)
     # the populations are >= 0, so their sum is finite exactly when each one
     # is; np.isfinite(out).all() would load more numpy code: +0.1 MB peak RSS
     if not math.isfinite(out.sum()):
         raise ValueError(_nonfinite_segment(protocol, dtheta, chi))
-    return tuple(out) if more_psi0 else out
+    return out

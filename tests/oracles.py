@@ -16,6 +16,10 @@ makes the detectors transparent to drive angles at integer multiples of 4*pi.
 Every function here is a literal matrix product or a closed form; none of
 them shares code with the kernels.
 
+NoiseTrace and trace_to_segments slice a uniformly sampled noise trace into
+one segment per sample: the per-sample reference for the slot-level
+segments that experiments.BinarySampledNoise emits.
+
 The last section holds the counting-statistics cross-checks: slot-resolved
 Poisson pulse trains from the keyed generator that fcs_estimate draws its
 totals from, the generating function with every realization evolved, and
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ifmsim.experiments import GFEstimate, fcs_estimate, moments_from_gf
-from ifmsim.noise import estimate_psd
+from ifmsim.noise import ProtocolTiming, estimate_psd, interval_sample_slices
 from ifmsim.protocols import PROTOCOLS, basis_state, batch_populations
 
 ATOL = 1e-12
@@ -188,6 +192,71 @@ def brute_force_mean(protocol: str, n: int, theta: float, flip_prob: float) -> f
 
 
 # ---------------------------------------------------------------------------
+# sampled noise traces: one segment per trace sample
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class NoiseTrace:
+    """Uniformly sampled amplitude and phase noise series.
+
+    zeta is the amplitude noise in rad/s, chi the phase noise in radians;
+    sample p covers the time slab [p, p+1) / sample_rate.  Every sample
+    must be finite.
+    """
+
+    sample_rate: float
+    duration: float
+    zeta: np.ndarray
+    chi: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.sample_rate <= 0:
+            raise ValueError("sample_rate must be positive")
+        n = int(round(self.sample_rate * self.duration))
+        zeta = np.asarray(self.zeta, dtype=np.float64)
+        chi = np.asarray(self.chi, dtype=np.float64)
+        if zeta.shape != (n,) or chi.shape != (n,):
+            raise ValueError(
+                f"series length must equal round(sample_rate * duration) = {n}, "
+                f"got zeta {zeta.shape}, chi {chi.shape}"
+            )
+        if not (np.all(np.isfinite(zeta)) and np.all(np.isfinite(chi))):
+            raise ValueError("trace samples must be finite")
+        object.__setattr__(self, "zeta", zeta)
+        object.__setattr__(self, "chi", chi)
+
+    @property
+    def n_samples(self) -> int:
+        return self.zeta.size
+
+
+def trace_to_segments(trace: NoiseTrace, timing: ProtocolTiming
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slice a noise trace into a one-realization segment batch, sample by sample.
+
+    Each trace sample p inside drive interval j becomes one segment with
+    delta_theta = zeta[p] / sample_rate and axis chi[p]; samples inside
+    beam-splitter windows are discarded.  Returns (dtheta, chi, offsets):
+    dtheta and chi of shape (1, segments), and the slot boundaries, as
+    protocols.batch_populations takes them.
+    """
+    if trace.duration < timing.total_duration - 1e-12:
+        raise ValueError(
+            f"trace of duration {trace.duration:g} is shorter than the "
+            f"protocol duration {timing.total_duration:g}"
+        )
+    slices = interval_sample_slices(timing, trace.sample_rate)
+    for j, (lo, hi) in enumerate(slices, start=1):
+        if hi <= lo or hi > trace.n_samples:
+            raise ValueError(f"drive interval {j} contains no trace samples")
+    keep = np.concatenate([np.arange(lo, hi) for lo, hi in slices])
+    offsets = np.zeros(len(slices) + 1, dtype=np.int64)
+    np.cumsum([hi - lo for lo, hi in slices], out=offsets[1:])
+    return (trace.zeta[keep][np.newaxis, :] / trace.sample_rate,
+            trace.chi[keep][np.newaxis, :], offsets)
+
+
+# ---------------------------------------------------------------------------
 # counting statistics
 # ---------------------------------------------------------------------------
 
@@ -213,9 +282,9 @@ def fcs_every_row(kappa, theta, total_duration, lambda_values, realizations,
                   master_seed=0) -> GFEstimate:
     """fcs_estimate as it reads with every realization evolved.
 
-    The same keyed Poisson totals, one kernel row per realization at every
-    lambda point, with no distinct-count reduction: fcs_estimate must equal
-    it bit for bit.
+    The same keyed Poisson totals, one kernel row per realization and one
+    kernel call per initial state at every lambda point, with no
+    distinct-count reduction: fcs_estimate must equal it bit for bit.
     """
     lambda_values = np.asarray(lambda_values, dtype=np.float64)
     keyed = np.random.default_rng(np.random.SeedSequence([master_seed, 0]))
@@ -225,9 +294,8 @@ def fcs_every_row(kappa, theta, total_duration, lambda_values, realizations,
     plus = np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0)
     re, im, err = (np.empty(lambda_values.size) for _ in range(3))
     for i, lam in enumerate(lambda_values):
-        pops_g, pops_p = batch_populations("qubit", unit * lam, None, None,
-                                           basis_state(2, 0), plus)
-        pe_g, pe_p = pops_g[:, 1], pops_p[:, 1]
+        pe_g, pe_p = (batch_populations("qubit", unit * lam, None, None, psi0)[:, 1]
+                      for psi0 in (basis_state(2, 0), plus))
         re[i] = 1.0 - 2.0 * pe_g.mean()
         im[i] = 2.0 * pe_p.mean() - 1.0
         err[i] = (2.0 * max(pe_g.std(ddof=1), pe_p.std(ddof=1)) / math.sqrt(realizations)

@@ -21,6 +21,7 @@ from ifmsim.cli import (
     _SCENARIOS,
     _SWEEP_SCHEMA,
     EXIT_CONFIG,
+    EXIT_MISMATCH,
     EXIT_OK,
     ConfigError,
     _read,
@@ -678,13 +679,32 @@ def test_noise_telegraph_defaults_kappa_and_amplitude(tmp_path, capsys):
 
 
 def test_noise_telegraph_runs_at_an_extreme_rate_without_a_numpy_warning(tmp_path):
-    # 3 / (2 kappa) * rate overflows to inf, and lags k / rate would underflow
+    # 3 / (2 kappa) * rate overflows to inf, and lags k / rate would underflow;
+    # the trace never switches, so the run ends undetermined (exit 1), not in error
     out = tmp_path / "tele"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["noise", "--telegraph", "--rate", "1e308", "--kappa", "1e-10",
                      "--samples", "64", "--out", str(out)])
-    assert code == EXIT_OK
+    assert code == EXIT_MISMATCH
+    assert (out / "telegraph_trace.csv").exists()
+    assert (out / "telegraph_psd.csv").exists()
+
+
+@pytest.mark.parametrize("kappa", ["1e-10", "1e308"], ids=["no_switch", "switch_every_sample"])
+def test_noise_telegraph_reports_no_estimate_where_the_fit_sees_no_decay(
+        tmp_path, capsys, kappa):
+    # a flat ACF would read "extracted kappa = -0", and an ACF positive at lag 0
+    # alone "inf": neither is an estimate
+    out = tmp_path / "tele"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["noise", "--telegraph", "--rate", "1e308", "--kappa", kappa,
+                     "--samples", "64", "--out", str(out)])
+    assert code == EXIT_MISMATCH
+    text = capsys.readouterr().out
+    assert "extracted kappa undetermined" in text
+    assert "% off" not in text and "done in" not in text
     assert (out / "telegraph_trace.csv").exists()
     assert (out / "telegraph_psd.csv").exists()
 

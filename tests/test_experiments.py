@@ -18,9 +18,9 @@ from ifmsim.experiments import (
     sweep_kappa_N,
     transparency_anomalies,
 )
-from ifmsim.noise import NoiseTrace, ProtocolTiming, interval_sample_slices, trace_to_segments
+from ifmsim.noise import ProtocolTiming, interval_sample_slices
 from ifmsim.protocols import basis_state, batch_populations
-from oracles import AXIS, brute_force_mean, pifm_pi_train_p0
+from oracles import AXIS, NoiseTrace, brute_force_mean, pifm_pi_train_p0, trace_to_segments
 
 
 def test_zero_amplitude_noise_gives_zero_marker():

@@ -190,4 +190,5 @@ def test_kernel_runs_once_per_lambda_over_the_distinct_counts(monkeypatch):
     fcs_estimate(kappa_t / total, 0.5, total, lambdas, r, master_seed=seed)
     distinct = np.unique(event_counts(seed, 0, kappa_t, r, 1).sum(axis=1)).size
     assert 10 < distinct < r
-    assert shapes == [(distinct, 1)] * lambdas.size
+    # one call per initial state, each over every (lambda, distinct count) row
+    assert shapes == [(lambdas.size * distinct, 1)] * 2

@@ -345,54 +345,6 @@ def test_property_real_path_matches_complex_path(case):
     assert np.max(np.abs(real - complex_)) <= 1e-13
 
 
-# ---------------------------------------------------------------------------
-# several initial states in one sweep over a batch
-# ---------------------------------------------------------------------------
-
-SHARED_SWEEP_STATES = {
-    # real states run in float64 with chi=None; one complex state puts the
-    # whole sweep in complex128
-    "real": {2: ([1.0, 0.0], [0.6, -0.8], [0.8, 0.6]),
-             3: ([1.0, 0.0, 0.0], [0.6, 0.48, -0.64], [0.0, 0.6, 0.8])},
-    "complex": {2: ([1.0, 0.0], [0.6, 0.8j], [0.8, -0.6]),
-                3: ([1.0, 0.0, 0.0], [0.6, 0.48j, -0.64], [0.0, 0.0, 1.0])},
-}
-
-
-@pytest.mark.parametrize("axes", ["amplitude", "random"])
-@pytest.mark.parametrize("kind", sorted(SHARED_SWEEP_STATES))
-@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
-def test_shared_sweep_matches_each_state_alone(protocol, kind, axes):
-    dtheta, chi, offsets = random_batch(11, r=17, slots=4, per_slot=2)
-    chi = None if axes == "amplitude" else chi
-    states = [np.array(psi) for psi in SHARED_SWEEP_STATES[kind][PROTOCOLS[protocol].levels]]
-    shared = batch_populations(protocol, dtheta, chi, offsets, *states)
-    assert isinstance(shared, tuple) and len(shared) == len(states)
-    for psi, out in zip(states, shared):
-        alone = batch_populations(protocol, dtheta, chi, offsets, psi)
-        assert out.shape == alone.shape == (17, PROTOCOLS[protocol].levels)
-        assert np.array_equal(out, alone)
-
-
-def test_kernel_takes_a_stack_of_initial_states():
-    dtheta, chi, offsets = random_batch(12, r=5)
-    stack = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8j]])
-    out = kernels.pifm_populations(dtheta, chi, offsets, np.pi / 6, stack)
-    assert out.shape == (2, 5, 3)
-    for psi, got in zip(stack, out):
-        assert np.array_equal(got, kernels.pifm_populations(dtheta, chi, offsets, np.pi / 6, psi))
-
-
-@pytest.mark.parametrize("bad, message", [
-    (np.ones(4) / 2.0, "initial state 2 must have shape"),
-    (np.array([1.0, 1.0, 0.0]), "initial state 2 must have unit norm"),
-], ids=["wrong_length", "not_unit_norm"])
-def test_extra_initial_state_is_checked_naming_its_position(bad, message):
-    dtheta, chi, offsets = random_batch(13, r=3)
-    with pytest.raises(ValueError, match=message):
-        batch_populations("cifm", dtheta, chi, offsets, basis_state(3, 0), basis_state(3, 1), bad)
-
-
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 def test_dispatch_rejects_a_nan_initial_state(protocol):
     # abs(nan - 1) > tol is False, so the norm check must be written to fail on NaN
@@ -400,9 +352,6 @@ def test_dispatch_rejects_a_nan_initial_state(protocol):
     psi0[0] = np.nan
     with pytest.raises(ValueError, match=f"{protocol} initial state must have unit norm"):
         batch_populations(protocol, [[0.3, 0.2]], None, [0, 1, 2], psi0)
-    with pytest.raises(ValueError, match=f"{protocol} initial state 1 must have unit norm"):
-        batch_populations(protocol, [[0.3, 0.2]], None, [0, 1, 2],
-                          basis_state(PROTOCOLS[protocol].levels, 0), psi0)
 
 
 @pytest.mark.parametrize("protocol, where, value", [
@@ -447,22 +396,12 @@ def test_non_finite_segment_raises_without_a_numpy_warning(protocol, where, valu
                                   basis_state(PROTOCOLS[protocol].levels, 0))
 
 
-@PROPERTY_SETTINGS
-@given(protocol_cases(), st.data())
-def test_property_shared_sweep_matches_each_state_alone(case, data):
-    protocol, batch, psi0 = case
-    levels = PROTOCOLS[protocol].levels
-    more = data.draw(st.lists(states(levels, real=data.draw(st.booleans())), min_size=1,
-                              max_size=3))
-    shared = batch_populations(protocol, *batch, psi0, *more)
-    for psi, out in zip((psi0, *more), shared):
-        assert np.array_equal(out, batch_populations(protocol, *batch, psi))
-
-
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 def test_one_realization_runs_as_its_row_of_the_batch(protocol):
-    # a batch of one takes other numpy loops than a wide batch; on the
-    # complex path its populations must still be bit-identical to its row
+    # a batch of one takes other numpy loops than a wide batch, and numpy
+    # rounds the complex product of a (1,) and a (1, 1) array differently
+    # from the same product in other layouts; on the complex path its
+    # populations must still be bit-identical to its row
     dtheta, chi, offsets = random_batch(15, r=9)
     psi0 = np.array([0.6, 0.8j, 0.0][:PROTOCOLS[protocol].levels])
     psi0 /= np.linalg.norm(psi0)

@@ -4,7 +4,6 @@ from scipy import stats
 
 from ifmsim.noise import (
     ColorSpec,
-    NoiseTrace,
     ProtocolTiming,
     TelegraphSpec,
     estimate_acf,
@@ -16,8 +15,8 @@ from ifmsim.noise import (
     gen_white,
     gen_white_top,
     gen_zero_sum,
-    trace_to_segments,
 )
+from oracles import NoiseTrace, trace_to_segments
 
 
 # ---------------------------------------------------------------------------
