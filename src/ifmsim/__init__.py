@@ -13,12 +13,9 @@ kernel_backend = "numpy"
 
 from .noise import (
     ColorSpec,
-    ProtocolTiming,
-    TelegraphSpec,
     estimate_acf,
     estimate_psd,
     gen_colored,
-    gen_telegraph,
     gen_telegraph_slots,
     gen_white,
     gen_white_top,
@@ -29,14 +26,11 @@ from .protocols import DimensionMismatchError, basis_state, batch_populations
 __all__ = [
     "ColorSpec",
     "DimensionMismatchError",
-    "ProtocolTiming",
-    "TelegraphSpec",
     "basis_state",
     "batch_populations",
     "estimate_acf",
     "estimate_psd",
     "gen_colored",
-    "gen_telegraph",
     "gen_telegraph_slots",
     "gen_white",
     "gen_white_top",

@@ -512,15 +512,14 @@ def cmd_noise(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.telegraph:
-        spec = noise.TelegraphSpec(kappa=kappa, amplitude=amplitude, sample_rate=rate)
-        duration = args.samples / rate
-        series = noise.gen_telegraph(spec, duration, seed)
+        step = 1.0 / rate
+        series = noise.gen_telegraph_slots(kappa, amplitude, args.samples, step, seed)
         trace_path = out_dir / "telegraph_trace.csv"
         noise.trace_to_csv(series, rate, trace_path)
         acf = np.zeros(max_lag + 1)
         n_traces = 200
         for i in range(n_traces):
-            s = noise.gen_telegraph(spec, duration, [seed, i])
+            s = noise.gen_telegraph_slots(kappa, amplitude, args.samples, step, [seed, i])
             acf += noise.estimate_acf(s, max_lag)
         acf /= n_traces
         # fitted on lag indices and scaled by the rate after: lags k / rate

@@ -33,13 +33,11 @@ import numpy as np
 
 from .noise import (
     ColorSpec,
-    ProtocolTiming,
     gen_colored,
     gen_telegraph_slots,
     gen_white,
     gen_white_top,
     gen_zero_sum,
-    interval_sample_slices,
 )
 from .protocols import PROTOCOLS, basis_state, batch_populations
 
@@ -174,10 +172,16 @@ class BinarySlotNoise:
 
 
 def slot_samples(n_slots: int, total_duration: float, sample_rate: float) -> np.ndarray:
-    """Trace samples inside each of n_slots equal drive intervals filling
-    total_duration, with no beam-splitter windows (interval_sample_slices)."""
-    timing = ProtocolTiming(n_slots, total_duration / n_slots)
-    return np.array([hi - lo for lo, hi in interval_sample_slices(timing, sample_rate)])
+    """Trace samples inside each of n_slots equal slots filling total_duration.
+
+    Sample p represents time p / sample_rate, and slot j holds the samples
+    in [j tau, (j + 1) tau) with tau = total_duration / n_slots; a small
+    epsilon guards the float boundary arithmetic.
+    """
+    tau = total_duration / n_slots
+    start = np.arange(n_slots) * tau
+    return (np.ceil((start + tau) * sample_rate - 1e-9)
+            - np.ceil(start * sample_rate - 1e-9)).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -1,38 +1,36 @@
-"""Noise generation, trace slicing, and spectral estimation.
+"""Noise generation, spectral estimation, and CSV export.
 
 All generators are deterministic under a fixed seed: pass either an integer
-seed or a numpy Generator.  The white, zero-sum, slot-telegraph and colored
+seed or a numpy Generator.  The white, zero-sum, telegraph and colored
 generators also take a batch shape (rows, n) in place of a count n, with
 time on the last axis, and fill the rows in order.  gen_white and
 gen_white_top draw one clipped-Gaussian law, centered at the midpoint and
-at the top of the range.  Amplitude series are in rad/s (the instantaneous
-drive strength), phase series in radians.  estimate_psd is an unwindowed
-averaged periodogram, and trace_to_csv writes one uniformly sampled series.
+at the top of the range.  gen_telegraph_slots is the one telegraph
+generator: the sweeps hold its value over a slot, and the noise command
+reads it as a trace with one sample per slot.  Amplitude series are in
+rad/s (the instantaneous drive strength), phase series in radians.
+estimate_psd is an unwindowed averaged periodogram, and trace_to_csv writes
+one uniformly sampled series.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ColorSpec",
-    "ProtocolTiming",
-    "TelegraphSpec",
     "COLOR_ALPHA",
     "estimate_acf",
     "estimate_psd",
     "fit_psd_slope",
     "gen_colored",
-    "gen_telegraph",
     "gen_telegraph_slots",
     "gen_white",
     "gen_white_top",
     "gen_zero_sum",
-    "interval_sample_slices",
     "psd_to_csv",
     "trace_to_csv",
 ]
@@ -43,54 +41,6 @@ COLOR_ALPHA = {"purple": -2, "blue": -1, "white": 0, "pink": 1, "brown": 2}
 
 def _rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-
-@dataclass(frozen=True)
-class ProtocolTiming:
-    """Slot layout of one protocol run: n_slots drive intervals of tau_b,
-    separated (and flanked) by beam-splitter windows of tau_bs."""
-
-    n_slots: int
-    tau_b: float
-    tau_bs: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.n_slots < 1:
-            raise ValueError("n_slots must be >= 1")
-        if self.tau_b <= 0:
-            raise ValueError("tau_b must be positive")
-        if self.tau_bs < 0:
-            raise ValueError("tau_bs must be >= 0")
-        if self.tau_bs > self.tau_b / 5.0:
-            warnings.warn(
-                f"tau_bs = {self.tau_bs:g} is not small against tau_b = {self.tau_b:g}; "
-                "the instantaneous beam-splitter approximation degrades",
-                stacklevel=2,
-            )
-
-    @property
-    def total_duration(self) -> float:
-        """Full sequence duration (n_slots + 1) * (tau_b + tau_bs)."""
-        return (self.n_slots + 1) * (self.tau_b + self.tau_bs)
-
-    def slot_start(self, j: int) -> float:
-        """Start time of drive interval j (1-based)."""
-        return j * self.tau_bs + (j - 1) * self.tau_b
-
-
-@dataclass(frozen=True)
-class TelegraphSpec:
-    """Two-level switching noise: value +-amplitude, Poisson switch rate kappa."""
-
-    kappa: float
-    amplitude: float
-    sample_rate: float
-
-    def __post_init__(self) -> None:
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
 
 
 @dataclass(frozen=True)
@@ -169,33 +119,15 @@ def gen_zero_sum(theta_max: float, count, seed) -> np.ndarray:
     return shuffle_rng.permuted(values, axis=-1)
 
 
-def gen_telegraph(spec: TelegraphSpec, duration: float, seed) -> np.ndarray:
-    """Sampled random telegraph series: +-amplitude, Poisson switching.
-
-    Switch times are a rate-kappa Poisson process in continuous time; the
-    value is sampled onto the uniform grid t_p = p / sample_rate.  The
-    initial sign is equiprobable.
-    """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    rng = _rng(seed)
-    n = int(round(spec.sample_rate * duration))
-    n_switches = rng.poisson(spec.kappa * duration)
-    # given the count, Poisson event times are uniform order statistics
-    times = np.sort(rng.uniform(0.0, duration, n_switches))
-    tgrid = np.arange(n) / spec.sample_rate
-    parity = np.searchsorted(times, tgrid, side="right") % 2
-    s0 = 1.0 if rng.random() < 0.5 else -1.0
-    return s0 * spec.amplitude * (1.0 - 2.0 * parity)
-
-
 def gen_telegraph_slots(kappa: float, amplitude: float, n_slots,
                         slot_duration: float, seed) -> np.ndarray:
     """Telegraph values held constant within each slot (one sample per slot).
 
-    Equivalent to sampling the continuous-time process at the slot starts:
-    consecutive slots flip sign with probability (1 - exp(-2 kappa tau)) / 2,
-    the chance of an odd number of switches within one slot duration.
+    This is the continuous-time process of value +-amplitude and Poisson
+    switch rate kappa, sampled every slot_duration, exactly: a Poisson
+    process has independent increments, so consecutive samples flip sign
+    independently with probability (1 - exp(-2 kappa tau)) / 2, the chance
+    of an odd number of switches within one slot duration tau.
     n_slots is n or a batch shape (rows, n).  One uniform block of that
     shape is drawn: column 0 sets the equiprobable initial sign and the
     other columns the flips, so a 1-D call equals row 0 of a (1, n) call.
@@ -206,7 +138,8 @@ def gen_telegraph_slots(kappa: float, amplitude: float, n_slots,
     if min(shape) < 1:
         raise ValueError("n_slots must be >= 1")
     u = _rng(seed).random(shape)
-    q = 0.5 * (1.0 - math.exp(-2.0 * kappa * slot_duration))
+    # kappa * slot_duration first: -2 kappa alone overflows at kappa near 1e308
+    q = 0.5 * (1.0 - math.exp(-2.0 * (kappa * slot_duration)))
     steps = np.where(u < q, -1.0, 1.0)
     steps[..., 0] = np.where(u[..., 0] < 0.5, 1.0, -1.0)
     return amplitude * np.cumprod(steps, axis=-1)
@@ -270,7 +203,7 @@ def estimate_psd(series: np.ndarray, sample_rate: float,
             f"series of length {x.size} cannot be split into {segment_count} equal segments"
         )
     n_seg = x.size // segment_count
-    scale = 1.0 / (sample_rate * n_seg)
+    scale = 1.0 / sample_rate / n_seg  # the product sample_rate * n_seg can overflow
     acc = np.zeros(n_seg)
     for i in range(segment_count):
         acc += np.abs(np.fft.fft(x[i * n_seg:(i + 1) * n_seg])) ** 2
@@ -298,27 +231,6 @@ def fit_psd_slope(freqs: np.ndarray, psd: np.ndarray) -> float:
         raise ValueError("central decade holds too few bins for a slope fit")
     slope, _ = np.polyfit(logf[sel], 10.0 * np.log10(p[sel]), 1)
     return float(slope)
-
-
-# ---------------------------------------------------------------------------
-# trace slicing
-# ---------------------------------------------------------------------------
-
-def interval_sample_slices(timing: ProtocolTiming, sample_rate: float) -> list[tuple[int, int]]:
-    """Index ranges [lo, hi) of the trace samples inside each drive interval.
-
-    Sample p represents time p / sample_rate.  Samples falling inside
-    beam-splitter windows are excluded; a small epsilon guards the float
-    boundary arithmetic.
-    """
-    eps = 1e-9
-    slices = []
-    for j in range(1, timing.n_slots + 1):
-        start = timing.slot_start(j)
-        lo = int(math.ceil(start * sample_rate - eps))
-        hi = int(math.ceil((start + timing.tau_b) * sample_rate - eps))
-        slices.append((lo, hi))
-    return slices
 
 
 # ---------------------------------------------------------------------------

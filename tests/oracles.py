@@ -18,7 +18,13 @@ them shares code with the kernels.
 
 NoiseTrace and trace_to_segments slice a uniformly sampled noise trace into
 one segment per sample: the per-sample reference for the slot-level
-segments that experiments.BinarySampledNoise emits.
+segments that experiments.BinarySampledNoise emits.  slot_slices is the
+scalar per-slot loop that experiments.slot_samples counts in one
+expression.
+
+telegraph_periodogram is the exact expected periodogram of the sampled
+telegraph chain, and family_wise_k the standard-error multiple that holds
+a family of such checks to one stated false-alarm rate.
 
 The last section holds the counting-statistics cross-checks: slot-resolved
 Poisson pulse trains from the keyed generator that fcs_estimate draws its
@@ -33,9 +39,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import stats
 
 from ifmsim.experiments import GFEstimate, fcs_estimate, moments_from_gf
-from ifmsim.noise import ProtocolTiming, estimate_psd, interval_sample_slices
+from ifmsim.noise import estimate_psd
 from ifmsim.protocols import PROTOCOLS, basis_state, batch_populations
 
 ATOL = 1e-12
@@ -230,30 +237,75 @@ class NoiseTrace:
         return self.zeta.size
 
 
-def trace_to_segments(trace: NoiseTrace, timing: ProtocolTiming
+def slot_slices(n_slots: int, total_duration: float, sample_rate: float
+                ) -> list[tuple[int, int]]:
+    """Index ranges [lo, hi) of the trace samples inside each of n_slots
+    equal slots filling total_duration, one slot at a time.
+
+    Sample p represents time p / sample_rate; a small epsilon guards the
+    float boundary arithmetic.
+    """
+    eps = 1e-9
+    tau = total_duration / n_slots
+    slices = []
+    for j in range(n_slots):
+        start = j * tau
+        slices.append((math.ceil(start * sample_rate - eps),
+                       math.ceil((start + tau) * sample_rate - eps)))
+    return slices
+
+
+def trace_to_segments(trace: NoiseTrace, n_slots: int, total_duration: float
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Slice a noise trace into a one-realization segment batch, sample by sample.
 
-    Each trace sample p inside drive interval j becomes one segment with
-    delta_theta = zeta[p] / sample_rate and axis chi[p]; samples inside
-    beam-splitter windows are discarded.  Returns (dtheta, chi, offsets):
-    dtheta and chi of shape (1, segments), and the slot boundaries, as
+    Each trace sample p inside slot j of n_slots equal slots filling
+    total_duration becomes one segment with delta_theta = zeta[p] /
+    sample_rate and axis chi[p].  Returns (dtheta, chi, offsets): dtheta
+    and chi of shape (1, segments), and the slot boundaries, as
     protocols.batch_populations takes them.
     """
-    if trace.duration < timing.total_duration - 1e-12:
+    if trace.duration < total_duration - 1e-12:
         raise ValueError(
             f"trace of duration {trace.duration:g} is shorter than the "
-            f"protocol duration {timing.total_duration:g}"
+            f"protocol duration {total_duration:g}"
         )
-    slices = interval_sample_slices(timing, trace.sample_rate)
+    slices = slot_slices(n_slots, total_duration, trace.sample_rate)
     for j, (lo, hi) in enumerate(slices, start=1):
         if hi <= lo or hi > trace.n_samples:
-            raise ValueError(f"drive interval {j} contains no trace samples")
+            raise ValueError(f"slot {j} contains no trace samples")
     keep = np.concatenate([np.arange(lo, hi) for lo, hi in slices])
     offsets = np.zeros(len(slices) + 1, dtype=np.int64)
     np.cumsum([hi - lo for lo, hi in slices], out=offsets[1:])
     return (trace.zeta[keep][np.newaxis, :] / trace.sample_rate,
             trace.chi[keep][np.newaxis, :], offsets)
+
+
+# ---------------------------------------------------------------------------
+# telegraph laws and statistical bounds
+# ---------------------------------------------------------------------------
+
+def telegraph_periodogram(kappa: float, sample_rate: float, n: int) -> np.ndarray:
+    """Exact expected periodogram of n samples of unit telegraph noise.
+
+    The sampled chain is stationary with correlation rho^|k| between
+    samples k apart, rho = exp(-2 kappa / sample_rate), so bin j of
+    estimate_psd (one segment) has the mean
+
+        (n + 2 sum_{k=1}^{n-1} (n - k) rho^k cos(2 pi j k / n)) / (sample_rate n).
+
+    Returned in estimate_psd's order, negative to positive frequencies.
+    """
+    k = np.arange(1, n)
+    weights = np.concatenate(([0.0], (n - k) * np.exp(-2.0 * kappa / sample_rate * k)))
+    cosine_sums = np.fft.fft(weights).real
+    return np.fft.fftshift((n + 2.0 * cosine_sums) / (sample_rate * n))
+
+
+def family_wise_k(alpha: float, m: int) -> float:
+    """Standard-error multiple k that holds m two-sided checks |z| <= k to a
+    family-wise false-alarm rate of at most alpha (Bonferroni)."""
+    return float(stats.norm.isf(alpha / (2 * m)))
 
 
 # ---------------------------------------------------------------------------

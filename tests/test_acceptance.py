@@ -29,12 +29,11 @@ from ifmsim.experiments import (
 )
 from ifmsim.noise import (
     ColorSpec,
-    TelegraphSpec,
     estimate_acf,
     estimate_psd,
     fit_psd_slope,
     gen_colored,
-    gen_telegraph,
+    gen_telegraph_slots,
 )
 from ifmsim.protocols import basis_state, batch_populations
 from oracles import (
@@ -172,26 +171,25 @@ def test_a5_transparency_anomaly_grid():
 def test_a6_telegraph_acf_and_psd():
     kappa = 1e5
     rate = 2e6
-    duration = 100e-6
-    spec = TelegraphSpec(kappa=kappa, amplitude=1.0, sample_rate=rate)
+    n_acf = int(round(100e-6 * rate))
     max_lag = int(3.0 / (2.0 * kappa) * rate)
     acc = np.zeros(max_lag + 1)
     n_traces = 8000  # the reference decays to e^-3 at the last lag, so the
     # 5 percent band needs a few thousand traces of statistics
     for i in range(n_traces):
-        acc += estimate_acf(gen_telegraph(spec, duration, [SEED, 0, i]), max_lag)
+        acc += estimate_acf(gen_telegraph_slots(kappa, 1.0, n_acf, 1.0 / rate, [SEED, 0, i]),
+                            max_lag)
     acf = acc / n_traces
     lags = np.arange(max_lag + 1) / rate
     acf_rel = float(np.max(np.abs(acf - np.exp(-2 * kappa * lags)) / np.exp(-2 * kappa * lags)))
 
     rate_psd = 2e7
     n = 4096
-    spec_psd = TelegraphSpec(kappa=kappa, amplitude=1.0, sample_rate=rate_psd)
     psd_acc = None
     n_psd_traces = 3000
     for i in range(n_psd_traces):
-        freqs, psd = estimate_psd(gen_telegraph(spec_psd, n / rate_psd, [SEED, 1, i]),
-                                  rate_psd, segment_count=2)
+        trace = gen_telegraph_slots(kappa, 1.0, n, 1.0 / rate_psd, [SEED, 1, i])
+        freqs, psd = estimate_psd(trace, rate_psd, segment_count=2)
         psd_acc = psd if psd_acc is None else psd_acc + psd
     psd_mean = psd_acc / n_psd_traces
     lorentz = kappa / (kappa**2 + np.pi**2 * freqs**2)

@@ -33,6 +33,7 @@ from ifmsim.cli import (
     parse_int_list,
 )
 from ifmsim.experiments import RNG_SCHEME, BinarySlotNoise, ensemble_markers, sweep_kappa_N
+from ifmsim.noise import gen_telegraph_slots
 
 SMALL_SWEEP = """
 [run]
@@ -707,6 +708,35 @@ def test_noise_telegraph_reports_no_estimate_where_the_fit_sees_no_decay(
     assert "% off" not in text and "done in" not in text
     assert (out / "telegraph_trace.csv").exists()
     assert (out / "telegraph_psd.csv").exists()
+
+
+def test_noise_telegraph_trace_is_the_slot_generator_at_its_seed(tmp_path):
+    # one sample per slot of 1 / rate, bit for bit, after the CSV round trip
+    out = tmp_path / "tele"
+    assert main(["noise", "--telegraph", "--kappa", "3e5", "--amplitude", "0.7",
+                 "--samples", "500", "--rate", "1e7", "--seed", "11", "--out", str(out)]) == EXIT_OK
+    trace = np.loadtxt(out / "telegraph_trace.csv", delimiter=",", skiprows=1)
+    expected = gen_telegraph_slots(3e5, 0.7, 500, 1.0 / 1e7, 11)
+    assert trace[:, 1].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("argv, name", [(["--color", "white"], "white"),
+                                        (["--telegraph", "--kappa", "1e-10"], "telegraph")],
+                         ids=["white", "telegraph"])
+def test_noise_psd_keeps_its_bins_at_an_extreme_rate(tmp_path, capsys, argv, name):
+    # a PSD scale of 1 / (rate * n) overflows to zero at 1e308/s and empties
+    # the spectrum; scaled as 1 / rate / n, every bin with power stays
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        main(["noise", *argv, "--rate", "1e308", "--samples", "64", "--out", str(out)])
+    psd = np.loadtxt(out / f"{name}_psd.csv", delimiter=",", skiprows=1, ndmin=2)
+    if name == "white":
+        assert psd.shape[0] == 63  # every bin but the zeroed DC bin
+        slope = float(capsys.readouterr().out.split("slope")[1].split("dB")[0])
+        assert math.isfinite(slope)
+    else:
+        assert psd[:, 0].tolist() == [0.0]  # a trace that never switches: DC alone
 
 
 def test_importing_the_cli_loads_every_module_of_the_package():

@@ -18,9 +18,15 @@ from ifmsim.experiments import (
     sweep_kappa_N,
     transparency_anomalies,
 )
-from ifmsim.noise import ProtocolTiming, interval_sample_slices
 from ifmsim.protocols import basis_state, batch_populations
-from oracles import AXIS, NoiseTrace, brute_force_mean, pifm_pi_train_p0, trace_to_segments
+from oracles import (
+    AXIS,
+    NoiseTrace,
+    brute_force_mean,
+    pifm_pi_train_p0,
+    slot_slices,
+    trace_to_segments,
+)
 
 
 def test_zero_amplitude_noise_gives_zero_marker():
@@ -220,15 +226,14 @@ def test_engine_rows_match_trace_slicing_pipeline():
     dtheta, chi = scenario.sample(n, 1, rng)
     offsets = np.arange(n + 1)  # one segment per slot
 
-    timing = ProtocolTiming(n, total / n, 0.0)
-    count = int(round(rate * timing.total_duration))
+    count = int(round(rate * total))
     # expand each slot-level segment to its per-sample steps of +-delta_theta;
     # the trace's own slicing fixes how many steps each slot gets
     zeta = np.zeros(count)
-    for angle, (lo, hi) in zip(dtheta[0], interval_sample_slices(timing, rate)):
+    for angle, (lo, hi) in zip(dtheta[0], slot_slices(n, total, rate)):
         zeta[lo:hi] = np.sign(angle) * scenario.delta_theta * rate  # step = zeta / rate
     chi_full = np.full(count, AXIS)
-    segments = trace_to_segments(NoiseTrace(rate, timing.total_duration, zeta, chi_full), timing)
+    segments = trace_to_segments(NoiseTrace(rate, total, zeta, chi_full), n, total)
 
     direct = batch_populations("cifm", dtheta, chi, offsets, basis_state(3, 0))[0, 0]
     via_trace = batch_populations("cifm", *segments, basis_state(3, 0))[0, 0]
@@ -245,8 +250,7 @@ def test_slot_level_binary_noise_matches_per_sample_expansion(n):
     )
     dtheta, chi = scenario.sample(n, 6, np.random.default_rng([8, 1]))
     # per-sample steps counted by the trace slicing, not by slot_samples
-    slices = interval_sample_slices(ProtocolTiming(n, total / n, 0.0), rate)
-    samples = np.array([hi - lo for lo, hi in slices])
+    samples = np.array([hi - lo for lo, hi in slot_slices(n, total, rate)])
     steps = np.repeat(np.sign(dtheta) * delta, samples, axis=1)
     edges = np.concatenate(([0], np.cumsum(samples)))
     for protocol in ("cifm", "pifm"):
@@ -256,6 +260,18 @@ def test_slot_level_binary_noise_matches_per_sample_expansion(n):
         assert np.max(np.abs(slot_level - per_sample)) <= 1e-12
         if n == 5:
             assert np.max(slot_level[:, 0]) < 1e-12  # the detector is blind to the noise
+
+
+@pytest.mark.parametrize("total", [1e-5, 3e-6, 7.3e-7, 1.0, 2.5e-3])
+@pytest.mark.parametrize("rate", [1e9, 1e6, 3.3e7, 5e6, 1.7e8, 1e3])
+def test_slot_samples_equal_the_per_slot_loop(total, rate):
+    # the one-expression count against the scalar loop, slot by slot, for
+    # every slot count up to 400; 1e-5 s at 1e9/s is the kappa sweep's default
+    for n in range(1, 401):
+        loop = [hi - lo for lo, hi in slot_slices(n, total, rate)]
+        counted = experiments.slot_samples(n, total, rate)
+        assert counted.dtype == np.int64
+        assert counted.tolist() == loop, n
 
 
 def test_sweep_config_validation():

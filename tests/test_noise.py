@@ -4,19 +4,16 @@ from scipy import stats
 
 from ifmsim.noise import (
     ColorSpec,
-    ProtocolTiming,
-    TelegraphSpec,
     estimate_acf,
     estimate_psd,
     fit_psd_slope,
     gen_colored,
-    gen_telegraph,
     gen_telegraph_slots,
     gen_white,
     gen_white_top,
     gen_zero_sum,
 )
-from oracles import NoiseTrace, trace_to_segments
+from oracles import NoiseTrace, family_wise_k, telegraph_periodogram, trace_to_segments
 
 
 # ---------------------------------------------------------------------------
@@ -43,12 +40,10 @@ def test_white_sample_mean():
 
 
 def test_all_generators_bit_reproducible():
-    spec = TelegraphSpec(kappa=1e4, amplitude=0.5, sample_rate=1e6)
     pairs = [
         (gen_white(-1.0, 1.0, 256, 9), gen_white(-1.0, 1.0, 256, 9)),
         (gen_white_top(0.0, 2.0, 256, 9), gen_white_top(0.0, 2.0, 256, 9)),
         (gen_zero_sum(np.pi, 33, 9), gen_zero_sum(np.pi, 33, 9)),
-        (gen_telegraph(spec, 1e-3, 9), gen_telegraph(spec, 1e-3, 9)),
         (gen_telegraph_slots(1e4, 1.0, 64, 1e-5, 9), gen_telegraph_slots(1e4, 1.0, 64, 1e-5, 9)),
         (gen_colored(ColorSpec(2), 256, 9), gen_colored(ColorSpec(2), 256, 9)),
     ]
@@ -108,36 +103,43 @@ def test_zero_sum_magnitudes_follow_amplitude_law():
 # ---------------------------------------------------------------------------
 
 def test_telegraph_constant_at_tiny_rate():
-    spec = TelegraphSpec(kappa=1e-12, amplitude=1.0, sample_rate=1e4)
-    x = gen_telegraph(spec, 1.0, 9)
+    x = gen_telegraph_slots(1e-12, 1.0, 10_000, 1e-4, 9)
     assert np.all(x == x[0])
     assert abs(x[0]) == 1.0
 
 
 def test_telegraph_switch_count_matches_rate():
     kappa, duration = 200.0, 1.0
-    spec = TelegraphSpec(kappa=kappa, amplitude=1.0, sample_rate=100 * kappa)
+    rate = 100 * kappa
+    n = int(round(rate * duration))
     counts = []
     for i in range(1000):
-        x = gen_telegraph(spec, duration, [77, i])
+        x = gen_telegraph_slots(kappa, 1.0, n, 1.0 / rate, [77, i])
         counts.append(int(np.sum(x[1:] != x[:-1])))
     mean = np.mean(counts)
     assert abs(mean - kappa * duration) < 3 * np.sqrt(kappa * duration)
 
 
 def test_telegraph_switch_counts_are_poisson():
+    # Poisson switches seen on a grid of step 1 / rate: a step shows a sign
+    # change when it holds an odd number of switches, probability q, so the
+    # count is Binomial(n - 1, q), which tends to Poisson(kappa T) as the
+    # step shrinks.  At 200 samples per switch time its mean is 49.75, not
+    # 50, which 10,000 traces resolve; so the check takes the exact law
     kappa, duration = 50.0, 1.0
-    spec = TelegraphSpec(kappa=kappa, amplitude=1.0, sample_rate=200 * kappa)
+    rate = 200 * kappa
+    n = int(round(rate * duration))
+    q = 0.5 * (1.0 - np.exp(-2.0 * kappa / rate))
     counts = np.array([
-        int(np.sum((x := gen_telegraph(spec, duration, [123, i]))[1:] != x[:-1]))
+        int(np.sum((x := gen_telegraph_slots(kappa, 1.0, n, 1.0 / rate, [123, i]))[1:] != x[:-1]))
         for i in range(10_000)
     ])
-    mu = kappa * duration
-    kmax = int(stats.poisson.ppf(0.999, mu))
+    law = stats.binom(n - 1, q)
+    kmax = int(law.ppf(0.999))
     edges = np.arange(0, kmax + 2)
     observed, _ = np.histogram(counts, bins=np.append(edges, np.inf))
-    expected = stats.poisson.pmf(edges, mu) * counts.size
-    expected[-1] += (1.0 - stats.poisson.cdf(kmax + 1, mu)) * counts.size
+    expected = law.pmf(edges) * counts.size
+    expected[-1] += law.sf(kmax + 1) * counts.size
     keep = expected > 5
     chi2 = np.sum((observed[keep] - expected[keep]) ** 2 / expected[keep])
     p = stats.chi2.sf(chi2, keep.sum() - 1)
@@ -145,40 +147,58 @@ def test_telegraph_switch_counts_are_poisson():
 
 
 def test_telegraph_acf_is_exponential():
+    # every lag within k standard errors of e^(-2 kappa lag), with k set by
+    # a family-wise false-alarm rate of 1e-3 over the lags beyond 0 and the
+    # standard errors taken from the traces' own spread
     kappa = 1e5
     rate = 2e6
-    duration = 100e-6
-    spec = TelegraphSpec(kappa=kappa, amplitude=1.0, sample_rate=rate)
+    n = int(round(100e-6 * rate))
     max_lag = int(3.0 / (2.0 * kappa) * rate)
-    acc = np.zeros(max_lag + 1)
     n_traces = 4000
-    for i in range(n_traces):
-        acc += estimate_acf(gen_telegraph(spec, duration, [31, i]), max_lag)
-    acf = acc / n_traces
-    lags = np.arange(max_lag + 1) / rate
-    expected = np.exp(-2.0 * kappa * lags)
-    rel = np.abs(acf - expected) / expected
-    assert rel.max() < 0.05
+    acfs = np.array([estimate_acf(gen_telegraph_slots(kappa, 1.0, n, 1.0 / rate, [31, i]),
+                                  max_lag) for i in range(n_traces)])
+    acf = acfs.mean(axis=0)
+    se = acfs.std(axis=0, ddof=1) / np.sqrt(n_traces)
+    expected = np.exp(-2.0 * kappa * np.arange(max_lag + 1) / rate)
+    assert acf[0] == 1.0
+    z = np.abs(acf[1:] - expected[1:]) / se[1:]
+    assert z.max() <= family_wise_k(1e-3, max_lag)
 
 
 def test_telegraph_psd_is_lorentzian():
+    # every bin of the band |f| < 5 kappa within k standard errors of the
+    # chain's exact expected periodogram, which is the sampled Lorentzian
+    # kappa / (kappa^2 + pi^2 f^2); k is set by a family-wise false-alarm
+    # rate of 1e-3 over the band's bins
     kappa = 1e5
-    # the sample rate must sit far above the fit band (f < 5 kappa) or the
-    # discretely sampled chain's spectrum bends away from the Lorentzian
     rate = 2e7
     n = 4096
-    duration = n / rate
-    spec = TelegraphSpec(kappa=kappa, amplitude=1.0, sample_rate=rate)
-    acc = None
+    expected = telegraph_periodogram(kappa, rate, n)
     n_traces = 1500
+    rows = []
     for i in range(n_traces):
-        freqs, psd = estimate_psd(gen_telegraph(spec, duration, [57, i]), rate)
-        acc = psd if acc is None else acc + psd
-    psd_mean = acc / n_traces
-    lorentz = kappa / (kappa**2 + np.pi**2 * freqs**2)
-    band = (np.abs(freqs) < 5 * kappa) & (np.abs(freqs) > 0)
-    rel = np.abs(psd_mean[band] - lorentz[band]) / lorentz[band]
-    assert rel.max() < 0.10
+        freqs, psd = estimate_psd(gen_telegraph_slots(kappa, 1.0, n, 1.0 / rate, [57, i]), rate)
+        band = (np.abs(freqs) < 5 * kappa) & (np.abs(freqs) > 0)
+        rows.append(psd[band])
+    rows = np.array(rows)
+    se = rows.std(axis=0, ddof=1) / np.sqrt(n_traces)
+    z = np.abs(rows.mean(axis=0) - expected[band]) / se
+    assert z.max() <= family_wise_k(1e-3, int(band.sum()))
+    # the grid's aliasing and the finite record move the exact law up to
+    # 2.6 percent off the continuous-time Lorentzian across the band
+    lorentz = kappa / (kappa**2 + np.pi**2 * freqs[band] ** 2)
+    assert np.max(np.abs(expected[band] / lorentz - 1.0)) < 0.03
+
+
+@pytest.mark.parametrize("n, kappa, rate", [(16, 3.0, 10.0), (33, 0.5, 2.0)])
+def test_telegraph_periodogram_is_the_dense_double_sum(n, kappa, rate):
+    # E|X_j|^2 = sum_t sum_s rho^|t - s| e^(-2 pi i j (t - s) / n), term by term
+    t = np.arange(n)
+    cov = np.exp(-2.0 * kappa / rate) ** np.abs(t[:, None] - t[None, :])
+    dft = np.exp(-2j * np.pi * np.outer(t, t) / n)
+    dense = np.einsum("jt,ts,js->j", dft, cov, dft.conj()).real / (rate * n)
+    assert np.allclose(telegraph_periodogram(kappa, rate, n), np.fft.fftshift(dense),
+                       rtol=1e-12, atol=0.0)
 
 
 def test_telegraph_slots_1d_call_is_row_0_of_batch():
@@ -203,6 +223,14 @@ def test_telegraph_slots_markov_flip_probability():
         s = gen_telegraph_slots(kappa, 1.0, 50, tau, [13, i])
         flips.append(np.mean(s[1:] != s[:-1]))
     assert abs(np.mean(flips) - q) < 5 * np.sqrt(q * (1 - q) / (2000 * 49))
+
+
+def test_telegraph_slots_flip_probability_at_an_extreme_rate():
+    # kappa * tau = 1 with kappa = 1e308: -2 kappa alone would overflow to
+    # -inf and make every step a fair coin
+    s = gen_telegraph_slots(1e308, 1.0, (2000, 50), 1e-308, 3)
+    q = 0.5 * (1.0 - np.exp(-2.0))
+    assert abs(np.mean(s[:, 1:] != s[:, :-1]) - q) < 5 * np.sqrt(q * (1 - q) / (2000 * 49))
 
 
 # ---------------------------------------------------------------------------
@@ -301,25 +329,24 @@ def test_psd_rejects_bad_segmentation():
 # ---------------------------------------------------------------------------
 
 def test_schedule_constant_noise_collapses_to_single_angle():
-    rate, tau_b, tau_bs, n = 5e6, 2e-7, 2e-8, 10
-    timing = ProtocolTiming(n, tau_b, tau_bs)
-    count = int(round(rate * timing.total_duration))
+    rate, tau_b, n = 5e6, 2e-7, 10
+    total = n * tau_b
+    count = int(round(rate * total))
     zeta = np.full(count, 1.2e6)  # rad/s
     chi = np.full(count, 0.4)
-    dtheta, _, offsets = trace_to_segments(NoiseTrace(rate, timing.total_duration, zeta, chi),
-                                           timing)
+    dtheta, _, offsets = trace_to_segments(NoiseTrace(rate, total, zeta, chi), n, total)
     assert offsets.size == n + 1
     slot_angles = np.add.reduceat(dtheta[0], offsets[:-1])
     assert np.max(np.abs(slot_angles - 1.2e6 * tau_b)) < 1e-9
 
 
 def test_schedule_one_sample_per_slot_regime():
-    rate, tau_b, tau_bs, n = 5e6, 2e-7, 2e-8, 25
-    timing = ProtocolTiming(n, tau_b, tau_bs)
-    count = int(round(rate * timing.total_duration))
+    rate, tau_b, n = 5e6, 2e-7, 25
+    total = n * tau_b
+    count = int(round(rate * total))
     rng = np.random.default_rng(2)
-    trace = NoiseTrace(rate, timing.total_duration, rng.normal(size=count), rng.normal(size=count))
-    _, _, offsets = trace_to_segments(trace, timing)
+    trace = NoiseTrace(rate, total, rng.normal(size=count), rng.normal(size=count))
+    _, _, offsets = trace_to_segments(trace, n, total)
     assert np.array_equal(offsets, np.arange(n + 1))
 
 
@@ -327,53 +354,37 @@ def test_schedule_fast_sampling_regime():
     # 1e9 samples/s, 10 us over 40 slots: 250 samples per drive interval
     n = 40
     total = 1e-5
-    timing = ProtocolTiming(n, total / n, 0.0)
     rate = 1e9
-    count = int(round(rate * timing.total_duration))
-    trace = NoiseTrace(rate, timing.total_duration, np.zeros(count), np.zeros(count))
-    _, _, offsets = trace_to_segments(trace, timing)
+    count = int(round(rate * total))
+    trace = NoiseTrace(rate, total, np.zeros(count), np.zeros(count))
+    _, _, offsets = trace_to_segments(trace, n, total)
     assert np.array_equal(offsets, np.arange(n + 1) * 250)
-
-
-def test_schedule_discards_beam_splitter_samples():
-    rate, tau_b, tau_bs, n = 1e8, 2e-7, 2e-8, 4
-    timing = ProtocolTiming(n, tau_b, tau_bs)
-    count = int(round(rate * timing.total_duration))
-    trace = NoiseTrace(rate, timing.total_duration, np.ones(count), np.zeros(count))
-    dtheta, chi, offsets = trace_to_segments(trace, timing)
-    # 20 samples per interval survive out of 22 per (bs + drive) block
-    assert dtheta.shape == chi.shape == (1, n * 20)
-    assert np.array_equal(offsets, np.arange(n + 1) * 20)
 
 
 def test_schedule_preserves_segment_values():
     rate, tau_b, n = 1e7, 2e-7, 6
-    timing = ProtocolTiming(n, tau_b, 0.0)
-    count = int(round(rate * timing.total_duration))
+    total = n * tau_b
+    count = int(round(rate * total))
     rng = np.random.default_rng(8)
     zeta = rng.normal(size=count)
     chi = rng.normal(size=count)
-    dtheta, chis, offsets = trace_to_segments(NoiseTrace(rate, timing.total_duration, zeta, chi),
-                                              timing)
+    dtheta, chis, offsets = trace_to_segments(NoiseTrace(rate, total, zeta, chi), n, total)
     assert offsets[-1] == n * 2
     assert np.allclose(dtheta, zeta[: n * 2] / rate)
     assert np.allclose(chis, chi[: n * 2])
 
 
 def test_schedule_rejects_short_trace():
-    timing = ProtocolTiming(10, 2e-7, 2e-8)
     with pytest.raises(ValueError):
-        trace_to_segments(NoiseTrace(5e6, 1e-6, np.zeros(5), np.zeros(5)), timing)
+        trace_to_segments(NoiseTrace(5e6, 1e-6, np.zeros(5), np.zeros(5)), 10, 2e-6)
 
 
 def test_schedule_rejects_empty_interval():
-    timing = ProtocolTiming(4, 2e-7, 2e-8)
-    rate = 1e6  # one sample per 1 us: drive intervals of 200 ns are skipped
-    count = int(round(rate * timing.total_duration))
+    n, total = 4, 8e-7
+    rate = 1e6  # one sample per 1 us: slots of 200 ns are skipped
+    count = int(round(rate * total))
     with pytest.raises(ValueError):
-        trace_to_segments(
-            NoiseTrace(rate, timing.total_duration, np.zeros(count), np.zeros(count)), timing
-        )
+        trace_to_segments(NoiseTrace(rate, total, np.zeros(count), np.zeros(count)), n, total)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -383,8 +394,3 @@ def test_trace_rejects_non_finite_samples(which, bad):
     series[which][2] = bad
     with pytest.raises(ValueError, match="finite"):
         NoiseTrace(5e6, 1e-6, **series)
-
-
-def test_timing_warns_on_slow_beam_splitters():
-    with pytest.warns(UserWarning):
-        ProtocolTiming(4, 1e-7, 5e-8)
