@@ -10,8 +10,9 @@ JSON carrying the echoed config, its hash, the seed actually used and
 where it came from (--seed, the config, or the default 0), the RNG
 scheme, the python and numpy versions, timestamps, and the list of output
 files, so any artifact can be regenerated byte-for-byte from (config,
-seed, version).  Runs are single-threaded;
---threads is accepted and ignored.
+seed, version).  Every file a run writes goes through this module: every
+CSV through _write_csv and every manifest through _write_manifest.  Runs
+are single-threaded; --threads is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -103,14 +104,17 @@ _COMPARE = {">": lambda v, b: v > b, ">=": lambda v, b: v >= b, "!=": lambda v, 
 
 
 def _check(value, bounds: str, name: str):
-    """value, or a ConfigError naming it when it is not finite or not in bounds."""
+    """value, or a ConfigError naming it when it is not finite or not in bounds.
+
+    An int beyond the float range counts as not finite: math.isfinite would
+    raise OverflowError on it, and comparing it with a float is exact."""
     lo, _, hi = bounds.partition("..")
     if hi:
         ok, bounds = float(lo) <= value <= float(hi), f"in {bounds}"
     else:
         op, _, b = bounds.partition(" ")
         ok = not op or _COMPARE[op](value, float(b))
-    if not (math.isfinite(value) and ok):
+    if not (abs(value) <= sys.float_info.max and ok):
         need = f"finite and {bounds}" if bounds else "finite"
         raise ConfigError(f"{name} must be {need}, got {value!r}")
     return value
@@ -263,11 +267,38 @@ def _resolve_seed(values: dict, cli_seed) -> tuple[int, str]:
 
 
 # ---------------------------------------------------------------------------
-# manifest and writers
+# writers: every file a run writes goes through one of these
 # ---------------------------------------------------------------------------
 
-def _manifest(config, seed, seed_source, outputs, started, finished) -> dict:
-    return {
+def _utcnow() -> str:
+    return _dt.datetime.now(_dt.timezone.utc).isoformat()
+
+
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def _write_csv(path, header: str, rows) -> None:
+    """Write a header line and one line per row of cells.  A float cell is
+    printed by _fmt (17 significant digits), any other cell as str prints
+    it, so an int stays exact at any size."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(c) if isinstance(c, float) else str(c) for c in row) + "\n")
+
+
+def _write_json(path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
+def _write_manifest(out_dir: Path, prefix: str, config, seed, seed_source, started, outputs,
+                    results=None) -> Path:
+    """Write <prefix>_manifest.json, finished now, and return its path; a
+    results block, when given, goes in under "results"."""
+    manifest = {
         "tool": "ifmsim",
         "version": __version__,
         "config": config,
@@ -278,23 +309,14 @@ def _manifest(config, seed, seed_source, outputs, started, finished) -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "started_utc": started,
-        "finished_utc": finished,
+        "finished_utc": _utcnow(),
         "outputs": [str(p) for p in outputs],
     }
-
-
-def _utcnow() -> str:
-    return _dt.datetime.now(_dt.timezone.utc).isoformat()
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    if results is not None:
+        manifest["results"] = results
+    path = out_dir / f"{prefix}_manifest.json"
+    _write_json(path, manifest)
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +332,9 @@ def cmd_sweep(args) -> int:
     common = {"realizations": values["realizations"], "master_seed": seed}
     started = _utcnow()
 
+    if mode != "scenario":  # kappa and clustering: correlation times as fractions of the sequence
+        total = values["total_duration"]
+        kinvs = tuple(f * total for f in values["kappa_inv_fractions"])
     if mode == "scenario":
         scenario_class = _SCENARIOS[values["scenario"]]
         keys = (field.name for field in fields(scenario_class))
@@ -322,8 +347,6 @@ def cmd_sweep(args) -> int:
         result = experiments.run_sweep(experiments.SweepConfig(
             protocol=values["protocol"], scenario=scenario, n_values=n_values, **common))
     elif mode == "kappa":
-        total = values["total_duration"]
-        kinvs = tuple(f * total for f in values["kappa_inv_fractions"])
         if max(values["kappa_inv_fractions"]) > 1:
             # sweep_kappa_N refuses correlation times longer than the sequence
             raise ConfigError("[grid] kappa_inv_fractions entries must be <= 1 in kappa mode")
@@ -338,8 +361,6 @@ def cmd_sweep(args) -> int:
             n_values, kinvs, values["delta_theta"], total_duration=total, sample_rate=rate,
             **common, **_given(values, ("protocol",)))
     else:  # clustering
-        total = values["total_duration"]
-        kinvs = tuple(f * total for f in values["kappa_inv_fractions"])
         result = experiments.clustering_sweep(
             n_values, kinvs, total_duration=total, **common, **_given(values, ("theta",)))
 
@@ -351,17 +372,16 @@ def cmd_sweep(args) -> int:
     for name, stats in result.stats.items():
         suffix = f"{name}_control" if outputs else "stats"
         path = out_dir / f"{prefix}_{suffix}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("n,param,mean,variance,std,realizations,seed\n")
-            for i, n in enumerate(result.n_values):
-                for j, param in enumerate(result.params):
-                    cells = (param, stats.mean[i, j], stats.variance[i, j], stats.std[i, j])
-                    fh.write(f"{n},{','.join(map(_fmt, cells))},{stats.count},{seed}\n")
+        _write_csv(path, "n,param,mean,variance,std,realizations,seed",
+                   ((n, param, stats.mean[i, j], stats.variance[i, j], stats.std[i, j],
+                     stats.count, seed)
+                    for i, n in enumerate(result.n_values)
+                    for j, param in enumerate(result.params)))
         outputs.append(path)
 
-    manifest = _manifest(config, seed, seed_source, outputs, started, _utcnow())
+    results = None
     if args.format == "json":
-        manifest["results"] = {
+        results = {
             "n_values": list(result.n_values),
             "params": list(result.params),
             "anomalous_n": list(result.anomalies),
@@ -369,8 +389,8 @@ def cmd_sweep(args) -> int:
                              "std": stats.std.tolist()}
                       for name, stats in result.stats.items()},
         }
-    manifest_path = out_dir / f"{prefix}_manifest.json"
-    _write_json(manifest_path, manifest)
+    manifest_path = _write_manifest(out_dir, prefix, config, seed, seed_source, started, outputs,
+                                    results)
     print(f"wrote {', '.join(str(p) for p in outputs)} and {manifest_path}")
     return EXIT_OK
 
@@ -384,18 +404,18 @@ def cmd_table1(args) -> int:
     out_path = Path(args.out) if args.out else Path("table1.csv")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     all_ok = True
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("configuration,cifm_p0,pifm_p0,cifm_p0_3dp,pifm_p0_3dp\n")
-        for (config, cifm, pifm), (exp_c, exp_p) in zip(rows, experiments.TABLE_EXPECTED):
-            label = " ".join(f"{t / math.pi:+.0f}pi" if t else "0" for t in config)
-            fh.write(f"{label},{_fmt(cifm)},{_fmt(pifm)},{round(cifm, 3):.3f},{round(pifm, 3):.3f}\n")
-            # agreement within one unit of the last printed digit: the
-            # reference table's own final digits mix rounding directions
-            ok = abs(cifm - exp_c) < 1e-3 and abs(pifm - exp_p) < 1e-3
-            all_ok &= ok
-            status = "PASS" if ok else "FAIL"
-            print(f"{status} ({label}): cifm {cifm:.6f} (expect {exp_c}), "
-                  f"pifm {pifm:.6f} (expect {exp_p})")
+    cells = []
+    for (config, cifm, pifm), (exp_c, exp_p) in zip(rows, experiments.TABLE_EXPECTED):
+        label = " ".join(f"{t / math.pi:+.0f}pi" if t else "0" for t in config)
+        cells.append((label, cifm, pifm, f"{round(cifm, 3):.3f}", f"{round(pifm, 3):.3f}"))
+        # agreement within one unit of the last printed digit: the
+        # reference table's own final digits mix rounding directions
+        ok = abs(cifm - exp_c) < 1e-3 and abs(pifm - exp_p) < 1e-3
+        all_ok &= ok
+        status = "PASS" if ok else "FAIL"
+        print(f"{status} ({label}): cifm {cifm:.6f} (expect {exp_c}), "
+              f"pifm {pifm:.6f} (expect {exp_p})")
+    _write_csv(out_path, "configuration,cifm_p0,pifm_p0,cifm_p0_3dp,pifm_p0_3dp", cells)
     print(f"wrote {out_path}: {'all 24 values PASS' if all_ok else 'MISMATCH'}")
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
@@ -428,10 +448,8 @@ def cmd_fcs(args) -> int:
     gf = experiments.fcs_estimate(kappa, theta, total, lambdas, realizations,
                                   master_seed=seed)
     gf_path = out_dir / f"{prefix}_gf.csv"
-    with open(gf_path, "w", encoding="utf-8") as fh:
-        fh.write("lambda,re,im,stderr\n")
-        for lam, re, im, err in zip(gf.lambda_values, gf.re, gf.im, gf.statistical_error):
-            fh.write(f"{_fmt(lam)},{_fmt(re)},{_fmt(im)},{_fmt(err)}\n")
+    _write_csv(gf_path, "lambda,re,im,stderr",
+               zip(gf.lambda_values, gf.re, gf.im, gf.statistical_error))
 
     moment_grid = np.array([-h, 0.0, h])
     gf_moments = experiments.fcs_estimate(kappa, theta, total, moment_grid, realizations,
@@ -460,10 +478,8 @@ def cmd_fcs(args) -> int:
     }
     report_path = out_dir / f"{prefix}_moments.json"
     _write_json(report_path, report)
-    outputs = [gf_path, report_path]
-    manifest = _manifest(config, seed, seed_source, outputs, started, _utcnow())
-    manifest_path = out_dir / f"{prefix}_manifest.json"
-    _write_json(manifest_path, manifest)
+    manifest_path = _write_manifest(out_dir, prefix, config, seed, seed_source, started,
+                                    [gf_path, report_path])
     ratio_text = ("undefined (event mean 0)" if ratio is None
                   else f"{ratio:.4f} (deviation {abs(ratio - 1.0):.4f})")
     print(f"variance/mean ratio {ratio_text}; "
@@ -514,8 +530,6 @@ def cmd_noise(args) -> int:
     if args.telegraph:
         step = 1.0 / rate
         series = noise.gen_telegraph_slots(kappa, amplitude, args.samples, step, seed)
-        trace_path = out_dir / "telegraph_trace.csv"
-        noise.trace_to_csv(series, rate, trace_path)
         acf = np.zeros(max_lag + 1)
         n_traces = 200
         for i in range(n_traces):
@@ -523,49 +537,49 @@ def cmd_noise(args) -> int:
             acf += noise.estimate_acf(s, max_lag)
         acf /= n_traces
         # fitted on lag indices and scaled by the rate after: lags k / rate
-        # underflow at extreme rates, and the fit would then fail
+        # underflow at extreme rates, and the fit would then fail; halved
+        # before the scaling, whose product would overflow near 1e308
         lags = np.arange(max_lag + 1)
         positive = acf > 0
         kappa_hat = math.nan
         if np.count_nonzero(positive) >= 2:
-            slope = float(np.polyfit(lags[positive], np.log(acf[positive]), 1)[0]) * rate
-            kappa_hat = -slope / 2.0
+            fit = float(np.polyfit(lags[positive], np.log(acf[positive]), 1)[0])
+            kappa_hat = -(fit / 2.0) * rate
         n_segments = max(1, series.size // 256)
         usable = series[: n_segments * 256]  # whole segments only
         freqs, psd = noise.estimate_psd(usable, rate, segment_count=n_segments)
-        psd_path = out_dir / "telegraph_psd.csv"
-        noise.psd_to_csv(freqs, psd, psd_path)
-        # a trace without switches leaves a flat ACF, and one that switches
-        # every sample leaves at most lag 0 positive: neither shows a decay
+        # a trace without switches leaves a flat ACF, which shows no decay
         determined = math.isfinite(kappa_hat) and kappa_hat > 0
-        if determined:
-            print(f"telegraph: kappa = {kappa:g}, extracted kappa = {kappa_hat:g} "
-                  f"({abs(kappa_hat / kappa - 1) * 100:.1f}% off)")
-        else:
-            print(f"telegraph: kappa = {kappa:g}, extracted kappa undetermined: "
+        code = EXIT_OK if determined else EXIT_MISMATCH
+        report = (f"telegraph: kappa = {kappa:g}, extracted kappa = {kappa_hat:g} "
+                  f"({abs(kappa_hat / kappa - 1) * 100:.1f}% off)" if determined else
+                  f"telegraph: kappa = {kappa:g}, extracted kappa undetermined: "
                   f"the ACF over lags 0-{max_lag} holds no decay the fit can resolve")
-        print(f"wrote {trace_path}, {psd_path}")
-        return EXIT_OK if determined else EXIT_MISMATCH
+    else:
+        alpha = noise.COLOR_ALPHA[args.color]
+        count = 1 << (args.samples - 1).bit_length()  # round up to a power of two
+        series = noise.gen_colored(noise.ColorSpec(alpha), count, seed)
+        acc = None
+        n_traces = 32
+        for i in range(n_traces):
+            s = noise.gen_colored(noise.ColorSpec(alpha), count, [seed, i])
+            freqs, psd = noise.estimate_psd(s, rate)
+            acc = psd if acc is None else acc + psd
+        psd = acc / n_traces
+        slope = noise.fit_psd_slope(freqs, psd)
+        code = EXIT_OK
+        report = (f"{args.color} noise: fitted slope {slope:+.2f} dB/decade "
+                  f"(target {-10 * alpha:+d})")
 
-    alpha = noise.COLOR_ALPHA[args.color]
-    count = 1 << (args.samples - 1).bit_length()  # round up to a power of two
-    series = noise.gen_colored(noise.ColorSpec(alpha), count, seed)
-    trace_path = out_dir / f"{args.color}_trace.csv"
-    noise.trace_to_csv(series, rate, trace_path)
-    acc = None
-    n_traces = 32
-    for i in range(n_traces):
-        s = noise.gen_colored(noise.ColorSpec(alpha), count, [seed, i])
-        freqs, psd = noise.estimate_psd(s, rate)
-        acc = psd if acc is None else acc + psd
-    psd_mean = acc / n_traces
-    psd_path = out_dir / f"{args.color}_psd.csv"
-    noise.psd_to_csv(freqs, psd_mean, psd_path)
-    slope = noise.fit_psd_slope(freqs, psd_mean)
-    print(f"{args.color} noise: fitted slope {slope:+.2f} dB/decade "
-          f"(target {-10 * alpha:+d})")
+    name = "telegraph" if args.telegraph else args.color
+    trace_path, psd_path = out_dir / f"{name}_trace.csv", out_dir / f"{name}_psd.csv"
+    _write_csv(trace_path, "time_s,value", zip(np.arange(series.size) / rate, series))
+    # in dB; an empty bin has no logarithm and is left out
+    _write_csv(psd_path, "freq_hz,psd_db",
+               ((f, 10.0 * math.log10(p)) for f, p in zip(freqs, psd) if p > 0))
+    print(report)
     print(f"wrote {trace_path}, {psd_path}")
-    return EXIT_OK
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -579,13 +593,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sweep = sub.add_parser("sweep", help="run an ensemble sweep from a config file")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--out", default="out")
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--threads", type=int, default=0,
-                         help="accepted and ignored (runs are single-threaded); "
+    # the flags that sweep and fcs share, in their --help order
+    p_run = argparse.ArgumentParser(add_help=False)
+    p_run.add_argument("--config", required=True)
+    p_run.add_argument("--out", default="out")
+    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--threads", type=int, default=0,
+                       help="accepted and ignored (runs are single-threaded); "
                             "kept because benchmark scripts pass it")
+
+    p_sweep = sub.add_parser("sweep", parents=[p_run],
+                             help="run an ensemble sweep from a config file")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -593,13 +611,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--out", default="table1.csv")
     p_table.set_defaults(func=cmd_table1)
 
-    p_fcs = sub.add_parser("fcs", help="generating-function reconstruction from a config file")
-    p_fcs.add_argument("--config", required=True)
-    p_fcs.add_argument("--out", default="out")
-    p_fcs.add_argument("--seed", type=int, default=None)
-    p_fcs.add_argument("--threads", type=int, default=0,
-                       help="accepted and ignored (runs are single-threaded); "
-                            "kept because benchmark scripts pass it")
+    p_fcs = sub.add_parser("fcs", parents=[p_run],
+                           help="generating-function reconstruction from a config file")
     p_fcs.set_defaults(func=cmd_fcs)
 
     p_noise = sub.add_parser("noise", help="generate a noise trace and its spectrum")

@@ -416,14 +416,9 @@ def marker_table() -> list[tuple[tuple[float, ...], float, float]]:
     the twelve rows expose how the coherent marker depends on pulse
     ordering and signs, while the projective marker ignores the signs.
     """
-    rows = []
-    for config in TABLE_CONFIGS:
-        dtheta = np.array(config)[np.newaxis, :]
-        offsets = np.arange(5, dtype=np.int64)
-        cifm, pifm = (batch_populations(protocol, dtheta, None, offsets, basis_state(3, 0))[0, 0]
-                      for protocol in ("cifm", "pifm"))
-        rows.append((config, float(cifm), float(pifm)))
-    return rows
+    batch = (np.array(TABLE_CONFIGS), None, np.arange(5))
+    cifm, pifm = (_markers(protocol, batch) for protocol in ("cifm", "pifm"))
+    return [(config, float(c), float(p)) for config, c, p in zip(TABLE_CONFIGS, cifm, pifm)]
 
 
 # ---------------------------------------------------------------------------

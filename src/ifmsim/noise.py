@@ -1,4 +1,4 @@
-"""Noise generation, spectral estimation, and CSV export.
+"""Noise generation and spectral estimation.
 
 All generators are deterministic under a fixed seed: pass either an integer
 seed or a numpy Generator.  The white, zero-sum, telegraph and colored
@@ -9,8 +9,8 @@ at the top of the range.  gen_telegraph_slots is the one telegraph
 generator: the sweeps hold its value over a slot, and the noise command
 reads it as a trace with one sample per slot.  Amplitude series are in
 rad/s (the instantaneous drive strength), phase series in radians.
-estimate_psd is an unwindowed averaged periodogram, and trace_to_csv writes
-one uniformly sampled series.
+estimate_psd is an unwindowed averaged periodogram.  The module writes no
+files: the noise command writes the traces and spectra.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ __all__ = [
     "gen_white",
     "gen_white_top",
     "gen_zero_sum",
-    "psd_to_csv",
-    "trace_to_csv",
 ]
 
 #: PSD scaling exponents by color name: S(f) proportional to f**(-alpha).
@@ -231,25 +229,3 @@ def fit_psd_slope(freqs: np.ndarray, psd: np.ndarray) -> float:
         raise ValueError("central decade holds too few bins for a slope fit")
     slope, _ = np.polyfit(logf[sel], 10.0 * np.log10(p[sel]), 1)
     return float(slope)
-
-
-# ---------------------------------------------------------------------------
-# csv export
-# ---------------------------------------------------------------------------
-
-def trace_to_csv(series: np.ndarray, sample_rate: float, path) -> None:
-    """Write a uniformly sampled series as (time_s, value) rows."""
-    t = np.arange(len(series)) / sample_rate
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("time_s,value\n")
-        for ti, vi in zip(t, series):
-            fh.write(f"{ti:.17g},{vi:.17g}\n")
-
-
-def psd_to_csv(freqs: np.ndarray, psd: np.ndarray, path) -> None:
-    """Write a spectrum as (freq_hz, psd_db) rows, skipping empty bins."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("freq_hz,psd_db\n")
-        for f, p in zip(freqs, psd):
-            if p > 0:
-                fh.write(f"{f:.17g},{10.0 * math.log10(p):.17g}\n")

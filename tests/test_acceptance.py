@@ -361,13 +361,13 @@ def test_a12_parallel_determinism(tmp_path):
         encoding="utf-8",
     )
     blobs = []
-    for workers in (1, 4, 16):
-        out = tmp_path / f"w{workers}"
+    for threads in (1, 4, 16):
+        out = tmp_path / f"t{threads}"
         code = cli_main(["sweep", "--config", str(cfg), "--out", str(out),
-                         "--threads", str(workers)])
+                         "--threads", str(threads)])
         assert code == 0
         blobs.append((out / "det_stats.csv").read_bytes())
     ok = blobs[0] == blobs[1] == blobs[2]
     report("A12 parallel determinism", ok,
-           f"stats CSV byte-identical at 1, 4, 16 workers: {ok}")
+           f"stats CSV byte-identical at --threads 1, 4, 16 (a flag the program ignores): {ok}")
     assert ok

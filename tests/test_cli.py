@@ -288,6 +288,10 @@ AMPLITUDE_PHASE = SMALL_SWEEP.replace("zero_sum", "amplitude_phase")
     ("fcs", SMALL_FCS, "theta = 0.785398163", "theta = 0", "[fcs] theta"),
     ("fcs", SMALL_FCS, "kappa_t = 4.0", "kappa = -1", "[fcs] kappa"),
     ("fcs", SMALL_FCS, "kappa_t = 4.0", "kappa_t = -4", "[fcs] kappa_t"),
+    # ints beyond the float range, which math.isfinite cannot take
+    ("sweep", SMALL_SWEEP, "seed = 4242", "seed = 1" + "0" * 400, "[run] seed"),
+    ("sweep", SMALL_SWEEP, "n_values = 2,5,10", "n_values = 2,1" + "0" * 400,
+     "[grid] n_values"),
 ], ids=["sample_rate_zero", "sample_rate_below_one_per_slot", "largest_n_has_empty_slots",
         "kappa_total_duration_zero", "clustering_total_duration_negative",
         "alpha_above_2", "alpha_below_minus_2", "n_values_list", "kappa_inv_fractions_list",
@@ -296,7 +300,8 @@ AMPLITUDE_PHASE = SMALL_SWEEP.replace("zero_sum", "amplitude_phase")
         "amplitude_range_reversed", "amplitude_lo_above_default_hi",
         "zero_sum_theta_max_negative", "amplitude_phase_theta_max_negative",
         "fcs_total_duration_zero", "fcs_moment_step_zero", "fcs_theta_zero",
-        "fcs_kappa_negative", "fcs_kappa_t_negative"])
+        "fcs_kappa_negative", "fcs_kappa_t_negative", "seed_beyond_float_range",
+        "n_values_beyond_float_range"])
 def test_out_of_range_value_exits_2_naming_key(tmp_path, capsys, command, text, line,
                                                replacement, key):
     assert line in text
@@ -304,6 +309,27 @@ def test_out_of_range_value_exits_2_naming_key(tmp_path, capsys, command, text, 
     code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_seed_flag_beyond_the_float_range_exits_2_naming_it(tmp_path, capsys):
+    cfg = write(tmp_path, "small.cfg", SMALL_SWEEP)
+    code = main(["sweep", "--config", str(cfg), "--seed", "1" + "0" * 400,
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "--seed must be" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_writes_a_seed_above_2_to_the_53_exactly(tmp_path):
+    # a float would round 2^53 + 1 to 2^53: the writer prints ints as they are
+    cfg = write(tmp_path, "small.cfg", SMALL_SWEEP)
+    seed = 2**53 + 1
+    assert main(["sweep", "--config", str(cfg), "--seed", str(seed),
+                 "--out", str(tmp_path / "o")]) == EXIT_OK
+    lines = (tmp_path / "o" / "small_stats.csv").read_text().splitlines()
+    assert lines[0].endswith(",seed") and len(lines) == 4
+    assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["9007199254740993"] * 3
 
 
 @pytest.mark.parametrize("text, line, replacement, key, where", [
@@ -634,8 +660,11 @@ def test_noise_command_telegraph_odd_sample_count(tmp_path, capsys):
     (["--telegraph", "--amplitude", "0"], "--amplitude"),
     # at the default rate of 1e6/s, the fit window 3 / (2 kappa) holds lag 0 only
     (["--telegraph", "--kappa", "1.6e6"], "--kappa"),
+    # an int beyond the float range, which math.isfinite cannot take
+    (["--telegraph", "--samples", "1" + "0" * 400], "--samples"),
 ], ids=["rate_telegraph", "rate_color", "kappa", "seed", "amplitude", "samples_telegraph",
-        "samples_color", "amplitude_zero", "kappa_beyond_fit_window"])
+        "samples_color", "amplitude_zero", "kappa_beyond_fit_window",
+        "samples_beyond_float_range"])
 def test_noise_flag_out_of_range_exits_2_naming_it(tmp_path, capsys, argv, flag):
     code = main(["noise", *argv, "--out", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
@@ -692,11 +721,10 @@ def test_noise_telegraph_runs_at_an_extreme_rate_without_a_numpy_warning(tmp_pat
     assert (out / "telegraph_psd.csv").exists()
 
 
-@pytest.mark.parametrize("kappa", ["1e-10", "1e308"], ids=["no_switch", "switch_every_sample"])
+@pytest.mark.parametrize("kappa", ["1e-10"], ids=["no_switch"])
 def test_noise_telegraph_reports_no_estimate_where_the_fit_sees_no_decay(
         tmp_path, capsys, kappa):
-    # a flat ACF would read "extracted kappa = -0", and an ACF positive at lag 0
-    # alone "inf": neither is an estimate
+    # a flat ACF would read "extracted kappa = -0", which is no estimate
     out = tmp_path / "tele"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -708,6 +736,19 @@ def test_noise_telegraph_reports_no_estimate_where_the_fit_sees_no_decay(
     assert "% off" not in text and "done in" not in text
     assert (out / "telegraph_trace.csv").exists()
     assert (out / "telegraph_psd.csv").exists()
+
+
+def test_noise_telegraph_estimates_kappa_at_the_largest_rate(tmp_path, capsys):
+    # kappa / rate = 1 sets a lag-1 ACF of e^-2 > 0, so the fit holds two
+    # lags; its slope times 1e308 overflows unless halved first
+    out = tmp_path / "tele"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["noise", "--telegraph", "--rate", "1e308", "--kappa", "1e308",
+                     "--samples", "64", "--out", str(out)])
+    assert code == EXIT_OK
+    extracted = float(capsys.readouterr().out.split("extracted kappa = ")[1].split()[0])
+    assert abs(extracted / 1e308 - 1.0) < 0.10
 
 
 def test_noise_telegraph_trace_is_the_slot_generator_at_its_seed(tmp_path):

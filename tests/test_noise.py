@@ -109,15 +109,19 @@ def test_telegraph_constant_at_tiny_rate():
 
 
 def test_telegraph_switch_count_matches_rate():
+    # each of the n - 1 steps changes sign with probability q, so a trace's
+    # count is Binomial(n - 1, q); the mean of the 1000 counts is held to
+    # that law's mean within k standard errors of a mean, not of one count
     kappa, duration = 200.0, 1.0
     rate = 100 * kappa
     n = int(round(rate * duration))
+    q = 0.5 * (1.0 - np.exp(-2.0 * kappa / rate))
     counts = []
     for i in range(1000):
         x = gen_telegraph_slots(kappa, 1.0, n, 1.0 / rate, [77, i])
         counts.append(int(np.sum(x[1:] != x[:-1])))
-    mean = np.mean(counts)
-    assert abs(mean - kappa * duration) < 3 * np.sqrt(kappa * duration)
+    se = np.sqrt((n - 1) * q * (1.0 - q) / len(counts))
+    assert abs(np.mean(counts) - (n - 1) * q) <= family_wise_k(1e-3, 1) * se
 
 
 def test_telegraph_switch_counts_are_poisson():
