@@ -138,9 +138,13 @@ def gen_telegraph_slots(kappa: float, amplitude: float, n_slots,
     u = _rng(seed).random(shape)
     # kappa * slot_duration first: -2 kappa alone overflows at kappa near 1e308
     q = 0.5 * (1.0 - math.exp(-2.0 * (kappa * slot_duration)))
-    steps = np.where(u < q, -1.0, 1.0)
-    steps[..., 0] = np.where(u[..., 0] < 0.5, 1.0, -1.0)
-    return amplitude * np.cumprod(steps, axis=-1)
+    first = np.where(u[..., 0] < 0.5, 1.0, -1.0)
+    # the steps overwrite u: -1 where u < q, and u - q is never -0.0
+    steps = np.copysign(1.0, np.subtract(u, q, out=u), out=u)
+    steps[..., 0] = first
+    np.cumprod(steps, axis=-1, out=steps)  # products of +-1 are exact
+    steps *= amplitude
+    return steps
 
 
 def gen_colored(spec: ColorSpec, count, seed) -> np.ndarray:

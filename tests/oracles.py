@@ -14,7 +14,10 @@ Conventions (qutrit basis |0>, |1>, |2>):
 theta + 4*pi gives the same pulse as theta (spinor period), which is what
 makes the detectors transparent to drive angles at integer multiples of 4*pi.
 Every function here is a literal matrix product or a closed form; none of
-them shares code with the kernels.
+them shares code with the kernels.  brute_force_mean and exact_mean give
+the exact ensemble mean of telegraph slot noise, one by enumerating the
+2^n sign sequences through the kernels, the other by the stochastic
+Liouville equation in dense matrices.
 
 NoiseTrace and trace_to_segments slice a uniformly sampled noise trace into
 one segment per sample: the per-sample reference for the slot-level
@@ -196,6 +199,37 @@ def brute_force_mean(protocol: str, n: int, theta: float, flip_prob: float) -> f
     pops = batch_populations(protocol, signs * theta, np.full(signs.shape, AXIS),
                              np.arange(n + 1), basis_state(levels, 0))
     return float(weights @ pops[:, marker])
+
+
+def exact_mean(protocol: str, n: int, theta: float, flip_prob: float) -> float:
+    """brute_force_mean's value in O(n), by the stochastic Liouville equation.
+
+    The slot signs are a two-state Markov chain, so the mean over all 2^n
+    sequences needs only two sign-conditioned density matrices: rho_+ and
+    rho_- sum the states of the sequences whose current slot drives +theta
+    or -theta, each weighted by its probability (Kubo, "Stochastic
+    Liouville equations", J. Math. Phys. 4, 174 (1963)).  Each starts as
+    half the initial state; at every slot boundary the pair mixes by the
+    flip matrix [[1 - q, q], [q, 1 - q]], and each is then driven by
+    U(+-theta) on the amplitude axis.  A qutrit adds its beam splitters,
+    and pifm its |2> measurement after each slot, whose click branch leaves
+    the sum.  The qubit runs the flat chain, as the kernels do.
+    """
+    levels, marker = PROTOCOLS[protocol]
+    s = beam_splitter(n) if levels == 3 else np.eye(2)
+    no_click = np.diag([1.0, 1.0, 0.0])
+    rho = 0.5 * (s @ pure_density(basis_state(levels, 0)) @ s.conj().T)
+    pair = [rho, rho]
+    pulses = [composed_pulse([sign * theta], [AXIS], levels) for sign in (1.0, -1.0)]
+    q = flip_prob
+    for j in range(n):
+        if j:
+            pair = [(1.0 - q) * pair[0] + q * pair[1], q * pair[0] + (1.0 - q) * pair[1]]
+        pair = [u @ r @ u.conj().T for u, r in zip(pulses, pair)]
+        if protocol == "pifm":
+            pair = [no_click @ r @ no_click for r in pair]
+        pair = [s @ r @ s.conj().T for r in pair]
+    return float((pair[0] + pair[1])[marker, marker].real)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import configparser
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from oracles import (
     AXIS,
     NoiseTrace,
     brute_force_mean,
+    exact_mean,
+    family_wise_k,
     pifm_pi_train_p0,
     slot_slices,
     trace_to_segments,
@@ -192,6 +196,38 @@ def test_monte_carlo_matches_brute_force(protocol):
     )
     se = markers.std(ddof=1) / math.sqrt(markers.size)
     assert abs(markers.mean() - exact) < 4 * max(se, 1e-12)
+
+
+@pytest.mark.parametrize("protocol", ["qubit", "cifm", "pifm"])
+def test_exact_mean_matches_brute_force(protocol):
+    for n in range(1, 10):
+        for theta, q in ((2.0, 0.1), (math.pi, 0.45), (0.3, 0.0), (7.0, 0.5)):
+            assert abs(exact_mean(protocol, n, theta, q)
+                       - brute_force_mean(protocol, n, theta, q)) <= 1e-12
+
+
+def test_clustering_config_points_match_their_exact_means():
+    # every cifm point of the shipped clustering sweep lies within k standard
+    # errors of its exact mean, k from a two-sided family-wise false-alarm
+    # rate of 1e-3 over the 32 points (Bonferroni): k = 4.17.  The pifm
+    # control sees only |theta|, so each of its points is the exact mean
+    config = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    config.read(Path(__file__).resolve().parent.parent / "configs" / "clustering.cfg")
+    n_values = [int(n) for n in config["grid"]["n_values"].split(",")]
+    fractions = [float(f) for f in config["grid"]["kappa_inv_fractions"].split(",")]
+    total, theta = float(config["timing"]["total_duration"]), float(config["noise"]["theta"])
+    result = clustering_sweep(n_values, [f * total for f in fractions],
+                              realizations=int(config["run"]["realizations"]),
+                              master_seed=int(config["run"]["seed"]), theta=theta,
+                              total_duration=total)
+    k = family_wise_k(1e-3, len(n_values) * len(fractions))
+    cifm, pifm = result.stats["cifm"], result.stats["pifm"]
+    for i, n in enumerate(n_values):
+        for j, kappa_inv in enumerate(result.params):
+            q = 0.5 * (1.0 - math.exp(-2.0 * (total / n) / kappa_inv))
+            se = cifm.std[i, j] / math.sqrt(cifm.count)
+            assert abs(cifm.mean[i, j] - exact_mean("cifm", n, theta, q)) <= k * se, (n, kappa_inv)
+            assert abs(pifm.mean[i, j] - exact_mean("pifm", n, theta, q)) <= 1e-12, (n, kappa_inv)
 
 
 def test_colored_phase_curves_cluster_and_projective_identical():

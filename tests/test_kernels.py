@@ -1,5 +1,7 @@
+import ast
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,33 @@ def random_batch(seed, r=40, slots=5, per_slot=3):
     chi = rng.uniform(-np.pi, np.pi, (r, n_seg))
     offsets = np.arange(slots + 1, dtype=np.int64) * per_slot
     return dtheta, chi, offsets
+
+
+def telegraph_batch(seed, r, n):
+    """(dtheta, offsets): one +-m_j segment per slot, m_j per column.
+
+    The magnitudes hold 0 (with signed zeros down its column) and
+    2 pi + 1, where sin(m / 2) < 0.
+    """
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(0.0, 4 * np.pi, n)
+    m[0] = 0.0
+    m[n // 2] = 2 * np.pi + 1.0
+    return rng.choice((-1.0, 1.0), (r, n)) * m, np.arange(n + 1)
+
+
+@pytest.fixture
+def block_calls(monkeypatch):
+    """Counts the kernel calls that take the table path."""
+    calls = []
+    evolve_blocks = kernels._evolve_blocks
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return evolve_blocks(*args)
+
+    monkeypatch.setattr(kernels, "_evolve_blocks", counted)
+    return calls
 
 
 def reference_cifm(dtheta, chi, offsets, n_slots):
@@ -354,10 +383,23 @@ def test_dispatch_rejects_a_nan_initial_state(protocol):
         batch_populations(protocol, [[0.3, 0.2]], None, [0, 1, 2], psi0)
 
 
-@pytest.mark.parametrize("protocol, where, value", [
-    ("qubit", "dtheta", np.inf), ("pifm", "dtheta", np.nan), ("cifm", "chi", np.inf),
-])
-def test_dispatch_names_the_first_non_finite_segment(protocol, where, value):
+NON_FINITE = [("qubit", "dtheta", np.inf), ("pifm", "dtheta", np.nan), ("cifm", "chi", np.inf),
+              ("cifm", "dtheta", np.inf)]
+
+
+def non_finite_column_batch(value):
+    """(dtheta, offsets): one +-m segment per slot and a column of +-value.
+
+    An inf column has one magnitude, so the batch takes the block tables; a
+    NaN column does not.
+    """
+    dtheta, offsets = telegraph_batch(14, 6, 12)
+    dtheta[:, 9] = np.copysign(value, dtheta[:, 9])
+    return dtheta, offsets
+
+
+@pytest.mark.parametrize("protocol, where, value", NON_FINITE)
+def test_dispatch_names_the_first_non_finite_segment(protocol, where, value, block_calls):
     dtheta, chi, offsets = random_batch(14, r=6, slots=3, per_slot=2)
     bad = {"dtheta": dtheta, "chi": chi}[where]
     bad[4, 3] = value
@@ -369,12 +411,15 @@ def test_dispatch_names_the_first_non_finite_segment(protocol, where, value):
         with pytest.raises(ValueError, match="realization 4, segment 3 has dtheta"):
             batch_populations(protocol, dtheta, None, offsets,
                               basis_state(PROTOCOLS[protocol].levels, 0))
+    if where == "dtheta" and protocol != "qubit":  # a column of them
+        dtheta, offsets = non_finite_column_batch(value)
+        with pytest.raises(ValueError, match="realization 0, segment 9 has dtheta"):
+            batch_populations(protocol, dtheta, None, offsets, basis_state(3, 0))
+        assert block_calls == ([(6, 12)] if value == np.inf else [])
 
 
-@pytest.mark.parametrize("protocol, where, value", [
-    ("qubit", "dtheta", np.inf), ("pifm", "dtheta", np.nan), ("cifm", "chi", np.inf),
-])
-def test_non_finite_segment_raises_without_a_numpy_warning(protocol, where, value):
+@pytest.mark.parametrize("protocol, where, value", NON_FINITE)
+def test_non_finite_segment_raises_without_a_numpy_warning(protocol, where, value, block_calls):
     # inf in cos/sin or exp makes numpy warn "invalid value encountered";
     # the ValueError naming the segment must be all the caller sees
     dtheta, chi, offsets = random_batch(15, r=3, slots=2, per_slot=2)
@@ -394,6 +439,15 @@ def test_non_finite_segment_raises_without_a_numpy_warning(protocol, where, valu
             with pytest.raises(ValueError, match="realization 0, segment 2 has"):
                 batch_populations(protocol, dtheta, axes, offsets,
                                   basis_state(PROTOCOLS[protocol].levels, 0))
+    # one segment per slot: an inf column sends the batch to the block
+    # tables, whose cos and sin of inf must stay silent as well
+    if where == "dtheta" and protocol != "qubit":
+        dtheta, offsets = non_finite_column_batch(value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="realization 0, segment 9 has"):
+                batch_populations(protocol, dtheta, None, offsets, basis_state(3, 0))
+        assert block_calls == ([(6, 12)] if value == np.inf else [])
 
 
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
@@ -458,3 +512,55 @@ def test_one_magnitude_columns_match_per_element_cos_and_sin(protocol, magnitude
         alone = batch_populations(protocol, np.full((1, n_seg), 0.1),
                                   None if real else chi[at:at + 1], offsets, psi0)
         assert np.array_equal(mixed[at:at + 1], alone)
+
+
+# ---------------------------------------------------------------------------
+# block tables: batches whose every slot is one segment of angle +-m down its
+# column, on the amplitude axis from a real state, advance eight slots per
+# table lookup; the per-segment loop on an explicit axis is the reference
+# ---------------------------------------------------------------------------
+
+TABLE_STATES = {"ground": np.array([1.0, 0.0, 0.0]),
+                "with_level_2": np.array([0.6, 0.48, -0.64])}
+
+
+@pytest.mark.parametrize("state", sorted(TABLE_STATES))
+@pytest.mark.parametrize("r", [1, 3, 2000])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 40])
+@pytest.mark.parametrize("protocol", ["cifm", "pifm"])
+def test_block_tables_match_the_segment_loop(protocol, n, r, state, block_calls):
+    dtheta, offsets = telegraph_batch(n * 1000 + r, r, n)
+    psi0 = TABLE_STATES[state]
+    got = batch_populations(protocol, dtheta, None, offsets, psi0)
+    assert block_calls == [(r, n)]
+    ref = batch_populations(protocol, dtheta, np.full(dtheta.shape, AXIS), offsets, psi0)
+    assert np.max(np.abs(got - ref)) <= 1e-13
+    assert np.all(got >= 0.0)
+    assert np.max(np.abs(got.sum(axis=1) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["two_segment_slot", "complex_state", "mixed_magnitudes"])
+def test_batches_off_the_table_path_take_the_segment_loop(case, block_calls):
+    dtheta, offsets = telegraph_batch(0, 5, 9)
+    psi0 = TABLE_STATES["ground"]
+    if case == "two_segment_slot":
+        offsets = np.delete(offsets, 3)
+    elif case == "complex_state":
+        psi0 = np.array([0.6, 0.8j, 0.0])
+    else:
+        dtheta[2, 4] *= 0.5
+    batch_populations("cifm", dtheta, None, offsets, psi0)
+    assert block_calls == []
+
+
+def test_kernels_call_no_blas():
+    # a table build with @ and np.linalg.eigh raised clustering's peak RSS
+    # from 39.02 to 40.30 MB: BLAS and LAPACK map their code and buffers on
+    # first use; broadcasting builds the same tables within 0.25 MB
+    tree = ast.parse(Path(kernels.__file__).read_text(encoding="utf-8"))
+    banned = {"dot", "vdot", "matmul", "tensordot", "linalg"}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            assert not isinstance(node.op, ast.MatMult), f"@ at line {node.lineno}"
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        assert name not in banned, f"{name} at line {node.lineno}"
