@@ -335,6 +335,11 @@ def cmd_sweep(args) -> int:
     if mode != "scenario":  # kappa and clustering: correlation times as fractions of the sequence
         total = values["total_duration"]
         kinvs = tuple(f * total for f in values["kappa_inv_fractions"])
+        for f, kinv in zip(values["kappa_inv_fractions"], kinvs):
+            if not 0 < kinv <= sys.float_info.max:  # underflow to 0 or overflow to inf
+                raise ConfigError(
+                    f"[grid] kappa_inv_fractions entry {f:g} times [timing] total_duration "
+                    f"= {total:g} gives the correlation time {kinv:g}, outside the float range")
     if mode == "scenario":
         scenario_class = _SCENARIOS[values["scenario"]]
         keys = (field.name for field in fields(scenario_class))
@@ -424,6 +429,11 @@ def cmd_table1(args) -> int:
 # fcs subcommand
 # ---------------------------------------------------------------------------
 
+#: The largest mean Generator.poisson accepts: numpy refuses a mean above
+#: int64 max - 10 sqrt(int64 max), so that its int64 draws cannot overflow.
+_POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
+
 def cmd_fcs(args) -> int:
     config = load_config(args.config)
     values = _read(config, _FCS_SCHEMA)
@@ -434,6 +444,11 @@ def cmd_fcs(args) -> int:
     if "kappa_t" not in values and "kappa" not in values:
         raise ConfigError("missing required key: set [fcs] kappa_t or [fcs] kappa")
     kappa = values["kappa_t"] / total if "kappa_t" in values else values["kappa"]
+    if not kappa * total <= _POISSON_MEAN_MAX:  # fcs_estimate draws Poisson(kappa * total)
+        key = "kappa_t" if "kappa_t" in values else "kappa"
+        raise ConfigError(f"[fcs] {key} sets the mean event count kappa * total_duration to "
+                          f"{kappa * total:g}, above the largest Poisson mean numpy draws, "
+                          f"{_POISSON_MEAN_MAX:g}")
     theta = values["theta"]
     realizations = values["realizations"]
     lam_max, lam_count, h = values["lambda_max"], values["lambda_count"], values["moment_step"]

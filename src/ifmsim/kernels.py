@@ -36,12 +36,6 @@ splitter alike, _rotate) works in place through two preallocated scratch
 rows, in the order of the products above, so a realization's populations
 do not depend on the batch around it, as long as both batches take the
 same path (below).
-Where every realization drives a segment with one magnitude, +-m as the
-fixed-strength phase scenarios and telegraph batches off the table path
-(below) do, cos(m/2) and sin(m/2) are
-computed once for the column and sin takes each angle's sign: numpy's cos
-is even and its sin odd to the bit, and a scalar call rounds as an array
-element does, so the populations are those of the per-element calls.
 
 Block tables.  A qutrit batch on the amplitude axis from a real state whose
 every slot is one segment of angle +-2 m_j, with |dtheta| equal down each
@@ -58,14 +52,16 @@ and one add.reduce.  pifm's product leaves |2> empty, so it acts on
 levels 0-1 alone, and its clicks in a block are a quadratic form in the
 state entering it, the sum over the block's slots of the squared |2>
 amplitude before each projection; the table holds the form's Cholesky
-factor, so clicks are sums of squares and never negative.  The first block starts from the one state all realizations
-share, so its table holds the state it leaves (and pifm's clicks), computed
-as the loop computes them: a batch of at most 8 slots gets the loop's
-populations bit for bit.  Later blocks reassociate the loop's products, so
-populations move from the loop's by about 1e-15; the tests hold them to
-it at 1e-13.  Every other batch (random magnitudes as in zero_sum, the
-phase scenarios, the qubit, slots of several segments) runs the
-per-segment loop, which stays the reference.
+factor, so clicks are sums of squares and never negative.  The first block
+starts from the one state all realizations share, so its table holds the
+state it leaves (and pifm's clicks), computed with the loop's updates from
+cos(m_j) and +-sin(m_j): numpy's cos is even and its sin odd to the bit,
+and a scalar call rounds as an array element does, so a batch of at most
+8 slots gets the loop's populations bit for bit.  Later blocks reassociate
+the loop's products, so populations move from the loop's by about 1e-15;
+the tests hold them to it at 1e-13.  Every other batch (random magnitudes
+as in zero_sum, the phase scenarios, the qubit, slots of several segments)
+runs the per-segment loop, which stays the reference.
 """
 
 from __future__ import annotations
@@ -131,19 +127,8 @@ def _evolve(dtheta, chi, offsets, phi, psi0, project) -> np.ndarray:
         for p in range(edges[j], edges[j + 1]):
             # rotation by dtheta about the axis (cos chi, -sin chi)
             np.multiply(dtheta[:, p], 0.5, out=half)
-            # one magnitude m in the column (a NaN fails); comparing the end
-            # rows first rules out most other columns without two reductions
-            if (r and abs(half[0]) == abs(half[-1])
-                    and np.abs(half, out=s).max() == s.min()):
-                # cos is even and sin odd to the bit, so cos(m) and
-                # +-sin(m) are what the per-element calls would give
-                m = s[0]
-                c.fill(np.cos(m))
-                np.copysign(1.0, half, out=s)  # the sign of -0.0 is -1
-                s *= np.sin(m)
-            else:
-                np.cos(half, out=c)
-                np.sin(half, out=s)
+            np.cos(half, out=c)
+            np.sin(half, out=s)
             _rotate(a, b, c, *coefficients(p), t1, t2)
         if project:
             np.abs(psi[2], out=shelved)

@@ -94,11 +94,11 @@ def batch_populations(protocol: str, dtheta, chi, offsets, psi0) -> np.ndarray:
     psi0 is the one initial state of every realization; it must have the
     protocol's level count and unit norm within 1e-12 (a NaN fails).  The
     result may be a view in any memory order.
-    A qutrit's offsets must hold at least one slot, start at 0, never
-    decrease, and end at the segment count (the qubit has no slots and
-    ignores them); the checks never read the segments.  The beam splitters
-    of a qutrit turn by phi = pi / (n_slots + 1), so that the n_slots + 1
-    of a noise-free run compose to a full 0-1 inversion.  The kernel is
+    A qutrit's offsets must be whole numbers, hold at least one slot, start
+    at 0, never decrease, and end at the segment count (the qubit has no
+    slots and ignores them); the checks never read the segments.  The beam
+    splitters of a qutrit turn by phi = pi / (n_slots + 1), so that the
+    n_slots + 1 of a noise-free run compose to a full 0-1 inversion.  The kernel is
     looked up in `kernels` at call time.  Every update carries a NaN
     forward, so a non-finite angle or axis shows in the populations; only
     then are dtheta and chi searched, and the first bad (realization,
@@ -114,9 +114,9 @@ def batch_populations(protocol: str, dtheta, chi, offsets, psi0) -> np.ndarray:
     else:
         edges, segments = np.asarray(offsets), np.shape(dtheta)[1]
         if (len(edges) < 2 or edges[0] != 0 or edges[-1] != segments
-                or np.any(edges[1:] < edges[:-1])):
-            raise ValueError(f"offsets must hold at least one slot, start at 0, never "
-                             f"decrease, and end at the segment count {segments}; "
+                or np.any(edges[1:] < edges[:-1]) or np.any(edges != np.trunc(edges))):
+            raise ValueError(f"offsets must be whole numbers, hold at least one slot, start "
+                             f"at 0, never decrease, and end at the segment count {segments}; "
                              f"got {edges.tolist()}")
         n_slots = len(edges) - 1
         kernel = getattr(kernels, f"{protocol}_populations")

@@ -18,6 +18,7 @@ import ifmsim
 from ifmsim.cli import (
     _FCS_SCHEMA,
     _MODE_KEYS,
+    _POISSON_MEAN_MAX,
     _SCENARIOS,
     _SWEEP_SCHEMA,
     EXIT_CONFIG,
@@ -312,6 +313,24 @@ def test_out_of_range_value_exits_2_naming_key(tmp_path, capsys, command, text, 
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("text, fraction, total", [
+    (CLUSTERING, "1e-320", "1e-5"),  # 1e-325 underflows to 0
+    (KAPPA, "1e-320", "1e-5"),
+    (CLUSTERING, "1e300", "1e10"),  # 1e310 overflows to inf
+], ids=["clustering_underflow", "kappa_underflow", "clustering_overflow"])
+def test_correlation_time_outside_the_float_range_exits_2_naming_the_fractions(
+        tmp_path, capsys, text, fraction, total):
+    # each fraction and the duration are in range; their product is not
+    text = (text.replace("kappa_inv_fractions = 0.5", f"kappa_inv_fractions = {fraction}")
+            .replace("total_duration = 1e-5\n", "")  # only CLUSTERING sets it
+            .replace("[timing]", f"[timing]\ntotal_duration = {total}"))
+    cfg = write(tmp_path, "bad.cfg", text)
+    code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "[grid] kappa_inv_fractions" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_seed_flag_beyond_the_float_range_exits_2_naming_it(tmp_path, capsys):
     cfg = write(tmp_path, "small.cfg", SMALL_SWEEP)
     code = main(["sweep", "--config", str(cfg), "--seed", "1" + "0" * 400,
@@ -589,6 +608,23 @@ def test_fcs_config_setting_neither_kappa_key_exits_2_naming_both(tmp_path, caps
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "[fcs] kappa_t" in err and re.search(r"\[fcs\] kappa(?!_t)", err)
+
+
+@pytest.mark.parametrize("key, value, code", [
+    ("kappa", _POISSON_MEAN_MAX, EXIT_OK),
+    ("kappa", float(np.nextafter(_POISSON_MEAN_MAX, math.inf)), EXIT_CONFIG),
+    ("kappa_t", 1e19, EXIT_CONFIG),
+], ids=["kappa_at_the_limit", "kappa_above_the_limit", "kappa_t_above_the_limit"])
+def test_fcs_poisson_mean_above_numpys_limit_exits_2_naming_its_key(tmp_path, capsys, key,
+                                                                     value, code):
+    # with total_duration = 1 the mean is kappa itself, bit for bit
+    text = (SMALL_FCS.replace("kappa_t = 4.0", f"{key} = {value!r}")
+            .replace("total_duration = 1e-5", "total_duration = 1"))
+    cfg = write(tmp_path, "fcs.cfg", text)
+    assert main(["fcs", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    if code == EXIT_CONFIG:
+        assert f"[fcs] {key} sets the mean" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def reject_constant(name):

@@ -156,8 +156,9 @@ def test_norm_stable_over_many_compositions():
 
 @pytest.mark.parametrize("offsets, segments",
                          [([0, 1, 2], 4), ([2, 3, 4], 4), ([0, 3, 1, 4], 4), ([0, 2, 5], 4),
-                          ([0], 0)],
-                         ids=["drops_tail", "drops_head", "decreases", "overruns", "no_slots"])
+                          ([0], 0), ([0, 1.5, 3], 3)],
+                         ids=["drops_tail", "drops_head", "decreases", "overruns", "no_slots",
+                              "not_whole"])
 @pytest.mark.parametrize("protocol", ["cifm", "pifm"])
 def test_dispatch_rejects_offsets_that_do_not_tile_the_segments(protocol, offsets, segments):
     dtheta = np.full((2, segments), 0.3)
@@ -466,13 +467,15 @@ def test_one_realization_runs_as_its_row_of_the_batch(protocol):
 
 
 # ---------------------------------------------------------------------------
-# one-magnitude columns: the kernel takes one cos and one sin for a segment
-# column whose angles are all +-m
+# columns of +-m: the block tables' first block takes cos(m) and +-sin(m)
+# once per slot, and the segment loop gives a row the same populations
+# whatever the other rows' magnitudes
 # ---------------------------------------------------------------------------
 
 def test_cos_is_even_and_sin_odd_to_the_bit():
-    # the premise of the one-magnitude path: if a numpy or libm update broke
-    # it, populations would shift silently instead of failing here
+    # the premise of the block tables' first block, which matches the loop's
+    # per-element cos and sin bit for bit only through it: if a numpy or libm
+    # update broke it, populations would shift silently instead of failing here
     rng = np.random.default_rng(0)
     spread = np.ldexp(rng.uniform(0.5, 1.0, 20_000), rng.integers(-1074, 1024, 20_000))
     x = np.concatenate((rng.uniform(-1e6, 1e6, 1_000_000), spread,
@@ -490,8 +493,9 @@ def test_cos_is_even_and_sin_odd_to_the_bit():
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 def test_one_magnitude_columns_match_per_element_cos_and_sin(protocol, magnitudes, axes):
     # one row of another magnitude, at the end or between rows of equal
-    # magnitude, sends every column through per-element cos and sin; the
-    # one-magnitude rows must not change by a bit
+    # magnitude, must not change the other rows by a bit; three segments per
+    # slot keep the batch off the block tables, so on the amplitude axis this
+    # is the float64 loop's row-independence test
     rng = np.random.default_rng(16)
     _, chi, offsets = random_batch(16, r=8, slots=4, per_slot=3)
     n_seg = int(offsets[-1])

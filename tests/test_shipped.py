@@ -1,12 +1,17 @@
-"""The shipped configs reproduce their committed outputs.
+"""The shipped configs, and the scenario configs of the tests, reproduce
+their committed outputs.
 
 tests/data/shipped holds the stats, control, gf and moments outputs of
-every configs/*.cfg at its own seed.  A change that keeps the results
-keeps every numeric cell within 1e-13 of them.  To regenerate the copies
-after a deliberate change of results, run each config as below:
+every configs/*.cfg at its own seed.  tests/data/scenarios holds small
+configs of the scenarios no shipped config runs (phase, colored_phase,
+amplitude_phase, amplitude), each beside its stats output.  A change that
+keeps the results keeps every numeric cell within 1e-13 of them.  To
+regenerate the copies after a deliberate change of results, run each
+config as below:
 
     ifmsim sweep --config configs/<name>.cfg --out tests/data/shipped
     ifmsim fcs --config configs/fcs_poisson.cfg --out tests/data/shipped
+    ifmsim sweep --config tests/data/scenarios/<name>.cfg --out tests/data/scenarios
 
 and delete the manifests those commands write beside them.
 """
@@ -20,7 +25,9 @@ import pytest
 from ifmsim.cli import EXIT_OK, main
 
 REPO = Path(__file__).resolve().parent.parent
-SHIPPED = Path(__file__).resolve().parent / "data" / "shipped"
+DATA = Path(__file__).resolve().parent / "data"
+SHIPPED = DATA / "shipped"
+SCENARIOS = DATA / "scenarios"
 TOLERANCE = 1e-13
 
 
@@ -37,13 +44,18 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
-@pytest.mark.parametrize("config", sorted(p.name for p in (REPO / "configs").glob("*.cfg")))
+#: Each config with the directory of its committed outputs, by file name.
+CONFIGS = {p.name: (p, SHIPPED) for p in (REPO / "configs").glob("*.cfg")}
+CONFIGS.update((p.name, (p, SCENARIOS)) for p in SCENARIOS.glob("*.cfg"))
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
 def test_shipped_config_reproduces_its_committed_outputs(config, tmp_path):
+    path, outputs = CONFIGS[config]
     command = "fcs" if config.startswith("fcs") else "sweep"
-    assert main([command, "--config", str(REPO / "configs" / config),
-                 "--out", str(tmp_path)]) == EXIT_OK
-    stem = Path(config).stem
-    committed = sorted(SHIPPED.glob(f"{stem}_*"))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == EXIT_OK
+    stem = path.stem
+    committed = sorted(outputs.glob(f"{stem}_*"))
     assert committed, f"no committed outputs for {config}"
     written = {p.name for p in tmp_path.iterdir()} - {f"{stem}_manifest.json"}
     assert written == {p.name for p in committed}
