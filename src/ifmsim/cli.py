@@ -544,7 +544,7 @@ def cmd_noise(args) -> int:
 
     if args.telegraph:
         step = 1.0 / rate
-        series = noise.gen_telegraph_slots(kappa, amplitude, args.samples, step, seed)
+        series = np.asarray(noise.gen_telegraph_slots(kappa, amplitude, args.samples, step, seed))
         acf = np.zeros(max_lag + 1)
         n_traces = 200
         for i in range(n_traces):

@@ -17,6 +17,13 @@ sweep) and the scenario of each parameter; point k of the n-major grid is
 keyed by k.  Every protocol the driver asks for runs on the same batch, and
 the kernels receive the sampled segments as they are.
 
+A scenario's sample() returns (dtheta, chi), chi None on the amplitude
+axis.  dtheta is a float64 array, except in the two telegraph scenarios,
+BinarySlotNoise and BinarySampledNoise: there it is the noise.TelegraphSlots
+batch of gen_telegraph_slots, packed signs and one factor per slot (theta,
+or delta_theta times the slot's trace samples), which the kernels' block
+tables read as it is and np.asarray expands to the angles.
+
 The fields of the five scenario classes that the CLI names (ZeroSumAmplitude
 to ColoredPhase) are exactly their config keys; what no config sets, such
 as the [-pi, pi] range of the white phases, is a constant of the class.
@@ -33,6 +40,7 @@ import numpy as np
 
 from .noise import (
     ColorSpec,
+    TelegraphSlots,
     gen_colored,
     gen_telegraph_slots,
     gen_white,
@@ -80,7 +88,8 @@ def _stream(master_seed: int, point_index: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # noise scenarios: each draws a (realizations, segments) batch of
 # (dtheta, chi) segments in one call, the same number in every slot; the
-# amplitude-noise scenarios return chi = None, the amplitude axis
+# amplitude-noise scenarios return chi = None, the amplitude axis, and the
+# telegraph scenarios a TelegraphSlots dtheta
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -164,7 +173,7 @@ class BinarySlotNoise:
     total_duration: float
     theta: float = math.pi
 
-    def sample(self, n_slots: int, realizations: int, rng) -> tuple[np.ndarray, None]:
+    def sample(self, n_slots: int, realizations: int, rng) -> tuple[TelegraphSlots, None]:
         tau_b = self.total_duration / n_slots
         dtheta = gen_telegraph_slots(1.0 / self.kappa_inv, self.theta, (realizations, n_slots),
                                      tau_b, rng)
@@ -203,11 +212,11 @@ class BinarySampledNoise:
     delta_theta: float
     sample_rate: float
 
-    def sample(self, n_slots: int, realizations: int, rng) -> tuple[np.ndarray, None]:
+    def sample(self, n_slots: int, realizations: int, rng) -> tuple[TelegraphSlots, None]:
         tau_b = self.total_duration / n_slots
-        signs = gen_telegraph_slots(1.0 / self.kappa_inv, 1.0, (realizations, n_slots), tau_b, rng)
-        dtheta = signs * (self.delta_theta
-                          * slot_samples(n_slots, self.total_duration, self.sample_rate))
+        angles = self.delta_theta * slot_samples(n_slots, self.total_duration, self.sample_rate)
+        dtheta = gen_telegraph_slots(1.0 / self.kappa_inv, angles, (realizations, n_slots),
+                                     tau_b, rng)
         return dtheta, None
 
 

@@ -1,12 +1,13 @@
 """One batched state-vector loop for the three detector protocols.
 
 Every kernel takes realization-major arrays: dtheta and chi have shape
-(realizations, segments), offsets is the int64 slot-boundary array of
-length n_slots + 1 (slot j spans columns offsets[j]:offsets[j+1]), and the
-result is a (realizations, levels) array of final populations.  chi=None
-puts every segment on the amplitude axis, chi = -pi/2.  psi0 is the one
-initial state of every realization, of shape (levels,): one initial state
-per call.
+(realizations, segments), and dtheta may also be a noise.TelegraphSlots
+batch of that shape (below), which any other path expands; offsets is the
+int64 slot-boundary array of length n_slots + 1 (slot j spans columns
+offsets[j]:offsets[j+1]), and the result is a (realizations, levels) array
+of final populations.  chi=None puts every segment on the amplitude axis,
+chi = -pi/2.  psi0 is the one initial state of every realization, of shape
+(levels,): one initial state per call.
 
 All three detectors run the same loop, _evolve, vectorized over the
 realizations with numpy.  A qutrit (cifm, pifm) gets a beam splitter on
@@ -37,31 +38,34 @@ rows, in the order of the products above, so a realization's populations
 do not depend on the batch around it, as long as both batches take the
 same path (below).
 
-Block tables.  A qutrit batch on the amplitude axis from a real state whose
-every slot is one segment of angle +-2 m_j, with |dtheta| equal down each
-column (a NaN fails), takes a second path, chosen once per batch:
-clustering (BinarySlotNoise) and kappa mode (BinarySampledNoise) emit such
-batches.  Each slot's map is then one of two real 3x3 matrices: its drive
-by +-2 m_j, pifm's |2> projection, then the beam splitter.  So a block of b <= 8
+Block tables.  A qutrit batch given as a noise.TelegraphSlots, on the
+amplitude axis from a real state with one segment per slot, takes a second
+path, chosen by its type: clustering (BinarySlotNoise) and kappa mode
+(BinarySampledNoise) emit such batches, and nothing inspects their values.
+Slot j of every realization drives +-2 m_j, with m_j = |factor_j| / 2, so
+each slot's map is one of two real 3x3 matrices: its drive by +-2 m_j,
+pifm's |2> projection, then the beam splitter.  So a block of b <= BLOCK
 slots has 2^b products, which _tables builds with the loop's own updates
-broadcast over the sign patterns, without BLAS, and caches: the blocks of
-a call and the calls of a sweep share them.  A realization advances a
-whole block with one np.take gather of its product, indexed by the
-little-endian np.packbits byte of its sign bits in the block, one multiply
-and one add.reduce.  pifm's product leaves |2> empty, so it acts on
-levels 0-1 alone, and its clicks in a block are a quadratic form in the
-state entering it, the sum over the block's slots of the squared |2>
-amplitude before each projection; the table holds the form's Cholesky
-factor, so clicks are sums of squares and never negative.  The first block
-starts from the one state all realizations share, so its table holds the
-state it leaves (and pifm's clicks), computed with the loop's updates from
-cos(m_j) and +-sin(m_j): numpy's cos is even and its sin odd to the bit,
-and a scalar call rounds as an array element does, so a batch of at most
-8 slots gets the loop's populations bit for bit.  Later blocks reassociate
-the loop's products, so populations move from the loop's by about 1e-15;
-the tests hold them to it at 1e-13.  Every other batch (random magnitudes
-as in zero_sum, the phase scenarios, the qubit, slots of several segments)
-runs the per-segment loop, which stays the reference.
+broadcast over the sign patterns, without BLAS, and caches: the blocks of a
+call and the calls of a sweep share them.  A realization advances a whole
+block with one np.take gather of its product, indexed by its byte of the
+batch's negative bits (dtheta < 0, packed little-endian once per batch, so
+cifm and pifm share them), one multiply and one add.reduce.  pifm's product
+leaves |2> empty, so it acts on levels 0-1 alone, and its clicks in a block
+are a quadratic form in the state entering it, the sum over the block's
+slots of the squared |2> amplitude before each projection; the table holds
+the form's Cholesky factor, so clicks are sums of squares and never
+negative.  The first block starts from the one state all realizations share,
+so its table holds the state it leaves (and pifm's clicks), computed with
+the loop's updates from cos(m_j) and +-sin(m_j): numpy's cos is even and its
+sin odd to the bit, and a scalar call rounds as an array element does, so a
+batch of at most BLOCK slots gets the loop's populations bit for bit.  Later
+blocks reassociate the loop's products, so populations move from the loop's
+by about 1e-15; the tests hold them to it at 1e-13.  Every other input runs
+the per-segment loop, which stays the reference: any float array, even one
+whose magnitudes are equal down every column, and a TelegraphSlots batch
+that drives the qubit, starts from a complex state or is split into several
+segments per slot, which the loop expands to floats first.
 """
 
 from __future__ import annotations
@@ -70,8 +74,7 @@ import functools
 
 import numpy as np
 
-#: Slots per table block: the sign bits of a block fill one byte.
-_BLOCK = 8
+from .noise import BLOCK, TelegraphSlots
 
 
 # ---------------------------------------------------------------------------
@@ -90,17 +93,19 @@ def _rotate(a, b, c, u, v, t1, t2) -> None:
 
 def _evolve(dtheta, chi, offsets, phi, psi0, project) -> np.ndarray:
     """Final populations of every realization; offsets=None is one slot."""
-    dtheta = np.ascontiguousarray(dtheta, dtype=np.float64)
     psi0 = np.asarray(psi0)
+    real = chi is None and not np.any(np.imag(psi0))  # the amplitude axis from a real state
+    if (isinstance(dtheta, TelegraphSlots) and real and psi0.size == 3
+            and np.array_equal(offsets, np.arange(dtheta.shape[1] + 1))):
+        return _evolve_blocks(dtheta, float(phi), np.real(psi0), project)
+    dtheta = np.ascontiguousarray(dtheta, dtype=np.float64)
     r, n_seg = dtheta.shape
     half, c, s, u = np.empty((4, r))
     if chi is None:  # the amplitude axis: both coefficients are real
-        real = not np.any(np.imag(psi0))
 
         def coefficients(p):
             return np.negative(s, out=u), s
     else:
-        real = False
         chi = np.ascontiguousarray(chi, dtype=np.float64)
 
         def coefficients(p):
@@ -117,9 +122,6 @@ def _evolve(dtheta, chi, offsets, phi, psi0, project) -> np.ndarray:
     sb = np.sin(float(phi) / 2.0)
     if qutrit:
         _rotate(psi[0], psi[1], cb, -sb, sb, t1, t2)
-        half_mags = _slot_magnitudes(dtheta, edges) if real else None
-        if half_mags is not None:  # a telegraph batch: the block tables
-            return _evolve_blocks(dtheta, half_mags, float(phi), psi, project)
     if project:
         clicks = np.zeros(r)
         shelved = np.empty(r)
@@ -144,23 +146,8 @@ def _evolve(dtheta, chi, offsets, phi, psi0, project) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# block tables: every slot one segment of angle +-2 m_j down its column
+# block tables: a telegraph batch, every slot one segment of angle +-2 m_j
 # ---------------------------------------------------------------------------
-
-def _slot_magnitudes(dtheta, edges):
-    """The half-angles m_j when slot j is one segment of angle +-2 m_j in
-    every realization, else None (a NaN fails)."""
-    r, n = dtheta.shape
-    if r == 0 or len(edges) != n + 1 or np.any(edges != np.arange(n + 1)):
-        return None
-    # the first and last rows rule out most other batches in O(n)
-    if not np.array_equal(np.abs(dtheta[0]), np.abs(dtheta[-1])):
-        return None
-    mags = np.abs(dtheta)
-    if not np.array_equal(mags[1:], mags[:-1]):
-        return None
-    return mags[0] * 0.5
-
 
 @functools.lru_cache(maxsize=16)
 def _tables(half_mags, phi, project, start):
@@ -209,24 +196,25 @@ def _tables(half_mags, phi, project, start):
     return tables
 
 
-def _evolve_blocks(dtheta, half_mags, phi, psi, project) -> np.ndarray:
-    """_evolve's populations, one table lookup per block of eight slots.
+def _evolve_blocks(batch, phi, psi0, project) -> np.ndarray:
+    """_evolve's populations of a TelegraphSlots batch, one table lookup per
+    block of BLOCK slots.
 
-    psi is the state after the first beam splitter, the same in every
-    realization.  A realization's table index in a block is the
-    little-endian byte of its sign bits there; a -0.0 angle takes the +0.0
-    entry, the same map up to the sign of its zeros.
+    psi0 is the real initial state; the first beam splitter turns it into
+    the state every realization shares.  A realization's table index in a
+    block is its byte of batch.negative, the bits of dtheta < 0 there: a
+    -0.0 angle takes the +0.0 entry, the same map up to the sign of its
+    zeros.
     """
-    r, n = dtheta.shape
-    n_blocks = -(-n // _BLOCK)
-    negative = np.zeros((r, n_blocks * _BLOCK), dtype=bool)
-    np.less(dtheta, 0.0, out=negative[:, :n])
-    index = np.packbits(negative.reshape(-1), bitorder="little").reshape(r, n_blocks)
-    index = index.T.astype(np.intp)
+    r, n = batch.shape
+    index = batch.negative
+    psi = np.array(psi0, dtype=np.float64)[:, np.newaxis]
+    cb, sb = np.cos(phi / 2.0), np.sin(phi / 2.0)
+    _rotate(psi[0], psi[1], cb, -sb, sb, *np.empty((2, 1)))
     start = tuple(psi[:, 0].tolist())
-    half_mags = half_mags.tolist()
-    tables = [_tables(tuple(half_mags[k:k + _BLOCK]), phi, project, start)
-              for k in range(0, n, _BLOCK)]
+    half_mags = (np.abs(batch.factor) * 0.5).tolist()
+    tables = [_tables(tuple(half_mags[k:k + BLOCK]), phi, project, start)
+              for k in range(0, n, BLOCK)]
     out = np.take(tables[0][1], index[0], axis=1)  # pifm: (a0, a1, clicks)
     rows, inputs = (4, 2) if project else (3, 3)
     amps = out[:inputs]

@@ -7,7 +7,11 @@ time on the last axis, and fill the rows in order.  gen_white and
 gen_white_top draw one clipped-Gaussian law, centered at the midpoint and
 at the top of the range.  gen_telegraph_slots is the one telegraph
 generator: the sweeps hold its value over a slot, and the noise command
-reads it as a trace with one sample per slot.  Amplitude series are in
+reads it as a trace with one sample per slot.  It returns a TelegraphSlots
+batch, which stores the signs as packed bits and one factor per slot;
+np.asarray expands it to the float64 values, and the kernels' block tables
+read its bits as they are.  The other generators return arrays.  This
+module owns the bit layout: BLOCK slots to a byte.  Amplitude series are in
 rad/s (the instantaneous drive strength), phase series in radians.
 estimate_psd is an unwindowed averaged periodogram.  The module writes no
 files: the noise command writes the traces and spectra.
@@ -21,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "BLOCK",
     "ColorSpec",
     "COLOR_ALPHA",
     "estimate_acf",
@@ -31,6 +36,7 @@ __all__ = [
     "gen_white",
     "gen_white_top",
     "gen_zero_sum",
+    "TelegraphSlots",
 ]
 
 #: PSD scaling exponents by color name: S(f) proportional to f**(-alpha).
@@ -117,34 +123,108 @@ def gen_zero_sum(theta_max: float, count, seed) -> np.ndarray:
     return shuffle_rng.permuted(values, axis=-1)
 
 
-def gen_telegraph_slots(kappa: float, amplitude: float, n_slots,
-                        slot_duration: float, seed) -> np.ndarray:
+#: Slots per packed byte of a TelegraphSlots batch: the sign bits of slots
+#: 8k .. 8k + 7 fill byte k, little-endian.
+BLOCK = 8
+
+
+def _prefix_xor_table() -> np.ndarray:
+    """Entry b has bit k set where bits 0..k of b hold an odd number of ones."""
+    table = np.arange(256, dtype=np.uint8)
+    for shift in (1, 2, 4):
+        table ^= table << shift
+    return table
+
+
+#: A byte of sign flips, bit 0 first, to the sign bits it leaves from a
+#: positive start; its bit 7 is the byte's parity.
+_PREFIX_XOR = _prefix_xor_table()
+
+
+class TelegraphSlots:
+    """A batch of telegraph values held per slot, stored as sign bits.
+
+    The value at slot j is s * factor[j], with s = -1.0 where the slot's
+    sign bit is set and +1.0 elsewhere, so np.asarray gives the float64
+    batch, signed zeros included.  shape is (n,) or (rows, n), time on the
+    last axis; len, shape and size read it without expanding the batch.
+    signs holds the sign bits and negative the bits of value < 0, both
+    packed little-endian into bytes of BLOCK slots and block-major, of
+    shape (n_blocks, rows); the bits past slot n read 0.  negative is
+    computed once, when the batch is made.
+    """
+
+    __slots__ = ("shape", "factor", "signs", "negative")
+
+    def __init__(self, shape: tuple[int, ...], factor: np.ndarray, signs: np.ndarray):
+        self.shape = shape
+        self.factor = factor
+        self.signs = signs
+        # value < 0: a negative sign on a positive factor or a positive sign
+        # on a negative one; a zero or NaN factor is never negative
+        above = np.packbits(factor > 0, bitorder="little")[:, np.newaxis]
+        below = np.packbits(factor < 0, bitorder="little")[:, np.newaxis]
+        self.negative = signs & above | ~signs & below
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("a TelegraphSlots batch expands only into a new array")
+        bits = np.unpackbits(self.signs.T, axis=-1, count=self.shape[-1], bitorder="little")
+        values = np.where(bits.view(bool), -1.0, 1.0)
+        values *= self.factor  # (+-1.0) * factor, not +-|factor|: zeros keep their sign
+        return values.reshape(self.shape).astype(dtype or np.float64, copy=False)
+
+
+def gen_telegraph_slots(kappa: float, amplitude, n_slots, slot_duration: float,
+                        seed) -> TelegraphSlots:
     """Telegraph values held constant within each slot (one sample per slot).
 
     This is the continuous-time process of value +-amplitude and Poisson
     switch rate kappa, sampled every slot_duration, exactly: a Poisson
     process has independent increments, so consecutive samples flip sign
-    independently with probability (1 - exp(-2 kappa tau)) / 2, the chance
-    of an odd number of switches within one slot duration tau.
-    n_slots is n or a batch shape (rows, n).  One uniform block of that
-    shape is drawn: column 0 sets the equiprobable initial sign and the
-    other columns the flips, so a 1-D call equals row 0 of a (1, n) call.
+    independently with probability q = (1 - exp(-2 kappa tau)) / 2, the
+    chance of an odd number of switches within one slot duration tau.
+    amplitude is one number or one per slot.  n_slots is n or a batch shape
+    (rows, n).  One uniform block u of that shape is drawn: column 0 makes
+    the initial sign negative where u >= 1/2, and each later column flips
+    the sign where u < q, so a 1-D call equals row 0 of a (1, n) call.
+    The signs are made from the packed flip bits, a byte at a time: the
+    prefix-XOR table turns a byte of flips into its sign bits, and the
+    parity of the earlier bytes, when odd, inverts them.  np.asarray of the
+    result is the float64 trace, (+-1.0) * amplitude.
     """
     if kappa <= 0 or slot_duration <= 0:
         raise ValueError("kappa and slot_duration must be positive")
     shape = _shape(n_slots)
     if min(shape) < 1:
         raise ValueError("n_slots must be >= 1")
+    n = shape[-1]
+    factor = np.asarray(amplitude, dtype=np.float64)
+    if factor.shape not in ((), (n,)):
+        raise ValueError(f"amplitude must be one number or one per slot ({n}), "
+                         f"got shape {factor.shape}")
     u = _rng(seed).random(shape)
     # kappa * slot_duration first: -2 kappa alone overflows at kappa near 1e308
     q = 0.5 * (1.0 - math.exp(-2.0 * (kappa * slot_duration)))
-    first = np.where(u[..., 0] < 0.5, 1.0, -1.0)
-    # the steps overwrite u: -1 where u < q, and u - q is never -0.0
-    steps = np.copysign(1.0, np.subtract(u, q, out=u), out=u)
-    steps[..., 0] = first
-    np.cumprod(steps, axis=-1, out=steps)  # products of +-1 are exact
-    steps *= amplitude
-    return steps
+    flips = u < q
+    flips[..., 0] = u[..., 0] >= 0.5
+    packed = np.packbits(flips.reshape(-1, n), axis=-1, bitorder="little")
+    signs = _PREFIX_XOR.take(packed).T.copy()  # block-major; each block starts at +
+    # bit 7 is a block's parity, spread over its byte by an int8 >> 7; the
+    # XOR of the earlier blocks' masks inverts a block whose start is negative
+    carry = signs[:-1].view(np.int8) >> 7
+    np.bitwise_xor.accumulate(carry, axis=0, out=carry)
+    signs[1:] ^= carry.view(np.uint8)
+    if n % BLOCK:  # the flips' zero padding leaves the last sign repeated there
+        signs[-1] &= (1 << n % BLOCK) - 1
+    return TelegraphSlots(shape, np.broadcast_to(factor, (n,)), signs)
 
 
 def gen_colored(spec: ColorSpec, count, seed) -> np.ndarray:

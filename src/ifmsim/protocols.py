@@ -87,10 +87,13 @@ def _nonfinite_segment(protocol: str, dtheta, chi) -> str:
 def batch_populations(protocol: str, dtheta, chi, offsets, psi0) -> np.ndarray:
     """(realizations, levels) final populations of a segment batch from psi0.
 
-    chi has dtheta's shape, or is None.  None puts every segment on the
-    amplitude axis, chi = -pi/2, where every rotation and beam splitter is
-    real: from a real initial state the kernel then runs in float64 instead
-    of complex128, and agrees with an explicit chi = -pi/2 to 1e-13.
+    dtheta is an array or a noise.TelegraphSlots batch, which the qutrit
+    kernels read as it is where they can (kernels' block tables) and expand
+    elsewhere.  chi has dtheta's shape, or is None.  None puts every segment
+    on the amplitude axis, chi = -pi/2, where every rotation and beam
+    splitter is real: from a real initial state the kernel then runs in
+    float64 instead of complex128, and agrees with an explicit chi = -pi/2
+    to 1e-13.
     psi0 is the one initial state of every realization; it must have the
     protocol's level count and unit norm within 1e-12 (a NaN fails).  The
     result may be a view in any memory order.

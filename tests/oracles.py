@@ -17,7 +17,10 @@ Every function here is a literal matrix product or a closed form; none of
 them shares code with the kernels.  brute_force_mean and exact_mean give
 the exact ensemble mean of telegraph slot noise, one by enumerating the
 2^n sign sequences through the kernels, the other by the stochastic
-Liouville equation in dense matrices.
+Liouville equation in dense matrices.  float_telegraph_slots builds the
+telegraph generator's values in floats, with copysign and cumprod, as the
+reference for its packed sign bits, and packed_negative packs the bits of
+value < 0 that the block tables index.
 
 NoiseTrace and trace_to_segments slice a uniformly sampled noise trace into
 one segment per sample: the per-sample reference for the slot-level
@@ -201,7 +204,7 @@ def brute_force_mean(protocol: str, n: int, theta: float, flip_prob: float) -> f
     return float(weights @ pops[:, marker])
 
 
-def exact_mean(protocol: str, n: int, theta: float, flip_prob: float) -> float:
+def exact_mean(protocol: str, n: int, theta, flip_prob: float) -> float:
     """brute_force_mean's value in O(n), by the stochastic Liouville equation.
 
     The slot signs are a two-state Markov chain, so the mean over all 2^n
@@ -213,23 +216,49 @@ def exact_mean(protocol: str, n: int, theta: float, flip_prob: float) -> float:
     flip matrix [[1 - q, q], [q, 1 - q]], and each is then driven by
     U(+-theta) on the amplitude axis.  A qutrit adds its beam splitters,
     and pifm its |2> measurement after each slot, whose click branch leaves
-    the sum.  The qubit runs the flat chain, as the kernels do.
+    the sum.  The qubit runs the flat chain, as the kernels do.  theta is
+    one angle for every slot, or one per slot (kappa mode's delta_theta
+    times the slot's trace samples).
     """
     levels, marker = PROTOCOLS[protocol]
     s = beam_splitter(n) if levels == 3 else np.eye(2)
     no_click = np.diag([1.0, 1.0, 0.0])
     rho = 0.5 * (s @ pure_density(basis_state(levels, 0)) @ s.conj().T)
     pair = [rho, rho]
-    pulses = [composed_pulse([sign * theta], [AXIS], levels) for sign in (1.0, -1.0)]
     q = flip_prob
-    for j in range(n):
+    for j, angle in enumerate(np.broadcast_to(np.asarray(theta, dtype=float), (n,))):
         if j:
             pair = [(1.0 - q) * pair[0] + q * pair[1], q * pair[0] + (1.0 - q) * pair[1]]
+        pulses = [composed_pulse([sign * angle], [AXIS], levels) for sign in (1.0, -1.0)]
         pair = [u @ r @ u.conj().T for u, r in zip(pulses, pair)]
         if protocol == "pifm":
             pair = [no_click @ r @ no_click for r in pair]
         pair = [s @ r @ s.conj().T for r in pair]
     return float((pair[0] + pair[1])[marker, marker].real)
+
+
+def float_telegraph_slots(kappa: float, amplitude, n_slots, slot_duration: float,
+                          seed) -> np.ndarray:
+    """noise.gen_telegraph_slots's values built in floats, as the generator
+    once built them: the same uniform draw and rules, with the signs made by
+    copysign and a cumprod along the slots, then scaled by amplitude (one
+    number or one per slot)."""
+    shape = (int(n_slots),) if np.ndim(n_slots) == 0 else tuple(n_slots)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    u = rng.random(shape)
+    q = 0.5 * (1.0 - math.exp(-2.0 * (kappa * slot_duration)))
+    first = np.where(u[..., 0] < 0.5, 1.0, -1.0)
+    steps = np.copysign(1.0, u - q)  # -1 where u < q; u - q is never -0.0
+    steps[..., 0] = first
+    return np.cumprod(steps, axis=-1) * amplitude  # products of +-1 are exact
+
+
+def packed_negative(values) -> np.ndarray:
+    """np.packbits of values < 0, little-endian along each row and padded
+    with zeros, block-major: the table indices of a telegraph batch."""
+    values = np.asarray(values)
+    negative = values.reshape(-1, values.shape[-1]) < 0
+    return np.packbits(negative, axis=-1, bitorder="little").T
 
 
 # ---------------------------------------------------------------------------

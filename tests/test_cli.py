@@ -793,7 +793,7 @@ def test_noise_telegraph_trace_is_the_slot_generator_at_its_seed(tmp_path):
     assert main(["noise", "--telegraph", "--kappa", "3e5", "--amplitude", "0.7",
                  "--samples", "500", "--rate", "1e7", "--seed", "11", "--out", str(out)]) == EXIT_OK
     trace = np.loadtxt(out / "telegraph_trace.csv", delimiter=",", skiprows=1)
-    expected = gen_telegraph_slots(3e5, 0.7, 500, 1.0 / 1e7, 11)
+    expected = np.asarray(gen_telegraph_slots(3e5, 0.7, 500, 1.0 / 1e7, 11))
     assert trace[:, 1].tobytes() == expected.tobytes()
 
 

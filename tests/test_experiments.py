@@ -17,9 +17,11 @@ from ifmsim.experiments import (
     ensemble_markers,
     marker_table,
     run_sweep,
+    slot_samples,
     sweep_kappa_N,
     transparency_anomalies,
 )
+from ifmsim.cli import parse_int_list
 from ifmsim.protocols import basis_state, batch_populations
 from oracles import (
     AXIS,
@@ -27,6 +29,8 @@ from oracles import (
     brute_force_mean,
     exact_mean,
     family_wise_k,
+    float_telegraph_slots,
+    packed_negative,
     pifm_pi_train_p0,
     slot_slices,
     trace_to_segments,
@@ -83,6 +87,7 @@ def test_every_scenario_batch_extends_with_realizations(name):
         assert small[1] is None and large[1] is None
         small, large = small[:1], large[:1]
     for a, b in zip(small, large):
+        a, b = np.asarray(a), np.asarray(b)  # a telegraph batch expands to its angles
         assert a.shape[0] == 20 and a.shape[1] >= 7 and a.shape[1] % 7 == 0
         assert a.shape == small[0].shape
         assert np.array_equal(a, b[:20])
@@ -161,8 +166,9 @@ def test_binary_slot_counts_are_binomial():
     n, draws = 12, 10_000
     t = 1e-5
     scenario = BinarySlotNoise(kappa_inv=t / 1000, total_duration=t, theta=0.3)
-    dtheta, _ = scenario.sample(n, draws, np.random.default_rng([21, 0]))
-    assert dtheta.shape == (draws, n)
+    batch, _ = scenario.sample(n, draws, np.random.default_rng([21, 0]))
+    dtheta = np.asarray(batch)
+    assert batch.shape == dtheta.shape == (draws, n)
     ks = np.sum(dtheta > 0, axis=1)
     observed = np.bincount(ks, minlength=n + 1)
     expected = stats.binom.pmf(np.arange(n + 1), n, 0.5) * draws
@@ -206,13 +212,18 @@ def test_exact_mean_matches_brute_force(protocol):
                        - brute_force_mean(protocol, n, theta, q)) <= 1e-12
 
 
+def shipped_config(name):
+    config = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    config.read(Path(__file__).resolve().parent.parent / "configs" / name)
+    return config
+
+
 def test_clustering_config_points_match_their_exact_means():
     # every cifm point of the shipped clustering sweep lies within k standard
     # errors of its exact mean, k from a two-sided family-wise false-alarm
     # rate of 1e-3 over the 32 points (Bonferroni): k = 4.17.  The pifm
     # control sees only |theta|, so each of its points is the exact mean
-    config = configparser.ConfigParser(inline_comment_prefixes=(";",))
-    config.read(Path(__file__).resolve().parent.parent / "configs" / "clustering.cfg")
+    config = shipped_config("clustering.cfg")
     n_values = [int(n) for n in config["grid"]["n_values"].split(",")]
     fractions = [float(f) for f in config["grid"]["kappa_inv_fractions"].split(",")]
     total, theta = float(config["timing"]["total_duration"]), float(config["noise"]["theta"])
@@ -228,6 +239,49 @@ def test_clustering_config_points_match_their_exact_means():
             se = cifm.std[i, j] / math.sqrt(cifm.count)
             assert abs(cifm.mean[i, j] - exact_mean("cifm", n, theta, q)) <= k * se, (n, kappa_inv)
             assert abs(pifm.mean[i, j] - exact_mean("pifm", n, theta, q)) <= 1e-12, (n, kappa_inv)
+
+
+def test_anomaly_grid_config_points_match_their_exact_means():
+    # every cifm point of the shipped kappa-mode sweep lies within k standard
+    # errors of its exact mean, k from a family-wise false-alarm rate of 1e-3
+    # over the 90 points; slot j drives +-delta_theta times its trace samples.
+    # The transparent counts (n = 1, 2, 5, 10) and n = 20, whose every slot
+    # is 2 pi and whose sign pattern never moves the marker, have only
+    # rounding-level spread, so no point is held tighter than 1e-12
+    config = shipped_config("anomaly_grid.cfg")
+    n_values = parse_int_list(config["grid"]["n_values"])
+    fractions = [float(f) for f in config["grid"]["kappa_inv_fractions"].split(",")]
+    total = float(config["timing"]["total_duration"])
+    rate = float(config["timing"]["sample_rate"])
+    delta = float(config["noise"]["delta_theta"])
+    result = sweep_kappa_N(n_values, [f * total for f in fractions], delta,
+                           realizations=int(config["run"]["realizations"]),
+                           master_seed=int(config["run"]["seed"]), total_duration=total,
+                           sample_rate=rate)
+    k = family_wise_k(1e-3, len(n_values) * len(fractions))
+    cifm = result.stats["cifm"]
+    for i, n in enumerate(n_values):
+        angles = delta * slot_samples(n, total, rate)
+        for j, kappa_inv in enumerate(result.params):
+            q = 0.5 * (1.0 - math.exp(-2.0 * (total / n) / kappa_inv))
+            se = cifm.std[i, j] / math.sqrt(cifm.count)
+            bound = max(k * se, 1e-12)
+            assert abs(cifm.mean[i, j] - exact_mean("cifm", n, angles, q)) <= bound, (n, kappa_inv)
+
+
+def test_binary_sampled_batch_is_the_float_rule_with_empty_slots():
+    # 12 trace samples over 17 slots leave some slots empty: their angles
+    # are +-0.0 as the float product makes them, and never negative
+    n, total, rate, delta = 17, 1e-5, 1.2e6, np.pi / 5
+    samples = slot_samples(n, total, rate)
+    assert np.any(samples == 0)
+    scenario = experiments.BinarySampledNoise(kappa_inv=total / 4, total_duration=total,
+                                              delta_theta=delta, sample_rate=rate)
+    batch, chi = scenario.sample(n, 50, np.random.default_rng([12, 0]))
+    ref = float_telegraph_slots(1.0 / (total / 4), 1.0, (50, n), total / n,
+                                np.random.default_rng([12, 0])) * (delta * samples)
+    assert chi is None and np.asarray(batch).tobytes() == ref.tobytes()
+    assert np.array_equal(batch.negative, packed_negative(ref))
 
 
 def test_colored_phase_curves_cluster_and_projective_identical():
@@ -266,7 +320,7 @@ def test_engine_rows_match_trace_slicing_pipeline():
     # expand each slot-level segment to its per-sample steps of +-delta_theta;
     # the trace's own slicing fixes how many steps each slot gets
     zeta = np.zeros(count)
-    for angle, (lo, hi) in zip(dtheta[0], slot_slices(n, total, rate)):
+    for angle, (lo, hi) in zip(np.asarray(dtheta)[0], slot_slices(n, total, rate)):
         zeta[lo:hi] = np.sign(angle) * scenario.delta_theta * rate  # step = zeta / rate
     chi_full = np.full(count, AXIS)
     segments = trace_to_segments(NoiseTrace(rate, total, zeta, chi_full), n, total)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ifmsim import kernels
+from ifmsim.noise import gen_telegraph_slots
 from ifmsim.protocols import PROTOCOLS, basis_state, batch_populations
 from oracles import AXIS, beam_splitter, composed_pulse, pifm_measure_channel, pure_density
 
@@ -23,17 +24,23 @@ def random_batch(seed, r=40, slots=5, per_slot=3):
     return dtheta, chi, offsets
 
 
-def telegraph_batch(seed, r, n):
-    """(dtheta, offsets): one +-m_j segment per slot, m_j per column.
+def telegraph_batch(seed, r, n, column=None, value=None):
+    """(batch, offsets): a TelegraphSlots batch of fair signs (q = 1/2) on
+    one factor m_j per slot, and its one-segment-per-slot offsets.
 
-    The magnitudes hold 0 (with signed zeros down its column) and
-    2 pi + 1, where sin(m / 2) < 0.
+    The factors hold 0 (with signed zeros down its column), 2 pi + 1, where
+    sin(m / 2) < 0, a negative one in the last slot (n > 2), and value in
+    the given column.
     """
     rng = np.random.default_rng(seed)
     m = rng.uniform(0.0, 4 * np.pi, n)
     m[0] = 0.0
     m[n // 2] = 2 * np.pi + 1.0
-    return rng.choice((-1.0, 1.0), (r, n)) * m, np.arange(n + 1)
+    if n > 2:
+        m[-1] = -m[-1]
+    if column is not None:
+        m[column] = value
+    return gen_telegraph_slots(1e3, m, (r, n), 1.0, rng), np.arange(n + 1)
 
 
 @pytest.fixture
@@ -391,10 +398,14 @@ NON_FINITE = [("qubit", "dtheta", np.inf), ("pifm", "dtheta", np.nan), ("cifm", 
 def non_finite_column_batch(value):
     """(dtheta, offsets): one +-m segment per slot and a column of +-value.
 
-    An inf column has one magnitude, so the batch takes the block tables; a
-    NaN column does not.
+    An inf column is the factor of a telegraph batch, which takes the block
+    tables; a NaN column is written into its expanded floats, which take the
+    segment loop.
     """
-    dtheta, offsets = telegraph_batch(14, 6, 12)
+    if value == np.inf:
+        return telegraph_batch(14, 6, 12, column=9, value=value)
+    batch, offsets = telegraph_batch(14, 6, 12)
+    dtheta = np.asarray(batch)
     dtheta[:, 9] = np.copysign(value, dtheta[:, 9])
     return dtheta, offsets
 
@@ -533,26 +544,33 @@ TABLE_STATES = {"ground": np.array([1.0, 0.0, 0.0]),
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 40])
 @pytest.mark.parametrize("protocol", ["cifm", "pifm"])
 def test_block_tables_match_the_segment_loop(protocol, n, r, state, block_calls):
-    dtheta, offsets = telegraph_batch(n * 1000 + r, r, n)
+    batch, offsets = telegraph_batch(n * 1000 + r, r, n)
     psi0 = TABLE_STATES[state]
-    got = batch_populations(protocol, dtheta, None, offsets, psi0)
+    got = batch_populations(protocol, batch, None, offsets, psi0)
     assert block_calls == [(r, n)]
+    dtheta = np.asarray(batch)
     ref = batch_populations(protocol, dtheta, np.full(dtheta.shape, AXIS), offsets, psi0)
     assert np.max(np.abs(got - ref)) <= 1e-13
     assert np.all(got >= 0.0)
     assert np.max(np.abs(got.sum(axis=1) - 1.0)) <= 1e-12
 
 
-@pytest.mark.parametrize("case", ["two_segment_slot", "complex_state", "mixed_magnitudes"])
+@pytest.mark.parametrize("case", ["two_segment_slot", "complex_state", "mixed_magnitudes",
+                                  "equal_magnitude_floats"])
 def test_batches_off_the_table_path_take_the_segment_loop(case, block_calls):
+    # the block tables take telegraph batches only: a float array runs the
+    # loop even where its magnitudes are equal down every column
     dtheta, offsets = telegraph_batch(0, 5, 9)
     psi0 = TABLE_STATES["ground"]
     if case == "two_segment_slot":
         offsets = np.delete(offsets, 3)
     elif case == "complex_state":
         psi0 = np.array([0.6, 0.8j, 0.0])
-    else:
+    elif case == "mixed_magnitudes":
+        dtheta = np.asarray(dtheta)
         dtheta[2, 4] *= 0.5
+    else:
+        dtheta = np.asarray(dtheta)
     batch_populations("cifm", dtheta, None, offsets, psi0)
     assert block_calls == []
 

@@ -13,7 +13,14 @@ from ifmsim.noise import (
     gen_white_top,
     gen_zero_sum,
 )
-from oracles import NoiseTrace, family_wise_k, telegraph_periodogram, trace_to_segments
+from oracles import (
+    NoiseTrace,
+    family_wise_k,
+    float_telegraph_slots,
+    packed_negative,
+    telegraph_periodogram,
+    trace_to_segments,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +110,7 @@ def test_zero_sum_magnitudes_follow_amplitude_law():
 # ---------------------------------------------------------------------------
 
 def test_telegraph_constant_at_tiny_rate():
-    x = gen_telegraph_slots(1e-12, 1.0, 10_000, 1e-4, 9)
+    x = np.asarray(gen_telegraph_slots(1e-12, 1.0, 10_000, 1e-4, 9))
     assert np.all(x == x[0])
     assert abs(x[0]) == 1.0
 
@@ -118,7 +125,7 @@ def test_telegraph_switch_count_matches_rate():
     q = 0.5 * (1.0 - np.exp(-2.0 * kappa / rate))
     counts = []
     for i in range(1000):
-        x = gen_telegraph_slots(kappa, 1.0, n, 1.0 / rate, [77, i])
+        x = np.asarray(gen_telegraph_slots(kappa, 1.0, n, 1.0 / rate, [77, i]))
         counts.append(int(np.sum(x[1:] != x[:-1])))
     se = np.sqrt((n - 1) * q * (1.0 - q) / len(counts))
     assert abs(np.mean(counts) - (n - 1) * q) <= family_wise_k(1e-3, 1) * se
@@ -134,10 +141,9 @@ def test_telegraph_switch_counts_are_poisson():
     rate = 200 * kappa
     n = int(round(rate * duration))
     q = 0.5 * (1.0 - np.exp(-2.0 * kappa / rate))
-    counts = np.array([
-        int(np.sum((x := gen_telegraph_slots(kappa, 1.0, n, 1.0 / rate, [123, i]))[1:] != x[:-1]))
-        for i in range(10_000)
-    ])
+    traces = (np.asarray(gen_telegraph_slots(kappa, 1.0, n, 1.0 / rate, [123, i]))
+              for i in range(10_000))
+    counts = np.array([int(np.sum(x[1:] != x[:-1])) for x in traces])
     law = stats.binom(n - 1, q)
     kmax = int(law.ppf(0.999))
     edges = np.arange(0, kmax + 2)
@@ -206,15 +212,15 @@ def test_telegraph_periodogram_is_the_dense_double_sum(n, kappa, rate):
 
 
 def test_telegraph_slots_1d_call_is_row_0_of_batch():
-    one = gen_telegraph_slots(3e4, 0.7, 40, 1e-5, 123)
-    batch = gen_telegraph_slots(3e4, 0.7, (1, 40), 1e-5, 123)
+    one = np.asarray(gen_telegraph_slots(3e4, 0.7, 40, 1e-5, 123))
+    batch = np.asarray(gen_telegraph_slots(3e4, 0.7, (1, 40), 1e-5, 123))
     assert batch.shape == (1, 40)
     assert one.tobytes() == batch[0].tobytes()
 
 
 def test_telegraph_slots_initial_sign_is_fair():
     rows = 20_000
-    s = gen_telegraph_slots(10.0, 1.0, (rows, 3), 1e-5, 4)  # flips almost never
+    s = np.asarray(gen_telegraph_slots(10.0, 1.0, (rows, 3), 1e-5, 4))  # flips almost never
     assert abs(s[:, 0].mean()) < 4.0 / np.sqrt(rows)
     assert np.mean(s[:, 1:] != s[:, :-1]) < 1e-3
 
@@ -224,15 +230,57 @@ def test_telegraph_slots_markov_flip_probability():
     q = 0.5 * (1.0 - np.exp(-2 * kappa * tau))
     flips = []
     for i in range(2000):
-        s = gen_telegraph_slots(kappa, 1.0, 50, tau, [13, i])
+        s = np.asarray(gen_telegraph_slots(kappa, 1.0, 50, tau, [13, i]))
         flips.append(np.mean(s[1:] != s[:-1]))
     assert abs(np.mean(flips) - q) < 5 * np.sqrt(q * (1 - q) / (2000 * 49))
+
+
+#: slot counts of the telegraph bit tests: one, partial and whole bytes
+SLOT_COUNTS = (1, 7, 8, 9, 17, 40)
+#: kappa * tau of the telegraph bit tests: q near 0, q = 0.3 and q = 1/2 exactly
+KAPPA_TAU = {"q_near_0": 1e-7, "q_0.3": -0.5 * np.log(0.4), "q_half": 1e3}
+
+
+@pytest.mark.parametrize("q", sorted(KAPPA_TAU))
+@pytest.mark.parametrize("amplitude", [np.pi, -0.7, 0.0, -0.0], ids=["pi", "-0.7", "0", "-0"])
+@pytest.mark.parametrize("shape", [*SLOT_COUNTS, *((300, n) for n in SLOT_COUNTS)], ids=str)
+def test_telegraph_bits_are_the_float_rule(shape, amplitude, q):
+    # the packed sign bits expand to the floats that copysign and cumprod
+    # make from the same draw, signed zeros included, and their table
+    # indices are the packed bits of value < 0
+    tau = 1e-6
+    kappa = KAPPA_TAU[q] / tau
+    batch = gen_telegraph_slots(kappa, amplitude, shape, tau, 29)
+    ref = float_telegraph_slots(kappa, amplitude, shape, tau, 29)
+    values = np.asarray(batch)
+    assert values.shape == ref.shape == batch.shape and values.dtype == np.float64
+    assert np.array_equal(values, ref) and values.tobytes() == ref.tobytes()
+    assert np.array_equal(batch.negative, packed_negative(ref))
+    assert len(batch) == len(ref) and batch.size == ref.size
+    n = ref.shape[-1]
+    if n % 8:
+        assert not np.any(batch.signs[-1] >> n % 8)  # the padding bits read 0
+    if np.ndim(shape) and n > 8 and n % 8:
+        # a row whose last full block ends on a negative sign carries odd
+        # parity into the partial block
+        unit = np.asarray(gen_telegraph_slots(kappa, 1.0, shape, tau, 29))
+        assert np.any(unit[:, 8 * (n // 8) - 1] < 0)
+
+
+def test_telegraph_amplitude_takes_one_value_per_slot():
+    amplitude = np.array([0.5, -2.0, 0.0, -0.0, 3.0])
+    batch = gen_telegraph_slots(2e5, amplitude, (40, 5), 1e-6, 8)
+    ref = float_telegraph_slots(2e5, amplitude, (40, 5), 1e-6, 8)
+    assert np.asarray(batch).tobytes() == ref.tobytes()
+    assert np.array_equal(batch.negative, packed_negative(ref))
+    with pytest.raises(ValueError, match="one number or one per slot"):
+        gen_telegraph_slots(2e5, amplitude[:4], (40, 5), 1e-6, 8)
 
 
 def test_telegraph_slots_flip_probability_at_an_extreme_rate():
     # kappa * tau = 1 with kappa = 1e308: -2 kappa alone would overflow to
     # -inf and make every step a fair coin
-    s = gen_telegraph_slots(1e308, 1.0, (2000, 50), 1e-308, 3)
+    s = np.asarray(gen_telegraph_slots(1e308, 1.0, (2000, 50), 1e-308, 3))
     q = 0.5 * (1.0 - np.exp(-2.0))
     assert abs(np.mean(s[:, 1:] != s[:, :-1]) - q) < 5 * np.sqrt(q * (1 - q) / (2000 * 49))
 
