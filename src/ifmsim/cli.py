@@ -355,16 +355,22 @@ def cmd_sweep(args) -> int:
         if max(values["kappa_inv_fractions"]) > 1:
             # sweep_kappa_N refuses correlation times longer than the sequence
             raise ConfigError("[grid] kappa_inv_fractions entries must be <= 1 in kappa mode")
-        rate = values["sample_rate"]
-        if any(experiments.slot_samples(n, total, rate).min() < 1 for n in n_values):
-            # a slot without samples carries no noise: the detector would see none
-            raise ConfigError(
-                f"[timing] sample_rate = {rate:g} leaves drive slots without trace samples: "
-                f"total_duration * sample_rate = {total * rate:g} must be >= every n "
-                f"(largest {max(n_values)})")
-        result = experiments.sweep_kappa_N(
-            n_values, kinvs, values["delta_theta"], total_duration=total, sample_rate=rate,
-            **common, **_given(values, ("protocol",)))
+        rate, delta = values["sample_rate"], values["delta_theta"]
+        if not total * rate <= 2.0 ** 53:  # slot_samples counts the samples in floats
+            raise ConfigError(f"[timing] total_duration * [timing] sample_rate = {total * rate:g} "
+                              f"trace samples, above 2**53, the largest count a float holds")
+        samples = [experiments.slot_samples(n, total, rate) for n in n_values]
+        if min(s.min() for s in samples) < 1:  # an empty slot: the detector sees no noise
+            raise ConfigError(f"[timing] sample_rate = {rate:g} leaves drive slots without trace "
+                              f"samples: total_duration * sample_rate = {total * rate:g} must be "
+                              f">= every n (largest {max(n_values)})")
+        most = int(max(s.max() for s in samples))  # a Python int: inf without a numpy warning
+        if not math.isfinite(abs(delta) * most):
+            raise ConfigError(f"[noise] delta_theta = {delta:g} times the {most} trace samples "
+                              f"of a slot overflows the float range")
+        result = experiments.sweep_kappa_N(n_values, kinvs, delta, total_duration=total,
+                                           sample_rate=rate, **common,
+                                           **_given(values, ("protocol",)))
     else:  # clustering
         result = experiments.clustering_sweep(
             n_values, kinvs, total_duration=total, **common, **_given(values, ("theta",)))

@@ -42,30 +42,30 @@ Block tables.  A qutrit batch given as a noise.TelegraphSlots, on the
 amplitude axis from a real state with one segment per slot, takes a second
 path, chosen by its type: clustering (BinarySlotNoise) and kappa mode
 (BinarySampledNoise) emit such batches, and nothing inspects their values.
-Slot j of every realization drives +-2 m_j, with m_j = |factor_j| / 2, so
-each slot's map is one of two real 3x3 matrices: its drive by +-2 m_j,
+Slot j of every realization drives +-2 h_j, with h_j = factor_j / 2, so
+each slot's map is one of two real 3x3 matrices: its drive by +-2 h_j,
 pifm's |2> projection, then the beam splitter.  So a block of b <= BLOCK
 slots has 2^b products, which _tables builds with the loop's own updates
 broadcast over the sign patterns, without BLAS, and caches: the blocks of a
 call and the calls of a sweep share them.  A realization advances a whole
 block with one np.take gather of its product, indexed by its byte of the
-batch's negative bits (dtheta < 0, packed little-endian once per batch, so
-cifm and pifm share them), one multiply and one add.reduce.  pifm's product
-leaves |2> empty, so it acts on levels 0-1 alone, and its clicks in a block
-are a quadratic form in the state entering it, the sum over the block's
-slots of the squared |2> amplitude before each projection; the table holds
-the form's Cholesky factor, so clicks are sums of squares and never
-negative.  The first block starts from the one state all realizations share,
-so its table holds the state it leaves (and pifm's clicks), computed with
-the loop's updates from cos(m_j) and +-sin(m_j): numpy's cos is even and its
-sin odd to the bit, and a scalar call rounds as an array element does, so a
-batch of at most BLOCK slots gets the loop's populations bit for bit.  Later
-blocks reassociate the loop's products, so populations move from the loop's
-by about 1e-15; the tests hold them to it at 1e-13.  Every other input runs
-the per-segment loop, which stays the reference: any float array, even one
-whose magnitudes are equal down every column, and a TelegraphSlots batch
-that drives the qubit, starts from a complex state or is split into several
-segments per slot, which the loop expands to floats first.
+batch's sign bits as the generator sampled them, one multiply and one
+add.reduce.  pifm's product leaves |2> empty, so it acts on levels 0-1
+alone, and its clicks in a block are a quadratic form in the state entering
+it, the sum over the block's slots of the squared |2> amplitude before each
+projection; the table holds the form's Cholesky factor, so clicks are sums
+of squares and never negative.  The first block starts from the one state
+all realizations share, so its table holds the state it leaves (and pifm's
+clicks), computed with the loop's updates from cos(h_j) and +-sin(h_j):
+numpy's cos is even and its sin odd to the bit, and a scalar call rounds as
+an array element does, so a batch of at most BLOCK slots gets the loop's
+populations bit for bit.  Later blocks reassociate the loop's products, so
+populations move from the loop's by about 1e-15; the tests hold them to it
+at 1e-13.  Every other input runs the per-segment loop, which stays the
+reference: any float array, even one whose magnitudes are equal down every
+column, and a TelegraphSlots batch that drives the qubit, starts from a
+complex state or is split into several segments per slot, which the loop
+expands to floats first.
 """
 
 from __future__ import annotations
@@ -146,26 +146,27 @@ def _evolve(dtheta, chi, offsets, phi, psi0, project) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# block tables: a telegraph batch, every slot one segment of angle +-2 m_j
+# block tables: a telegraph batch, every slot one segment of angle +-2 h_j
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=16)
-def _tables(half_mags, phi, project, start):
-    """(maps, first) of a block of slots with drive half-angles half_mags.
+def _tables(half_angles, phi, project, start):
+    """(maps, first) of a block of slots, slot k of drive half-angle h_k.
 
-    Column i of both tables is the sign pattern i: bit k set when slot k
-    drives -2 m_k.  Each slot is the loop's own: its drive, pifm's |2>
-    projection, then the beam splitter, applied to basis states and to
-    start.  maps holds, row-major, the block's 3x3 product M (cifm), or
-    (pifm, which leaves |2> empty after every slot) M's 0-1 block followed
-    by the factor L^T of the click form L L^T = sum over the block's slots
-    of h h^T, h the |2> amplitudes of |0> and |1> before each projection;
-    a block then adds |L^T (a0, a1)|^2 to the clicks.  first holds the
-    state the block leaves start in: (a0, a1, a2) for cifm, (a0, a1,
-    clicks) for pifm.
+    Column i of both tables is the sign pattern i: slot k drives -2 h_k
+    where bit k of i is set and 2 h_k elsewhere, as a TelegraphSlots sign
+    bit makes (-1.0) * factor_k.  Each slot is the loop's own: its drive,
+    pifm's |2> projection, then the beam splitter, applied to basis states
+    and to start.  maps holds, row-major, the block's 3x3 product M (cifm),
+    or (pifm, which leaves |2> empty after every slot) M's 0-1 block
+    followed by the factor L^T of the click form L L^T = sum over the
+    block's slots of z z^T, z the |2> amplitudes of |0> and |1> before each
+    projection; a block then adds |L^T (a0, a1)|^2 to the clicks.  first
+    holds the state the block leaves start in: (a0, a1, a2) for cifm, (a0,
+    a1, clicks) for pifm.
     """
-    b = len(half_mags)
-    negative = np.arange(1 << b) >> np.arange(b)[:, np.newaxis] & 1
+    b = len(half_angles)
+    bits = np.arange(1 << b) >> np.arange(b)[:, np.newaxis] & 1
     inputs = 2 if project else 3
     psi = np.zeros((3, inputs + 1, 1 << b))
     psi[np.arange(inputs), np.arange(inputs)] = 1.0
@@ -173,9 +174,9 @@ def _tables(half_mags, phi, project, start):
     t1, t2 = np.empty((2,) + psi.shape[1:])
     gram = np.zeros((inputs + 1, inputs + 1, 1 << b))
     cb, sb = np.cos(phi / 2.0), np.sin(phi / 2.0)
-    for m, sign in zip(half_mags, 1.0 - 2.0 * negative):
-        s = sign * np.sin(m)
-        _rotate(psi[1], psi[2], np.cos(m), -s, s, t1, t2)
+    for h, sign in zip(half_angles, 1.0 - 2.0 * bits):
+        s = sign * np.sin(h)
+        _rotate(psi[1], psi[2], np.cos(h), -s, s, t1, t2)
         if project:
             gram += psi[2, :, np.newaxis] * psi[2]
             psi[2] = 0.0
@@ -202,18 +203,16 @@ def _evolve_blocks(batch, phi, psi0, project) -> np.ndarray:
 
     psi0 is the real initial state; the first beam splitter turns it into
     the state every realization shares.  A realization's table index in a
-    block is its byte of batch.negative, the bits of dtheta < 0 there: a
-    -0.0 angle takes the +0.0 entry, the same map up to the sign of its
-    zeros.
+    block is its byte of batch.signs.
     """
     r, n = batch.shape
-    index = batch.negative
+    index = batch.signs
     psi = np.array(psi0, dtype=np.float64)[:, np.newaxis]
     cb, sb = np.cos(phi / 2.0), np.sin(phi / 2.0)
     _rotate(psi[0], psi[1], cb, -sb, sb, *np.empty((2, 1)))
     start = tuple(psi[:, 0].tolist())
-    half_mags = (np.abs(batch.factor) * 0.5).tolist()
-    tables = [_tables(tuple(half_mags[k:k + BLOCK]), phi, project, start)
+    half_angles = (batch.factor * 0.5).tolist()
+    tables = [_tables(tuple(half_angles[k:k + BLOCK]), phi, project, start)
               for k in range(0, n, BLOCK)]
     out = np.take(tables[0][1], index[0], axis=1)  # pifm: (a0, a1, clicks)
     rows, inputs = (4, 2) if project else (3, 3)

@@ -148,23 +148,17 @@ class TelegraphSlots:
     sign bit is set and +1.0 elsewhere, so np.asarray gives the float64
     batch, signed zeros included.  shape is (n,) or (rows, n), time on the
     last axis; len, shape and size read it without expanding the batch.
-    signs holds the sign bits and negative the bits of value < 0, both
-    packed little-endian into bytes of BLOCK slots and block-major, of
-    shape (n_blocks, rows); the bits past slot n read 0.  negative is
-    computed once, when the batch is made.
+    signs holds the sign bits packed little-endian into bytes of BLOCK
+    slots and block-major, of shape (n_blocks, rows); the bits past slot n
+    read 0.
     """
 
-    __slots__ = ("shape", "factor", "signs", "negative")
+    __slots__ = ("shape", "factor", "signs")
 
     def __init__(self, shape: tuple[int, ...], factor: np.ndarray, signs: np.ndarray):
         self.shape = shape
         self.factor = factor
         self.signs = signs
-        # value < 0: a negative sign on a positive factor or a positive sign
-        # on a negative one; a zero or NaN factor is never negative
-        above = np.packbits(factor > 0, bitorder="little")[:, np.newaxis]
-        below = np.packbits(factor < 0, bitorder="little")[:, np.newaxis]
-        self.negative = signs & above | ~signs & below
 
     def __len__(self) -> int:
         return self.shape[0]

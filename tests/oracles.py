@@ -19,8 +19,9 @@ the exact ensemble mean of telegraph slot noise, one by enumerating the
 2^n sign sequences through the kernels, the other by the stochastic
 Liouville equation in dense matrices.  float_telegraph_slots builds the
 telegraph generator's values in floats, with copysign and cumprod, as the
-reference for its packed sign bits, and packed_negative packs the bits of
-value < 0 that the block tables index.
+reference for its packed sign bits, and packed_signs packs the bits of
+value < 0 of a unit-amplitude batch: the sign bits that the block tables
+index.
 
 NoiseTrace and trace_to_segments slice a uniformly sampled noise trace into
 one segment per sample: the per-sample reference for the slot-level
@@ -253,11 +254,12 @@ def float_telegraph_slots(kappa: float, amplitude, n_slots, slot_duration: float
     return np.cumprod(steps, axis=-1) * amplitude  # products of +-1 are exact
 
 
-def packed_negative(values) -> np.ndarray:
-    """np.packbits of values < 0, little-endian along each row and padded
-    with zeros, block-major: the table indices of a telegraph batch."""
-    values = np.asarray(values)
-    negative = values.reshape(-1, values.shape[-1]) < 0
+def packed_signs(unit) -> np.ndarray:
+    """np.packbits of unit < 0, little-endian along each row and padded with
+    zeros, block-major: a telegraph batch's sign bits, from its values at
+    amplitude 1.0."""
+    unit = np.asarray(unit)
+    negative = unit.reshape(-1, unit.shape[-1]) < 0
     return np.packbits(negative, axis=-1, bitorder="little").T
 
 

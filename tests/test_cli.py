@@ -250,6 +250,8 @@ def test_bad_sweep_float_exits_2_naming_key(tmp_path, capsys, text, line, replac
 
 
 COLORED = SMALL_SWEEP.replace("zero_sum", "colored_phase") + "\n[noise]\nalpha = 1\n"
+#: KAPPA at n = 1, 2 on the default timing: 1e-5 s at 1e9 samples/s
+KAPPA_DEFAULT_TIMING = KAPPA.replace("n_values = 2", "n_values = 1,2").split("[timing]")[0]
 AMPLITUDE = SMALL_SWEEP.replace("zero_sum", "amplitude") + "\n[noise]\ntheta_lo = 0\n"
 AMPLITUDE_PHASE = SMALL_SWEEP.replace("zero_sum", "amplitude_phase")
 
@@ -262,6 +264,11 @@ AMPLITUDE_PHASE = SMALL_SWEEP.replace("zero_sum", "amplitude_phase")
      "[timing] total_duration"),
     ("sweep", CLUSTERING, "total_duration = 1e-5", "total_duration = -1e-5",
      "[timing] total_duration"),
+    # 1e305 * 10,000 samples overflows the slot angle; 1e300 s * 1e9 / s the sample count
+    ("sweep", KAPPA_DEFAULT_TIMING, "delta_theta = 0.5", "delta_theta = 1e305",
+     "[noise] delta_theta"),
+    ("sweep", KAPPA_DEFAULT_TIMING, "delta_theta = 0.5",
+     "delta_theta = 0.01\n[timing]\ntotal_duration = 1e300", "[timing] total_duration"),
     ("sweep", COLORED, "alpha = 1", "alpha = 5", "[noise] alpha"),
     ("sweep", COLORED, "alpha = 1", "alpha = -3", "[noise] alpha"),
     ("sweep", SMALL_SWEEP, "n_values = 2,5,10", "n_values = 2,x", "[grid] n_values"),
@@ -295,6 +302,7 @@ AMPLITUDE_PHASE = SMALL_SWEEP.replace("zero_sum", "amplitude_phase")
      "[grid] n_values"),
 ], ids=["sample_rate_zero", "sample_rate_below_one_per_slot", "largest_n_has_empty_slots",
         "kappa_total_duration_zero", "clustering_total_duration_negative",
+        "kappa_slot_angle_overflows", "kappa_sample_count_overflows",
         "alpha_above_2", "alpha_below_minus_2", "n_values_list", "kappa_inv_fractions_list",
         "empty_float_list", "clustering_fraction_zero", "clustering_fraction_negative",
         "kappa_fraction_above_1", "unknown_protocol", "unknown_mode", "unknown_scenario",
@@ -307,7 +315,9 @@ def test_out_of_range_value_exits_2_naming_key(tmp_path, capsys, command, text, 
                                                replacement, key):
     assert line in text
     cfg = write(tmp_path, "bad.cfg", text.replace(line, replacement))
-    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a bad value exits before numpy can warn
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert key in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

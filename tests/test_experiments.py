@@ -30,7 +30,7 @@ from oracles import (
     exact_mean,
     family_wise_k,
     float_telegraph_slots,
-    packed_negative,
+    packed_signs,
     pifm_pi_train_p0,
     slot_slices,
     trace_to_segments,
@@ -271,17 +271,19 @@ def test_anomaly_grid_config_points_match_their_exact_means():
 
 def test_binary_sampled_batch_is_the_float_rule_with_empty_slots():
     # 12 trace samples over 17 slots leave some slots empty: their angles
-    # are +-0.0 as the float product makes them, and never negative
+    # are +-0.0 as the float product makes them, and their sign bits are
+    # the unit batch's
     n, total, rate, delta = 17, 1e-5, 1.2e6, np.pi / 5
     samples = slot_samples(n, total, rate)
     assert np.any(samples == 0)
     scenario = experiments.BinarySampledNoise(kappa_inv=total / 4, total_duration=total,
                                               delta_theta=delta, sample_rate=rate)
     batch, chi = scenario.sample(n, 50, np.random.default_rng([12, 0]))
-    ref = float_telegraph_slots(1.0 / (total / 4), 1.0, (50, n), total / n,
-                                np.random.default_rng([12, 0])) * (delta * samples)
+    unit = float_telegraph_slots(1.0 / (total / 4), 1.0, (50, n), total / n,
+                                 np.random.default_rng([12, 0]))
+    ref = unit * (delta * samples)
     assert chi is None and np.asarray(batch).tobytes() == ref.tobytes()
-    assert np.array_equal(batch.negative, packed_negative(ref))
+    assert np.array_equal(batch.signs, packed_signs(unit))
 
 
 def test_colored_phase_curves_cluster_and_projective_identical():

@@ -555,6 +555,38 @@ def test_block_tables_match_the_segment_loop(protocol, n, r, state, block_calls)
     assert np.max(np.abs(got.sum(axis=1) - 1.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("state", sorted(TABLE_STATES))
+@pytest.mark.parametrize("first", [0.0, -0.0, -2 * np.pi - 1.0], ids=["0", "-0", "negative"])
+@pytest.mark.parametrize("n", [1, 7, 8])
+@pytest.mark.parametrize("protocol", ["cifm", "pifm"])
+def test_one_block_matches_the_float64_loop_bit_for_bit(protocol, n, first, state,
+                                                        block_calls):
+    # a batch of at most BLOCK slots reads its first table alone, which the
+    # loop's own updates build from cos(h) and +-sin(h), h = factor / 2
+    rng = np.random.default_rng(n)
+    factor = rng.uniform(-4 * np.pi, 4 * np.pi, n)
+    factor[:4] = (first, 0.0, -0.0, -1.5)[:n]
+    batch = gen_telegraph_slots(1e3, factor, (300, n), 1.0, rng)
+    offsets, psi0 = np.arange(n + 1), TABLE_STATES[state]
+    got = batch_populations(protocol, batch, None, offsets, psi0)
+    assert block_calls == [(300, n)]
+    ref = batch_populations(protocol, np.asarray(batch), None, offsets, psi0)
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("n", [1, 9, 40])
+@pytest.mark.parametrize("protocol", ["cifm", "pifm"])
+def test_block_tables_give_a_row_the_populations_of_its_batch(protocol, n, block_calls):
+    # the (1, n) batch at the same seed is row 0 of the (2000, n) one
+    batch, offsets = telegraph_batch(n, 2000, n)
+    row, _ = telegraph_batch(n, 1, n)
+    psi0 = TABLE_STATES["with_level_2"]
+    wide = batch_populations(protocol, batch, None, offsets, psi0)
+    alone = batch_populations(protocol, row, None, offsets, psi0)
+    assert block_calls == [(2000, n), (1, n)]
+    assert np.array_equal(wide[:1], alone)
+
+
 @pytest.mark.parametrize("case", ["two_segment_slot", "complex_state", "mixed_magnitudes",
                                   "equal_magnitude_floats"])
 def test_batches_off_the_table_path_take_the_segment_loop(case, block_calls):

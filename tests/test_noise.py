@@ -17,7 +17,7 @@ from oracles import (
     NoiseTrace,
     family_wise_k,
     float_telegraph_slots,
-    packed_negative,
+    packed_signs,
     telegraph_periodogram,
     trace_to_segments,
 )
@@ -246,8 +246,8 @@ KAPPA_TAU = {"q_near_0": 1e-7, "q_0.3": -0.5 * np.log(0.4), "q_half": 1e3}
 @pytest.mark.parametrize("shape", [*SLOT_COUNTS, *((300, n) for n in SLOT_COUNTS)], ids=str)
 def test_telegraph_bits_are_the_float_rule(shape, amplitude, q):
     # the packed sign bits expand to the floats that copysign and cumprod
-    # make from the same draw, signed zeros included, and their table
-    # indices are the packed bits of value < 0
+    # make from the same draw, signed zeros included, and are the packed
+    # bits of value < 0 at unit amplitude
     tau = 1e-6
     kappa = KAPPA_TAU[q] / tau
     batch = gen_telegraph_slots(kappa, amplitude, shape, tau, 29)
@@ -255,7 +255,8 @@ def test_telegraph_bits_are_the_float_rule(shape, amplitude, q):
     values = np.asarray(batch)
     assert values.shape == ref.shape == batch.shape and values.dtype == np.float64
     assert np.array_equal(values, ref) and values.tobytes() == ref.tobytes()
-    assert np.array_equal(batch.negative, packed_negative(ref))
+    unit = float_telegraph_slots(kappa, 1.0, shape, tau, 29)
+    assert np.array_equal(batch.signs, packed_signs(unit))
     assert len(batch) == len(ref) and batch.size == ref.size
     n = ref.shape[-1]
     if n % 8:
@@ -272,7 +273,8 @@ def test_telegraph_amplitude_takes_one_value_per_slot():
     batch = gen_telegraph_slots(2e5, amplitude, (40, 5), 1e-6, 8)
     ref = float_telegraph_slots(2e5, amplitude, (40, 5), 1e-6, 8)
     assert np.asarray(batch).tobytes() == ref.tobytes()
-    assert np.array_equal(batch.negative, packed_negative(ref))
+    unit = float_telegraph_slots(2e5, 1.0, (40, 5), 1e-6, 8)
+    assert np.array_equal(batch.signs, packed_signs(unit))
     with pytest.raises(ValueError, match="one number or one per slot"):
         gen_telegraph_slots(2e5, amplitude[:4], (40, 5), 1e-6, 8)
 
