@@ -8,11 +8,12 @@ keys.  A sweep config may set only the keys its mode reads (_MODE_KEYS,
 and in scenario mode its scenario's fields).  Every run writes a manifest
 JSON carrying the echoed config, its hash, the seed actually used and
 where it came from (--seed, the config, or the default 0), the RNG
-scheme, the python and numpy versions, timestamps, and the list of output
-files, so any artifact can be regenerated byte-for-byte from (config,
-seed, version).  Every file a run writes goes through this module: every
-CSV through _write_csv and every manifest through _write_manifest.  Runs
-are single-threaded; --threads is accepted and ignored.
+scheme, the python and numpy versions, timestamps, the list of output
+files and, for a sweep, its work counters, so any artifact can be
+regenerated byte-for-byte from (config, seed, version).  Every file a run
+writes goes through this module: every CSV through _write_csv and every
+manifest through _write_manifest.  Runs are single-threaded; --threads is
+accepted and ignored.
 """
 
 from __future__ import annotations
@@ -295,9 +296,10 @@ def _write_json(path, payload) -> None:
 
 
 def _write_manifest(out_dir: Path, prefix: str, config, seed, seed_source, started, outputs,
-                    results=None) -> Path:
+                    results=None, counters=None) -> Path:
     """Write <prefix>_manifest.json, finished now, and return its path; a
-    results block, when given, goes in under "results"."""
+    results block and a counters block, when given, go in under "results"
+    and "counters"."""
     manifest = {
         "tool": "ifmsim",
         "version": __version__,
@@ -314,6 +316,8 @@ def _write_manifest(out_dir: Path, prefix: str, config, seed, seed_source, start
     }
     if results is not None:
         manifest["results"] = results
+    if counters is not None:
+        manifest["counters"] = counters
     path = out_dir / f"{prefix}_manifest.json"
     _write_json(path, manifest)
     return path
@@ -356,7 +360,7 @@ def cmd_sweep(args) -> int:
             # sweep_kappa_N refuses correlation times longer than the sequence
             raise ConfigError("[grid] kappa_inv_fractions entries must be <= 1 in kappa mode")
         rate, delta = values["sample_rate"], values["delta_theta"]
-        if not total * rate <= 2.0 ** 53:  # slot_samples counts the samples in floats
+        if not total * rate <= 2.0 ** 53:  # a slot's sample count scales delta_theta as a float
             raise ConfigError(f"[timing] total_duration * [timing] sample_rate = {total * rate:g} "
                               f"trace samples, above 2**53, the largest count a float holds")
         samples = [experiments.slot_samples(n, total, rate) for n in n_values]
@@ -401,7 +405,7 @@ def cmd_sweep(args) -> int:
                       for name, stats in result.stats.items()},
         }
     manifest_path = _write_manifest(out_dir, prefix, config, seed, seed_source, started, outputs,
-                                    results)
+                                    results, result.counters)
     print(f"wrote {', '.join(str(p) for p in outputs)} and {manifest_path}")
     return EXIT_OK
 

@@ -14,8 +14,11 @@ run_sweep, sweep_kappa_N and clustering_sweep are each one call of the grid
 loop _grid, and all three return a GridResult.  A driver gives its slot
 counts, its parameter grid (the correlation times, or (0.0,) for a scenario
 sweep) and the scenario of each parameter; point k of the n-major grid is
-keyed by k.  Every protocol the driver asks for runs on the same batch, and
-the kernels receive the sampled segments as they are.
+keyed by k.  The points of one slot count are drawn point by point and
+stacked into one batch, so each protocol the sweep asks for makes one
+kernel call per slot count, and the kernels receive the sampled segments as
+they are.  A realization's populations do not depend on the batch around
+it, so a point's statistics are those of its own batch, bit for bit.
 
 A scenario's sample() returns (dtheta, chi), chi None on the amplitude
 axis.  dtheta is a float64 array, except in the two telegraph scenarios,
@@ -34,7 +37,7 @@ holds, for sampling and for transparency_anomalies alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -180,17 +183,27 @@ class BinarySlotNoise:
         return dtheta, None
 
 
+def _decimal(x: float) -> tuple[int, int]:
+    """(digits, exponent) of the shortest decimal that prints as x, digits * 10**exponent."""
+    mantissa, _, exponent = repr(float(x)).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    return int(whole + fraction), int(exponent or 0) - len(fraction)
+
+
 def slot_samples(n_slots: int, total_duration: float, sample_rate: float) -> np.ndarray:
     """Trace samples inside each of n_slots equal slots filling total_duration.
 
     Sample p represents time p / sample_rate, and slot j holds the samples
-    in [j tau, (j + 1) tau) with tau = total_duration / n_slots; a small
-    epsilon guards the float boundary arithmetic.
+    in [j tau, (j + 1) tau) with tau = total_duration / n_slots.  The
+    boundaries are counted in integers, from the decimal values that
+    total_duration and sample_rate print as: with N = total_duration *
+    sample_rate, slot j starts at sample ceil(j N / n_slots), so a boundary
+    that lands on a sample puts it in the later slot at any trace length.
     """
-    tau = total_duration / n_slots
-    start = np.arange(n_slots) * tau
-    return (np.ceil((start + tau) * sample_rate - 1e-9)
-            - np.ceil(start * sample_rate - 1e-9)).astype(np.int64)
+    (a, i), (b, k) = _decimal(total_duration), _decimal(sample_rate)
+    num, den = a * b * 10 ** max(i + k, 0), n_slots * 10 ** max(-(i + k), 0)
+    edges = np.array([-(-j * num // den) for j in range(n_slots + 1)], dtype=np.int64)
+    return edges[1:] - edges[:-1]
 
 
 @dataclass(frozen=True)
@@ -261,13 +274,16 @@ class GridResult:
     stats maps each protocol to its EnsembleStats, whose arrays have shape
     (len(n_values), len(params)).  params holds the correlation times, or
     (0.0,) for a scenario sweep; anomalies holds the transparent slot
-    counts of a kappa sweep.
+    counts of a kappa sweep.  counters says how much work the sweep did:
+    its grid points, the realizations drawn over all of them, and its
+    kernel calls, one per slot count and protocol.
     """
 
     n_values: tuple[int, ...]
     params: tuple[float, ...]
     stats: dict[str, EnsembleStats]
     anomalies: tuple[int, ...] = ()
+    counters: dict[str, int] = field(default_factory=dict)
 
 
 def _sample_batch(scenario, n_slots, realizations, master_seed, point_index):
@@ -276,6 +292,15 @@ def _sample_batch(scenario, n_slots, realizations, master_seed, point_index):
     slot the same number of segments, so the batch width sets the offsets."""
     dtheta, chi = scenario.sample(n_slots, realizations, _stream(master_seed, point_index))
     return dtheta, chi, np.arange(n_slots + 1) * (dtheta.shape[1] // n_slots)
+
+
+def _stack(batches):
+    """One batch holding the rows of every batch in turn; the batches share
+    their width and offsets, and TelegraphSlots batches their factor."""
+    dthetas, chis, offsets = zip(*batches)
+    concatenate = (TelegraphSlots.concatenate if isinstance(dthetas[0], TelegraphSlots)
+                   else np.concatenate)
+    return concatenate(dthetas), None if chis[0] is None else np.concatenate(chis), offsets[0]
 
 
 def _markers(protocol, batch) -> np.ndarray:
@@ -295,25 +320,33 @@ def _grid(n_values, params, scenario_of, protocols, realizations, master_seed,
     """Marker statistics of every protocol at every (n_slots, param) point.
 
     Point k of the n-major grid draws one batch of scenario_of(param) from
-    the generator keyed by (master_seed, k), and that batch feeds every
-    protocol.  Each protocol's stats hold one mean and one ddof-1 variance
-    per point.
+    the generator keyed by (master_seed, k).  The points of one slot count
+    are stacked into one batch, point after point, and each protocol makes
+    one kernel call on it: a realization's populations do not depend on the
+    batch around it, so each point gets the markers of its own batch, bit
+    for bit.  Each protocol's stats hold one mean and one ddof-1 variance
+    per point, taken over that point's contiguous row of markers.
     """
     n_values = tuple(int(n) for n in n_values)
     params = tuple(float(p) for p in params)
     mean = np.empty((len(protocols), len(n_values), len(params)))
     var = np.zeros_like(mean)
-    for k, (i, j) in enumerate(np.ndindex(mean.shape[1:])):
-        batch = _sample_batch(scenario_of(params[j]), n_values[i], realizations, master_seed, k)
+    for i, n in enumerate(n_values):
+        batch = _stack([_sample_batch(scenario_of(param), n, realizations, master_seed,
+                                      i * len(params) + j)
+                        for j, param in enumerate(params)])
         for p, protocol in enumerate(protocols):
-            markers = _markers(protocol, batch)
-            mean[p, i, j] = markers.mean()
+            markers = _markers(protocol, batch).reshape(len(params), realizations)
+            mean[p, i] = markers.mean(axis=1)
             if realizations > 1:
-                var[p, i, j] = markers.var(ddof=1)
+                var[p, i] = markers.var(axis=1, ddof=1)
     stats = {protocol: EnsembleStats(mean=mean[p], variance=var[p], std=np.sqrt(var[p]),
                                      count=realizations)
              for p, protocol in enumerate(protocols)}
-    return GridResult(n_values, params, stats, tuple(anomalies))
+    points = len(n_values) * len(params)
+    counters = {"points": points, "realizations": points * realizations,
+                "kernel_calls": len(n_values) * len(protocols)}
+    return GridResult(n_values, params, stats, tuple(anomalies), counters)
 
 
 def run_sweep(config: SweepConfig) -> GridResult:

@@ -47,7 +47,8 @@ each slot's map is one of two real 3x3 matrices: its drive by +-2 h_j,
 pifm's |2> projection, then the beam splitter.  So a block of b <= BLOCK
 slots has 2^b products, which _tables builds with the loop's own updates
 broadcast over the sign patterns, without BLAS, and caches: the blocks of a
-call and the calls of a sweep share them.  A realization advances a whole
+call share them, and so do a sweep's calls, one per slot count, whose rows
+are every correlation time's realizations.  A realization advances a whole
 block with one np.take gather of its product, indexed by its byte of the
 batch's sign bits as the generator sampled them, one multiply and one
 add.reduce.  pifm's product leaves |2> empty, so it acts on levels 0-1

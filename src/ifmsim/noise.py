@@ -9,10 +9,11 @@ at the top of the range.  gen_telegraph_slots is the one telegraph
 generator: the sweeps hold its value over a slot, and the noise command
 reads it as a trace with one sample per slot.  It returns a TelegraphSlots
 batch, which stores the signs as packed bits and one factor per slot;
-np.asarray expands it to the float64 values, and the kernels' block tables
-read its bits as they are.  The other generators return arrays.  This
-module owns the bit layout: BLOCK slots to a byte.  Amplitude series are in
-rad/s (the instantaneous drive strength), phase series in radians.
+np.asarray expands it to the float64 values, the kernels' block tables
+read its bits as they are, and TelegraphSlots.concatenate stacks the rows
+of batches that share their factor.  The other generators return arrays.
+This module owns the bit layout: BLOCK slots to a byte.  Amplitude series
+are in rad/s (the instantaneous drive strength), phase series in radians.
 estimate_psd is an unwindowed averaged periodogram.  The module writes no
 files: the noise command writes the traces and spectra.
 """
@@ -140,6 +141,10 @@ def _prefix_xor_table() -> np.ndarray:
 #: positive start; its bit 7 is the byte's parity.
 _PREFIX_XOR = _prefix_xor_table()
 
+#: Moves byte k of a word of 0/1 bytes to bit 56 + k: the byte-k term lands
+#: there, and the lower terms sum below 2**56 without a carry.
+_GATHER = 0x0102040810204080
+
 
 class TelegraphSlots:
     """A batch of telegraph values held per slot, stored as sign bits.
@@ -162,6 +167,17 @@ class TelegraphSlots:
 
     def __len__(self) -> int:
         return self.shape[0]
+
+    @classmethod
+    def concatenate(cls, batches) -> TelegraphSlots:
+        """One (rows, n) batch of the rows of every batch in turn.
+
+        The batches must share their factor: a batch holds one per slot."""
+        first = batches[0]
+        if any(not np.array_equal(b.factor, first.factor) for b in batches[1:]):
+            raise ValueError("concatenated telegraph batches must share one factor per slot")
+        signs = np.concatenate([b.signs for b in batches], axis=1)
+        return cls((signs.shape[1], first.shape[-1]), first.factor, signs)
 
     @property
     def size(self) -> int:
@@ -189,10 +205,11 @@ def gen_telegraph_slots(kappa: float, amplitude, n_slots, slot_duration: float,
     (rows, n).  One uniform block u of that shape is drawn: column 0 makes
     the initial sign negative where u >= 1/2, and each later column flips
     the sign where u < q, so a 1-D call equals row 0 of a (1, n) call.
-    The signs are made from the packed flip bits, a byte at a time: the
-    prefix-XOR table turns a byte of flips into its sign bits, and the
-    parity of the earlier bytes, when odd, inverts them.  np.asarray of the
-    result is the float64 trace, (+-1.0) * amplitude.
+    The signs are made from the flip bits a byte at a time: one multiply
+    packs each 8 flips into a byte, the prefix-XOR table turns a byte of
+    flips into its sign bits, and the parity of the earlier bytes, when
+    odd, inverts them.  np.asarray of the result is the float64 trace,
+    (+-1.0) * amplitude.
     """
     if kappa <= 0 or slot_duration <= 0:
         raise ValueError("kappa and slot_duration must be positive")
@@ -204,13 +221,16 @@ def gen_telegraph_slots(kappa: float, amplitude, n_slots, slot_duration: float,
     if factor.shape not in ((), (n,)):
         raise ValueError(f"amplitude must be one number or one per slot ({n}), "
                          f"got shape {factor.shape}")
-    u = _rng(seed).random(shape)
+    u = _rng(seed).random(shape).reshape(-1, n)
     # kappa * slot_duration first: -2 kappa alone overflows at kappa near 1e308
     q = 0.5 * (1.0 - math.exp(-2.0 * (kappa * slot_duration)))
-    flips = u < q
-    flips[..., 0] = u[..., 0] >= 0.5
-    packed = np.packbits(flips.reshape(-1, n), axis=-1, bitorder="little")
-    signs = _PREFIX_XOR.take(packed).T.copy()  # block-major; each block starts at +
+    flips = np.zeros((len(u), -(-n // BLOCK) * BLOCK), dtype=bool)  # zero-padded to whole bytes
+    np.less(u, q, out=flips[:, :n])
+    flips[:, 0] = u[:, 0] >= 0.5
+    # each 8 flips, read as one little-endian word, times _GATHER: bit k of
+    # the top byte is flip k
+    packed = flips.view("<u8") * _GATHER >> 56
+    signs = _PREFIX_XOR.take(packed.T)  # block-major; each block starts at +
     # bit 7 is a block's parity, spread over its byte by an int8 >> 7; the
     # XOR of the earlier blocks' masks inverts a block whose start is negative
     carry = signs[:-1].view(np.int8) >> 7

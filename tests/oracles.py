@@ -26,8 +26,8 @@ index.
 NoiseTrace and trace_to_segments slice a uniformly sampled noise trace into
 one segment per sample: the per-sample reference for the slot-level
 segments that experiments.BinarySampledNoise emits.  slot_slices is the
-scalar per-slot loop that experiments.slot_samples counts in one
-expression.
+per-slot loop, in exact fractions, that experiments.slot_samples counts
+in integers.
 
 telegraph_periodogram is the exact expected periodogram of the sampled
 telegraph chain, and family_wise_k the standard-error multiple that holds
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy import stats
@@ -307,17 +308,13 @@ def slot_slices(n_slots: int, total_duration: float, sample_rate: float
     """Index ranges [lo, hi) of the trace samples inside each of n_slots
     equal slots filling total_duration, one slot at a time.
 
-    Sample p represents time p / sample_rate; a small epsilon guards the
-    float boundary arithmetic.
+    Sample p represents time p / sample_rate.  The boundaries are exact
+    fractions of the decimals that total_duration and sample_rate print as,
+    so a boundary on a sample puts it in the later slot at any trace length.
     """
-    eps = 1e-9
-    tau = total_duration / n_slots
-    slices = []
-    for j in range(n_slots):
-        start = j * tau
-        slices.append((math.ceil(start * sample_rate - eps),
-                       math.ceil((start + tau) * sample_rate - eps)))
-    return slices
+    samples = Fraction(repr(total_duration)) * Fraction(repr(sample_rate))
+    p, q = samples.numerator, samples.denominator * n_slots  # slot j starts at ceil(j p / q)
+    return [(-(-j * p // q), -(-(j + 1) * p // q)) for j in range(n_slots)]
 
 
 def trace_to_segments(trace: NoiseTrace, n_slots: int, total_duration: float

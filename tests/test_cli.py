@@ -235,6 +235,28 @@ sample_rate = 1e6
 """
 
 
+@pytest.mark.parametrize("text, counters", [
+    (SMALL_SWEEP, {"points": 3, "realizations": 90, "kernel_calls": 3}),
+    (CLUSTERING.replace("n_values = 2", "n_values = 2,9").replace(
+        "kappa_inv_fractions = 0.5", "kappa_inv_fractions = 0.2,0.5,1.0"),
+     {"points": 6, "realizations": 24, "kernel_calls": 4}),
+], ids=["scenario", "clustering"])
+def test_sweep_manifest_counts_its_work_outside_the_hash_and_csvs(tmp_path, text, counters):
+    # clustering: 2 slot counts x 3 correlation times, cifm and pifm each
+    # making one kernel call per slot count
+    cfg = write(tmp_path, "run.cfg", text)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--format", "json"]) == EXIT_OK
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["counters"] == counters
+    assert manifest["config_hash"] == config_hash(load_config(cfg))
+    assert "counters" not in manifest["config"] and "counters" not in manifest["results"]
+    for csv in out.glob("*.csv"):
+        lines = csv.read_text().splitlines()
+        assert lines[0] == "n,param,mean,variance,std,realizations,seed"
+        assert len(lines) == 1 + counters["points"]
+
+
 @pytest.mark.parametrize("text, line, replacement, key", [
     (CLUSTERING, "theta = 3.0", "theta = abc", "[noise] theta"),
     (CLUSTERING, "total_duration = 1e-5", "total_duration = 1e-5s", "[timing] total_duration"),

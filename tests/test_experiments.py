@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ifmsim import experiments
+from ifmsim import experiments, kernels
 from ifmsim.experiments import (
     BinarySlotNoise,
     ColoredPhase,
@@ -357,13 +357,86 @@ def test_slot_level_binary_noise_matches_per_sample_expansion(n):
 @pytest.mark.parametrize("total", [1e-5, 3e-6, 7.3e-7, 1.0, 2.5e-3])
 @pytest.mark.parametrize("rate", [1e9, 1e6, 3.3e7, 5e6, 1.7e8, 1e3])
 def test_slot_samples_equal_the_per_slot_loop(total, rate):
-    # the one-expression count against the scalar loop, slot by slot, for
-    # every slot count up to 400; 1e-5 s at 1e9/s is the kappa sweep's default
+    # the integer count against the loop in exact fractions, slot by slot,
+    # for every slot count up to 400; 1e-5 s at 1e9/s is the kappa sweep's default
     for n in range(1, 401):
         loop = [hi - lo for lo, hi in slot_slices(n, total, rate)]
         counted = experiments.slot_samples(n, total, rate)
         assert counted.dtype == np.int64
         assert counted.tolist() == loop, n
+
+
+@pytest.mark.parametrize("n, total, rate, samples", [
+    (10, 0.3, 1e10, 3_000_000_000),
+    (7, 1.0, 1e15, 10**15),
+    (40, 7e-3, 3e12, 21_000_000_000),
+])
+def test_slot_samples_count_each_trace_sample_once(n, total, rate, samples):
+    # long traces whose slot boundaries land on samples: each sample is
+    # counted in exactly one slot
+    counted = slot_samples(n, total, rate)
+    assert int(counted.sum()) == samples
+    assert counted.tolist() == [hi - lo for lo, hi in slot_slices(n, total, rate)]
+    assert counted.max() - counted.min() <= 1
+
+
+def _per_point_stats(n_values, params, scenario_of, protocols, realizations, seed):
+    """Each point's mean and ddof-1 variance from its own ensemble_markers call."""
+    mean = np.empty((len(protocols), len(n_values), len(params)))
+    var = np.zeros_like(mean)
+    for k, (i, j) in enumerate(np.ndindex(mean.shape[1:])):
+        for p, protocol in enumerate(protocols):
+            markers = ensemble_markers(protocol, scenario_of(params[j]), n_values[i],
+                                       realizations, seed, point_index=k)
+            mean[p, i, j] = markers.mean()
+            if realizations > 1:
+                var[p, i, j] = markers.var(ddof=1)
+    return mean, var
+
+
+STACKED_N = (1, 3, 8, 9, 16, 40)  # partial and whole sign bytes
+STACKED_KINV = (4e-8, 2e-6, 1e-5)
+
+
+@pytest.mark.parametrize("realizations", [1, 7])
+def test_stacked_sweeps_equal_per_point_ensembles(realizations):
+    # one kernel call per slot count over every point's rows gives each point
+    # exactly the statistics of its own batch
+    total, delta = 1e-5, 0.0125
+    clustering = clustering_sweep(STACKED_N, STACKED_KINV, realizations, 21, 2.5, total)
+    mean, var = _per_point_stats(STACKED_N, STACKED_KINV,
+                                 lambda kinv: BinarySlotNoise(kinv, total, 2.5),
+                                 ("cifm", "pifm"), realizations, 21)
+    kappa = sweep_kappa_N(STACKED_N, STACKED_KINV, delta, realizations, 21, protocol="pifm")
+    kappa_mean, kappa_var = _per_point_stats(
+        STACKED_N, STACKED_KINV,
+        lambda kinv: experiments.BinarySampledNoise(kinv, total, delta, 1e9),
+        ("pifm",), realizations, 21)
+    for p, protocol in enumerate(("cifm", "pifm")):
+        assert np.array_equal(clustering.stats[protocol].mean, mean[p])
+        assert np.array_equal(clustering.stats[protocol].variance, var[p])
+    assert np.array_equal(kappa.stats["pifm"].mean, kappa_mean[0])
+    assert np.array_equal(kappa.stats["pifm"].variance, kappa_var[0])
+
+
+def test_sweeps_make_one_kernel_call_per_slot_count_and_protocol(monkeypatch):
+    calls = []
+    for name in ("cifm_populations", "pifm_populations"):
+        def recording(dtheta, *rest, _kernel=getattr(kernels, name), _name=name):
+            calls.append((_name, dtheta.shape))
+            return _kernel(dtheta, *rest)
+        monkeypatch.setattr(kernels, name, recording)
+    config = shipped_config("clustering.cfg")
+    n_values = [int(n) for n in config["grid"]["n_values"].split(",")]
+    fractions = [float(f) for f in config["grid"]["kappa_inv_fractions"].split(",")]
+    result = clustering_sweep(n_values, [f * 1e-5 for f in fractions], realizations=3)
+    assert calls == [(f"{p}_populations", (len(fractions) * 3, n))
+                     for n in n_values for p in ("cifm", "pifm")]
+    assert result.counters == {"points": 32, "realizations": 96, "kernel_calls": 8}
+    calls.clear()
+    result = sweep_kappa_N((5, 20, 40), (4e-8, 2e-6, 1e-5), 0.0125, realizations=4)
+    assert calls == [("cifm_populations", (12, n)) for n in (5, 20, 40)]
+    assert result.counters == {"points": 9, "realizations": 36, "kernel_calls": 3}
 
 
 def test_sweep_config_validation():

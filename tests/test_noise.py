@@ -4,6 +4,7 @@ from scipy import stats
 
 from ifmsim.noise import (
     ColorSpec,
+    TelegraphSlots,
     estimate_acf,
     estimate_psd,
     fit_psd_slope,
@@ -266,6 +267,36 @@ def test_telegraph_bits_are_the_float_rule(shape, amplitude, q):
         # parity into the partial block
         unit = np.asarray(gen_telegraph_slots(kappa, 1.0, shape, tau, 29))
         assert np.any(unit[:, 8 * (n // 8) - 1] < 0)
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3, 257], ids=["1d", "1", "3", "257"])
+@pytest.mark.parametrize("n", [*range(1, 18), 40, 64])
+def test_telegraph_sign_bytes_are_packbits_of_the_signs(n, rows):
+    # the word multiply packs 8 flips a byte: every slot count up to 17,
+    # whole bytes (8, 16, 40, 64) and one-row batches give np.packbits'
+    # bytes, block-major and C-contiguous
+    shape = n if rows is None else (rows, n)
+    batch = gen_telegraph_slots(2.3e5, 1.0, shape, 1e-6, [n, 5])
+    unit = float_telegraph_slots(2.3e5, 1.0, shape, 1e-6, [n, 5])
+    expected = packed_signs(unit)
+    assert batch.signs.dtype == np.uint8 and batch.signs.flags.c_contiguous
+    assert batch.signs.shape == expected.shape == (-(-n // 8), rows or 1)
+    assert batch.signs.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def test_telegraph_batches_concatenate_their_rows():
+    # the sign bits of several batches stack along the rows, a 1-D batch as
+    # one row; batches whose factors differ cannot share a batch
+    amplitude = np.array([0.5, -2.0, 0.0, 3.0, 1.0, 1.0, 1.0, 1.0, -0.25])
+    parts = [gen_telegraph_slots(2e5, amplitude, shape, 1e-6, seed)
+             for shape, seed in (((3, 9), 1), (9, 2), ((40, 9), 3))]
+    joined = TelegraphSlots.concatenate(parts)
+    assert joined.shape == (44, 9) and joined.signs.flags.c_contiguous
+    assert np.asarray(joined).tobytes() == np.concatenate(
+        [np.asarray(p).reshape(-1, 9) for p in parts]).tobytes()
+    other = gen_telegraph_slots(2e5, 1.0, (3, 9), 1e-6, 4)
+    with pytest.raises(ValueError, match="share one factor per slot"):
+        TelegraphSlots.concatenate([parts[0], other])
 
 
 def test_telegraph_amplitude_takes_one_value_per_slot():
