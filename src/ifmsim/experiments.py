@@ -37,6 +37,7 @@ holds, for sampling and for transparency_anomalies alike.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,7 +200,11 @@ def slot_samples(n_slots: int, total_duration: float, sample_rate: float) -> np.
     total_duration and sample_rate print as: with N = total_duration *
     sample_rate, slot j starts at sample ceil(j N / n_slots), so a boundary
     that lands on a sample puts it in the later slot at any trace length.
+    Both must be finite and positive; a ValueError names the one that is not.
     """
+    for name, value in (("total_duration", total_duration), ("sample_rate", sample_rate)):
+        if not 0 < value < math.inf:  # NaN fails too
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     (a, i), (b, k) = _decimal(total_duration), _decimal(sample_rate)
     num, den = a * b * 10 ** max(i + k, 0), n_slots * 10 ** max(-(i + k), 0)
     edges = np.array([-(-j * num // den) for j in range(n_slots + 1)], dtype=np.int64)
@@ -296,7 +301,10 @@ def _sample_batch(scenario, n_slots, realizations, master_seed, point_index):
 
 def _stack(batches):
     """One batch holding the rows of every batch in turn; the batches share
-    their width and offsets, and TelegraphSlots batches their factor."""
+    their width and offsets, and TelegraphSlots batches their factor.  A
+    lone batch is returned as it is, not copied."""
+    if len(batches) == 1:
+        return batches[0]
     dthetas, chis, offsets = zip(*batches)
     concatenate = (TelegraphSlots.concatenate if isinstance(dthetas[0], TelegraphSlots)
                    else np.concatenate)
@@ -377,6 +385,24 @@ def transparency_anomalies(n_values, delta_theta, total_duration, sample_rate) -
     return out
 
 
+def _binary_grid(n_values, kappa_inv_values, realizations, total_duration, kappa_inv_max):
+    """(n_values, kappa_inv_values) as tuples, checked as both binary-noise
+    drivers need them: a ValueError names the first argument out of range."""
+    n_values, kappa_inv_values = tuple(n_values), tuple(kappa_inv_values)
+    if not n_values or min(n_values) < 1:
+        raise ValueError(f"n_values must be nonempty, each >= 1, got {n_values}")
+    if not kappa_inv_values:
+        raise ValueError("kappa_inv_values must be nonempty")
+    if realizations < 1:
+        raise ValueError(f"realizations must be >= 1, got {realizations}")
+    if not 0 < total_duration < math.inf:
+        raise ValueError(f"total_duration must be finite and > 0, got {total_duration!r}")
+    for k in kappa_inv_values:
+        if not 0 < k <= kappa_inv_max:
+            raise ValueError(f"kappa_inv_values entry {k:g} outside (0, {kappa_inv_max:g}]")
+    return n_values, kappa_inv_values
+
+
 def sweep_kappa_N(n_values, kappa_inv_values, delta_theta, realizations=500,
                   master_seed=0, total_duration=1e-5, sample_rate=1e9,
                   protocol="cifm") -> GridResult:
@@ -385,12 +411,14 @@ def sweep_kappa_N(n_values, kappa_inv_values, delta_theta, realizations=500,
     Binary noise with per-sample steps of +-delta_theta whose sign is held
     across each drive interval, switching between intervals at the
     discretized Poisson rate.  Correlation times must not exceed the
-    sequence duration.
+    sequence duration, and every slot must hold a trace sample.
     """
-    n_values, kappa_inv_values = tuple(n_values), tuple(kappa_inv_values)  # each read twice
-    for k in kappa_inv_values:
-        if not 0 < k <= total_duration:
-            raise ValueError(f"kappa_inv {k:g} outside (0, {total_duration:g}]")
+    n_values, kappa_inv_values = _binary_grid(n_values, kappa_inv_values, realizations,
+                                              total_duration, total_duration)
+    if any(slot_samples(n, total_duration, sample_rate).min() < 1 for n in n_values):
+        raise ValueError(f"sample_rate {sample_rate:g} leaves drive slots without trace "
+                         f"samples: total_duration * sample_rate must be >= every n_values "
+                         f"entry (largest {max(n_values)})")
     return _grid(n_values, kappa_inv_values,
                  lambda kinv: BinarySampledNoise(kappa_inv=kinv, total_duration=total_duration,
                                                  delta_theta=delta_theta, sample_rate=sample_rate),
@@ -406,6 +434,8 @@ def clustering_sweep(n_values, kappa_inv_values, realizations=2000, master_seed=
     correlation time) clusters equal signs together and raises the coherent
     marker, while the projective detector sees only |theta| and stays flat.
     """
+    n_values, kappa_inv_values = _binary_grid(n_values, kappa_inv_values, realizations,
+                                              total_duration, sys.float_info.max)
     return _grid(n_values, kappa_inv_values,
                  lambda kinv: BinarySlotNoise(kappa_inv=kinv, total_duration=total_duration,
                                               theta=theta),

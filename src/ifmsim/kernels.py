@@ -46,14 +46,15 @@ Slot j of every realization drives +-2 h_j, with h_j = factor_j / 2, so
 each slot's map is one of two real 3x3 matrices: its drive by +-2 h_j,
 pifm's |2> projection, then the beam splitter.  So a block of b <= BLOCK
 slots has 2^b products, which _tables builds with the loop's own updates
-broadcast over the sign patterns, without BLAS, and caches: the blocks of a
-call share them, and so do a sweep's calls, one per slot count, whose rows
-are every correlation time's realizations.  A realization advances a whole
-block with one np.take gather of its product, indexed by its byte of the
-batch's sign bits as the generator sampled them, one multiply and one
-add.reduce.  pifm's product leaves |2> empty, so it acts on levels 0-1
-alone, and its clicks in a block are a quadratic form in the state entering
-it, the sum over the block's slots of the squared |2> amplitude before each
+broadcast over the sign patterns, without BLAS.  A call builds the tables
+of each distinct block once and keeps none of them: a sweep makes one call
+per slot count, whose rows are every correlation time's realizations, so
+no sweep builds a table twice.  A realization advances a whole block with
+one np.take gather of its product, indexed by its byte of the batch's sign
+bits as the generator sampled them, one multiply and one add.reduce.
+pifm's product leaves |2> empty, so it acts on levels 0-1 alone, and its
+clicks in a block are a quadratic form in the state entering it, the sum
+over the block's slots of the squared |2> amplitude before each
 projection; the table holds the form's Cholesky factor, so clicks are sums
 of squares and never negative.  The first block starts from the one state
 all realizations share, so its table holds the state it leaves (and pifm's
@@ -70,8 +71,6 @@ expands to floats first.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -150,31 +149,31 @@ def _evolve(dtheta, chi, offsets, phi, psi0, project) -> np.ndarray:
 # block tables: a telegraph batch, every slot one segment of angle +-2 h_j
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=16)
-def _tables(half_angles, phi, project, start):
+def _tables(half_angles, phi, project, psi0):
     """(maps, first) of a block of slots, slot k of drive half-angle h_k.
 
     Column i of both tables is the sign pattern i: slot k drives -2 h_k
     where bit k of i is set and 2 h_k elsewhere, as a TelegraphSlots sign
     bit makes (-1.0) * factor_k.  Each slot is the loop's own: its drive,
     pifm's |2> projection, then the beam splitter, applied to basis states
-    and to start.  maps holds, row-major, the block's 3x3 product M (cifm),
-    or (pifm, which leaves |2> empty after every slot) M's 0-1 block
-    followed by the factor L^T of the click form L L^T = sum over the
-    block's slots of z z^T, z the |2> amplitudes of |0> and |1> before each
-    projection; a block then adds |L^T (a0, a1)|^2 to the clicks.  first
-    holds the state the block leaves start in: (a0, a1, a2) for cifm, (a0,
-    a1, clicks) for pifm.
+    and to psi0 after the first beam splitter.  maps holds, row-major, the
+    block's 3x3 product M (cifm), or (pifm, which leaves |2> empty after
+    every slot) M's 0-1 block followed by the factor L^T of the click form
+    L L^T = sum over the block's slots of z z^T, z the |2> amplitudes of |0>
+    and |1> before each projection; a block then adds |L^T (a0, a1)|^2 to
+    the clicks.  first holds the state the block leaves that start in: (a0,
+    a1, a2) for cifm, (a0, a1, clicks) for pifm.
     """
     b = len(half_angles)
     bits = np.arange(1 << b) >> np.arange(b)[:, np.newaxis] & 1
     inputs = 2 if project else 3
     psi = np.zeros((3, inputs + 1, 1 << b))
     psi[np.arange(inputs), np.arange(inputs)] = 1.0
-    psi[:, inputs] = np.array(start)[:, np.newaxis]
+    psi[:, inputs] = psi0[:, np.newaxis]
     t1, t2 = np.empty((2,) + psi.shape[1:])
     gram = np.zeros((inputs + 1, inputs + 1, 1 << b))
     cb, sb = np.cos(phi / 2.0), np.sin(phi / 2.0)
+    _rotate(psi[0, inputs], psi[1, inputs], cb, -sb, sb, t1[0], t2[0])  # the first beam splitter
     for h, sign in zip(half_angles, 1.0 - 2.0 * bits):
         s = sign * np.sin(h)
         _rotate(psi[1], psi[2], np.cos(h), -s, s, t1, t2)
@@ -192,29 +191,24 @@ def _tables(half_angles, phi, project, start):
         first = np.stack((psi[0, 2], psi[1, 2], gram[2, 2]))
     else:
         maps, first = psi[:, :3], psi[:, 3]
-    tables = np.ascontiguousarray(maps.reshape(-1, 1 << b)), np.ascontiguousarray(first)
-    for table in tables:
-        table.flags.writeable = False  # cached: shared by every later call
-    return tables
+    # cifm's first is a strided column of psi; np.take reads a compact copy
+    return maps.reshape(-1, 1 << b), np.ascontiguousarray(first)
 
 
 def _evolve_blocks(batch, phi, psi0, project) -> np.ndarray:
     """_evolve's populations of a TelegraphSlots batch, one table lookup per
     block of BLOCK slots.
 
-    psi0 is the real initial state; the first beam splitter turns it into
-    the state every realization shares.  A realization's table index in a
-    block is its byte of batch.signs.
+    psi0 is the real initial state.  The call builds the tables of each
+    distinct block once, and keeps none of them; a realization's table
+    index in a block is its byte of batch.signs.
     """
     r, n = batch.shape
     index = batch.signs
-    psi = np.array(psi0, dtype=np.float64)[:, np.newaxis]
-    cb, sb = np.cos(phi / 2.0), np.sin(phi / 2.0)
-    _rotate(psi[0], psi[1], cb, -sb, sb, *np.empty((2, 1)))
-    start = tuple(psi[:, 0].tolist())
     half_angles = (batch.factor * 0.5).tolist()
-    tables = [_tables(tuple(half_angles[k:k + BLOCK]), phi, project, start)
-              for k in range(0, n, BLOCK)]
+    blocks = [tuple(half_angles[k:k + BLOCK]) for k in range(0, n, BLOCK)]
+    built = {block: _tables(block, phi, project, psi0) for block in dict.fromkeys(blocks)}
+    tables = [built[block] for block in blocks]
     out = np.take(tables[0][1], index[0], axis=1)  # pifm: (a0, a1, clicks)
     rows, inputs = (4, 2) if project else (3, 3)
     amps = out[:inputs]

@@ -439,6 +439,59 @@ def test_sweeps_make_one_kernel_call_per_slot_count_and_protocol(monkeypatch):
     assert result.counters == {"points": 9, "realizations": 36, "kernel_calls": 3}
 
 
+@pytest.mark.parametrize("scenario", [WhiteAmplitude(), experiments.WhitePhase()],
+                         ids=["amplitude", "phase"])
+def test_scenario_sweep_hands_the_kernel_the_sampled_batch(scenario, monkeypatch):
+    # one point per slot count: the kernel reads the arrays sample() returned
+    sampled, seen = [], []
+
+    class Recorded:
+        def sample(self, *args):
+            sampled.append(scenario.sample(*args))
+            return sampled[-1]
+
+    kernel = kernels.cifm_populations
+    monkeypatch.setattr(kernels, "cifm_populations",
+                        lambda dtheta, chi, *rest: seen.append((dtheta, chi))
+                        or kernel(dtheta, chi, *rest))
+    run_sweep(SweepConfig(protocol="cifm", scenario=Recorded(), n_values=(1, 4, 9),
+                          realizations=5))
+    assert len(seen) == len(sampled) == 3
+    for (dtheta, chi), (drawn, drawn_chi) in zip(seen, sampled):
+        assert np.shares_memory(dtheta, drawn)
+        assert chi is drawn_chi is None or np.shares_memory(chi, drawn_chi)
+
+
+def _kappa(**changes):
+    return sweep_kappa_N(**{"n_values": (3,), "kappa_inv_values": (1e-6,), "delta_theta": 0.01,
+                            "realizations": 4, **changes})
+
+
+def _clustering(**changes):
+    return clustering_sweep(**{"n_values": (3,), "kappa_inv_values": (1e-6,),
+                               "realizations": 4, **changes})
+
+
+@pytest.mark.parametrize("driver", [_kappa, _clustering], ids=["kappa", "clustering"])
+@pytest.mark.parametrize("argument, value", [
+    ("n_values", ()), ("n_values", (0,)), ("n_values", (4, -1)), ("kappa_inv_values", ()),
+    ("kappa_inv_values", (-1e-6,)), ("kappa_inv_values", (math.nan,)), ("realizations", 0),
+    ("total_duration", -1e-5), ("total_duration", math.inf)])
+def test_binary_sweeps_name_a_bad_argument(driver, argument, value):
+    with pytest.raises(ValueError, match=argument):
+        driver(**{argument: value})
+
+
+@pytest.mark.parametrize("rate", [1.0, -1e9, math.inf, math.nan])
+def test_kappa_sweep_names_a_sample_rate_that_leaves_slots_empty_or_is_not_positive(rate):
+    # 1e-5 s at 1 Hz leaves all three slots without a trace sample
+    with pytest.raises(ValueError, match="sample_rate"):
+        _kappa(sample_rate=rate)
+    if rate != 1.0:
+        with pytest.raises(ValueError, match="sample_rate"):
+            slot_samples(3, 1e-5, rate)
+
+
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(protocol="laser", scenario=WhiteAmplitude(), n_values=(1,))

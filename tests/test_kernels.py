@@ -502,7 +502,7 @@ def test_cos_is_even_and_sin_odd_to_the_bit():
 @pytest.mark.parametrize("axes", ["amplitude", "random"])
 @pytest.mark.parametrize("magnitudes", ["one", "per_column"])
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
-def test_one_magnitude_columns_match_per_element_cos_and_sin(protocol, magnitudes, axes):
+def test_segment_loop_rows_do_not_depend_on_their_batch(protocol, magnitudes, axes):
     # one row of another magnitude, at the end or between rows of equal
     # magnitude, must not change the other rows by a bit; three segments per
     # slot keep the batch off the block tables, so on the amplitude axis this
@@ -585,6 +585,23 @@ def test_block_tables_give_a_row_the_populations_of_its_batch(protocol, n, block
     alone = batch_populations(protocol, row, None, offsets, psi0)
     assert block_calls == [(2000, n), (1, n)]
     assert np.array_equal(wide[:1], alone)
+
+
+@pytest.mark.parametrize("protocol", ["cifm", "pifm"])
+def test_block_tables_are_built_per_call(protocol, monkeypatch):
+    # a clustering batch drives theta in every slot: n = 40 is five equal
+    # blocks of 8 and n = 20 two of 8 and one of 4, so a call builds one
+    # and two tables; the same call again builds them again
+    built = []
+    tables = kernels._tables
+    monkeypatch.setattr(kernels, "_tables",
+                        lambda block, *rest: built.append(len(block)) or tables(block, *rest))
+    for n, sizes in ((40, [8]), (20, [8, 4])):
+        batch = gen_telegraph_slots(1e5, np.pi, (2000, n), 1e-5 / n, np.random.default_rng(n))
+        for _ in range(2):
+            built.clear()
+            batch_populations(protocol, batch, None, np.arange(n + 1), TABLE_STATES["ground"])
+            assert built == sizes
 
 
 @pytest.mark.parametrize("case", ["two_segment_slot", "complex_state", "mixed_magnitudes",
