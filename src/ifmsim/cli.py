@@ -9,7 +9,8 @@ and in scenario mode its scenario's fields).  Every run writes a manifest
 JSON carrying the echoed config, its hash, the seed actually used and
 where it came from (--seed, the config, or the default 0), the RNG
 scheme, the python and numpy versions, timestamps, the list of output
-files and, for a sweep, its work counters, so any artifact can be
+files and, for a sweep, its transparent slot counts (anomalous_n, empty
+outside kappa mode) and its work counters, so any artifact can be
 regenerated byte-for-byte from (config, seed, version).  Every file a run
 writes goes through this module: every CSV through _write_csv and every
 manifest through _write_manifest.  Runs are single-threaded; --threads is
@@ -229,7 +230,6 @@ _SWEEP_SCHEMA = {
 _FCS_SCHEMA = {
     "fcs": {
         "kappa_t": ("float", ">= 0", None),
-        "kappa": ("float", ">= 0", None),
         "theta": ("float", "!= 0", None),
         "total_duration": ("float", "> 0", 1e-5),
         # kept because the shipped fcs configs set it; the pulses drive one
@@ -296,10 +296,9 @@ def _write_json(path, payload) -> None:
 
 
 def _write_manifest(out_dir: Path, prefix: str, config, seed, seed_source, started, outputs,
-                    results=None, counters=None) -> Path:
-    """Write <prefix>_manifest.json, finished now, and return its path; a
-    results block and a counters block, when given, go in under "results"
-    and "counters"."""
+                    **blocks) -> Path:
+    """Write <prefix>_manifest.json, finished now, and return its path; each
+    keyword block goes in under its own name."""
     manifest = {
         "tool": "ifmsim",
         "version": __version__,
@@ -313,11 +312,8 @@ def _write_manifest(out_dir: Path, prefix: str, config, seed, seed_source, start
         "started_utc": started,
         "finished_utc": _utcnow(),
         "outputs": [str(p) for p in outputs],
+        **blocks,
     }
-    if results is not None:
-        manifest["results"] = results
-    if counters is not None:
-        manifest["counters"] = counters
     path = out_dir / f"{prefix}_manifest.json"
     _write_json(path, manifest)
     return path
@@ -394,18 +390,8 @@ def cmd_sweep(args) -> int:
                     for j, param in enumerate(result.params)))
         outputs.append(path)
 
-    results = None
-    if args.format == "json":
-        results = {
-            "n_values": list(result.n_values),
-            "params": list(result.params),
-            "anomalous_n": list(result.anomalies),
-            "stats": {name: {"mean": stats.mean.tolist(), "variance": stats.variance.tolist(),
-                             "std": stats.std.tolist()}
-                      for name, stats in result.stats.items()},
-        }
     manifest_path = _write_manifest(out_dir, prefix, config, seed, seed_source, started, outputs,
-                                    results, result.counters)
+                                    anomalous_n=list(result.anomalies), counters=result.counters)
     print(f"wrote {', '.join(str(p) for p in outputs)} and {manifest_path}")
     return EXIT_OK
 
@@ -439,26 +425,17 @@ def cmd_table1(args) -> int:
 # fcs subcommand
 # ---------------------------------------------------------------------------
 
-#: The largest mean Generator.poisson accepts: numpy refuses a mean above
-#: int64 max - 10 sqrt(int64 max), so that its int64 draws cannot overflow.
-_POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
-
-
 def cmd_fcs(args) -> int:
     config = load_config(args.config)
     values = _read(config, _FCS_SCHEMA)
     seed, seed_source = _resolve_seed(values, args.seed)
     total = values["total_duration"]
-    if "kappa_t" in values and "kappa" in values:
-        raise ConfigError("[fcs] kappa is not read when [fcs] kappa_t is set")
-    if "kappa_t" not in values and "kappa" not in values:
-        raise ConfigError("missing required key: set [fcs] kappa_t or [fcs] kappa")
-    kappa = values["kappa_t"] / total if "kappa_t" in values else values["kappa"]
-    if not kappa * total <= _POISSON_MEAN_MAX:  # fcs_estimate draws Poisson(kappa * total)
-        key = "kappa_t" if "kappa_t" in values else "kappa"
-        raise ConfigError(f"[fcs] {key} sets the mean event count kappa * total_duration to "
-                          f"{kappa * total:g}, above the largest Poisson mean numpy draws, "
-                          f"{_POISSON_MEAN_MAX:g}")
+    kappa = values["kappa_t"] / total
+    mean = kappa * total  # the Poisson mean that fcs_estimate draws
+    if not mean <= experiments.POISSON_MEAN_MAX:
+        raise ConfigError(f"[fcs] kappa_t sets the mean event count kappa * total_duration to "
+                          f"{mean:g}, above the largest Poisson mean numpy draws, "
+                          f"{experiments.POISSON_MEAN_MAX:g}")
     theta = values["theta"]
     realizations = values["realizations"]
     lam_max, lam_count, h = values["lambda_max"], values["lambda_count"], values["moment_step"]
@@ -629,7 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", parents=[p_run],
                              help="run an ensemble sweep from a config file")
-    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_table = sub.add_parser("table1", help="deterministic four-slot configuration table")

@@ -60,6 +60,7 @@ __all__ = [
     "EnsembleStats",
     "GFEstimate",
     "GridResult",
+    "POISSON_MEAN_MAX",
     "RNG_SCHEME",
     "SweepConfig",
     "TABLE_CONFIGS",
@@ -87,6 +88,25 @@ RNG_SCHEME = ("keyed-batch: PCG64(SeedSequence([master_seed, point_index])), "
 
 def _stream(master_seed: int, point_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, point_index]))
+
+
+def _whole(value, name: str) -> int:
+    """value as an int, or a ValueError naming name unless it is a whole
+    number >= 1: a Python or numpy integer, not a float such as 2.0."""
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise ValueError(f"{name} must be a whole number >= 1, got {value!r}")
+    return int(value)
+
+
+def _counts(n_values, realizations) -> tuple[tuple[int, ...], int]:
+    """(n_values, realizations) as ints, checked as every sweep driver needs
+    them: a ValueError names n_values when it is empty, and the first
+    argument holding a count that is not a whole number >= 1."""
+    n_values = tuple(n_values)
+    if not n_values:
+        raise ValueError("n_values must be nonempty")
+    return (tuple(_whole(n, "n_values entries") for n in n_values),
+            _whole(realizations, "realizations"))
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +220,10 @@ def slot_samples(n_slots: int, total_duration: float, sample_rate: float) -> np.
     total_duration and sample_rate print as: with N = total_duration *
     sample_rate, slot j starts at sample ceil(j N / n_slots), so a boundary
     that lands on a sample puts it in the later slot at any trace length.
-    Both must be finite and positive; a ValueError names the one that is not.
+    n_slots must be a whole number >= 1, and total_duration and sample_rate
+    finite and positive; a ValueError names the first that is not.
     """
+    n_slots = _whole(n_slots, "n_slots")
     for name, value in (("total_duration", total_duration), ("sample_rate", sample_rate)):
         if not 0 < value < math.inf:  # NaN fails too
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
@@ -265,11 +287,9 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
-        if not self.n_values:
-            raise ValueError("n_values must be nonempty")
-        if self.realizations < 1:
-            raise ValueError("realizations must be >= 1")
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        n_values, realizations = _counts(self.n_values, self.realizations)
+        object.__setattr__(self, "n_values", n_values)
+        object.__setattr__(self, "realizations", realizations)
 
 
 @dataclass(frozen=True)
@@ -335,7 +355,6 @@ def _grid(n_values, params, scenario_of, protocols, realizations, master_seed,
     for bit.  Each protocol's stats hold one mean and one ddof-1 variance
     per point, taken over that point's contiguous row of markers.
     """
-    n_values = tuple(int(n) for n in n_values)
     params = tuple(float(p) for p in params)
     mean = np.empty((len(protocols), len(n_values), len(params)))
     var = np.zeros_like(mean)
@@ -386,21 +405,19 @@ def transparency_anomalies(n_values, delta_theta, total_duration, sample_rate) -
 
 
 def _binary_grid(n_values, kappa_inv_values, realizations, total_duration, kappa_inv_max):
-    """(n_values, kappa_inv_values) as tuples, checked as both binary-noise
-    drivers need them: a ValueError names the first argument out of range."""
-    n_values, kappa_inv_values = tuple(n_values), tuple(kappa_inv_values)
-    if not n_values or min(n_values) < 1:
-        raise ValueError(f"n_values must be nonempty, each >= 1, got {n_values}")
+    """(n_values, kappa_inv_values, realizations), checked as both
+    binary-noise drivers need them: a ValueError names the first argument
+    out of range."""
+    n_values, realizations = _counts(n_values, realizations)
+    kappa_inv_values = tuple(kappa_inv_values)
     if not kappa_inv_values:
         raise ValueError("kappa_inv_values must be nonempty")
-    if realizations < 1:
-        raise ValueError(f"realizations must be >= 1, got {realizations}")
     if not 0 < total_duration < math.inf:
         raise ValueError(f"total_duration must be finite and > 0, got {total_duration!r}")
     for k in kappa_inv_values:
         if not 0 < k <= kappa_inv_max:
             raise ValueError(f"kappa_inv_values entry {k:g} outside (0, {kappa_inv_max:g}]")
-    return n_values, kappa_inv_values
+    return n_values, kappa_inv_values, realizations
 
 
 def sweep_kappa_N(n_values, kappa_inv_values, delta_theta, realizations=500,
@@ -413,8 +430,8 @@ def sweep_kappa_N(n_values, kappa_inv_values, delta_theta, realizations=500,
     discretized Poisson rate.  Correlation times must not exceed the
     sequence duration, and every slot must hold a trace sample.
     """
-    n_values, kappa_inv_values = _binary_grid(n_values, kappa_inv_values, realizations,
-                                              total_duration, total_duration)
+    n_values, kappa_inv_values, realizations = _binary_grid(
+        n_values, kappa_inv_values, realizations, total_duration, total_duration)
     if any(slot_samples(n, total_duration, sample_rate).min() < 1 for n in n_values):
         raise ValueError(f"sample_rate {sample_rate:g} leaves drive slots without trace "
                          f"samples: total_duration * sample_rate must be >= every n_values "
@@ -434,8 +451,8 @@ def clustering_sweep(n_values, kappa_inv_values, realizations=2000, master_seed=
     correlation time) clusters equal signs together and raises the coherent
     marker, while the projective detector sees only |theta| and stays flat.
     """
-    n_values, kappa_inv_values = _binary_grid(n_values, kappa_inv_values, realizations,
-                                              total_duration, sys.float_info.max)
+    n_values, kappa_inv_values, realizations = _binary_grid(
+        n_values, kappa_inv_values, realizations, total_duration, sys.float_info.max)
     return _grid(n_values, kappa_inv_values,
                  lambda kinv: BinarySlotNoise(kappa_inv=kinv, total_duration=total_duration,
                                               theta=theta),
@@ -497,6 +514,11 @@ def marker_table() -> list[tuple[tuple[float, ...], float, float]]:
 # full counting statistics with the qubit detector
 # ---------------------------------------------------------------------------
 
+#: The largest mean Generator.poisson accepts: numpy refuses a mean above
+#: int64 max - 10 sqrt(int64 max), so that its int64 draws cannot overflow.
+POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
+
 @dataclass(frozen=True)
 class GFEstimate:
     """Sampled generating function <exp(i lambda theta_T)> of the event count.
@@ -538,13 +560,17 @@ def fcs_estimate(kappa, theta, total_duration, lambda_values, realizations,
     every realization, so the mean and the standard deviation run over the
     same values in the same order as if every realization were evolved, and
     the estimate is bit-identical to that; a count-weighted mean would sum
-    in another order.
+    in another order.  The Poisson mean kappa * total_duration must lie in
+    [0, POISSON_MEAN_MAX]; a ValueError names it when it does not.
     """
     lambda_values = np.asarray(lambda_values, dtype=np.float64)
-    if realizations < 1:
-        raise ValueError("realizations must be >= 1")
+    realizations = _whole(realizations, "realizations")
+    mean = kappa * total_duration
+    if not 0 <= mean <= POISSON_MEAN_MAX:  # NaN fails too
+        raise ValueError(f"kappa * total_duration must be in [0, {POISSON_MEAN_MAX:g}], "
+                         f"the Poisson means numpy draws; got {mean!r}")
     count_rng, _ = _stream(master_seed, 0).spawn(2)
-    events = count_rng.poisson(kappa * total_duration, realizations)
+    events = count_rng.poisson(mean, realizations)
     counts, row = np.unique(events, return_inverse=True)
     dtheta = (lambda_values[:, np.newaxis] * (counts * theta)).reshape(-1, 1)
     ground = basis_state(2, 0)

@@ -18,7 +18,6 @@ import ifmsim
 from ifmsim.cli import (
     _FCS_SCHEMA,
     _MODE_KEYS,
-    _POISSON_MEAN_MAX,
     _SCENARIOS,
     _SWEEP_SCHEMA,
     EXIT_CONFIG,
@@ -33,7 +32,13 @@ from ifmsim.cli import (
     main,
     parse_int_list,
 )
-from ifmsim.experiments import RNG_SCHEME, BinarySlotNoise, ensemble_markers, sweep_kappa_N
+from ifmsim.experiments import (
+    POISSON_MEAN_MAX,
+    RNG_SCHEME,
+    BinarySlotNoise,
+    ensemble_markers,
+    sweep_kappa_N,
+)
 from ifmsim.noise import gen_telegraph_slots
 
 SMALL_SWEEP = """
@@ -158,15 +163,6 @@ sample_rate = 1e8
     assert blobs[0] == blobs[1] == blobs[2]
 
 
-def test_sweep_json_format_embeds_results(tmp_path):
-    cfg = write(tmp_path, "small.cfg", SMALL_SWEEP)
-    out = tmp_path / "json_out"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--format", "json"]) == EXIT_OK
-    manifest = json.loads((out / "small_manifest.json").read_text())
-    assert manifest["results"]["n_values"] == [2, 5, 10]
-    assert len(manifest["results"]["stats"]["cifm"]["mean"]) == 3
-
-
 def test_missing_required_key_exits_2(tmp_path, capsys):
     cfg = write(tmp_path, "bad.cfg", "[run]\nmode = scenario\nscenario = zero_sum\n"
                                      "[grid]\nn_values = 1,2\n")
@@ -246,11 +242,11 @@ def test_sweep_manifest_counts_its_work_outside_the_hash_and_csvs(tmp_path, text
     # making one kernel call per slot count
     cfg = write(tmp_path, "run.cfg", text)
     out = tmp_path / "out"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--format", "json"]) == EXIT_OK
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["counters"] == counters
     assert manifest["config_hash"] == config_hash(load_config(cfg))
-    assert "counters" not in manifest["config"] and "counters" not in manifest["results"]
+    assert "counters" not in manifest["config"]
     for csv in out.glob("*.csv"):
         lines = csv.read_text().splitlines()
         assert lines[0] == "n,param,mean,variance,std,realizations,seed"
@@ -316,7 +312,6 @@ AMPLITUDE_PHASE = SMALL_SWEEP.replace("zero_sum", "amplitude_phase")
     ("fcs", SMALL_FCS, "total_duration = 1e-5", "total_duration = 0", "[fcs] total_duration"),
     ("fcs", SMALL_FCS, "seed = 7", "seed = 7\nmoment_step = 0", "[fcs] moment_step"),
     ("fcs", SMALL_FCS, "theta = 0.785398163", "theta = 0", "[fcs] theta"),
-    ("fcs", SMALL_FCS, "kappa_t = 4.0", "kappa = -1", "[fcs] kappa"),
     ("fcs", SMALL_FCS, "kappa_t = 4.0", "kappa_t = -4", "[fcs] kappa_t"),
     # ints beyond the float range, which math.isfinite cannot take
     ("sweep", SMALL_SWEEP, "seed = 4242", "seed = 1" + "0" * 400, "[run] seed"),
@@ -331,7 +326,7 @@ AMPLITUDE_PHASE = SMALL_SWEEP.replace("zero_sum", "amplitude_phase")
         "amplitude_range_reversed", "amplitude_lo_above_default_hi",
         "zero_sum_theta_max_negative", "amplitude_phase_theta_max_negative",
         "fcs_total_duration_zero", "fcs_moment_step_zero", "fcs_theta_zero",
-        "fcs_kappa_negative", "fcs_kappa_t_negative", "seed_beyond_float_range",
+        "fcs_kappa_t_negative", "seed_beyond_float_range",
         "n_values_beyond_float_range"])
 def test_out_of_range_value_exits_2_naming_key(tmp_path, capsys, command, text, line,
                                                replacement, key):
@@ -457,22 +452,35 @@ def test_clustering_files_hold_the_ensemble_statistics(tmp_path):
 
 
 def test_every_sweep_mode_writes_one_json_layout(tmp_path):
-    blocks = {}
+    # one manifest key set in every mode; anomalous_n is empty outside kappa
+    # mode, and at n = 2 a kappa slot holds 5 samples of 0.5 rad, no 4 pi turn
+    manifests = {}
     for text, name in ((SMALL_SWEEP, "scenario"), (KAPPA_PIFM, "kappa"), (CLUSTERING, "clu")):
         out = tmp_path / name
         cfg = write(tmp_path, f"{name}.cfg", text)
-        assert main(["sweep", "--config", str(cfg), "--out", str(out),
-                     "--format", "json"]) == EXIT_OK
-        manifest = json.loads((out / f"{name}_manifest.json").read_text())
-        blocks[name] = manifest["results"]
-        for i, (protocol, stats) in enumerate(blocks[name]["stats"].items()):
-            assert set(stats) == {"mean", "variance", "std"}
-            path = out / f"{name}_{'stats' if i == 0 else protocol + '_control'}.csv"
-            assert str(path) in manifest["outputs"]
-            assert read_stats(path)[:, 2].tolist() == np.ravel(stats["mean"]).tolist()
-    assert {name: set(results) for name, results in blocks.items()} == {
-        name: {"n_values", "params", "anomalous_n", "stats"} for name in blocks}
-    assert list(blocks["clu"]["stats"]) == ["cifm", "pifm"]
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        manifests[name] = json.loads((out / f"{name}_manifest.json").read_text())
+        assert manifests[name]["anomalous_n"] == []
+    assert {name: set(manifest) for name, manifest in manifests.items()} == {
+        name: {"tool", "version", "config", "config_hash", "master_seed", "seed_source",
+               "rng_scheme", "python", "numpy", "started_utc", "finished_utc", "outputs",
+               "anomalous_n", "counters"} for name in manifests}
+    assert [Path(p).name for p in manifests["clu"]["outputs"]] == [
+        "clu_stats.csv", "clu_pifm_control.csv"]
+
+
+def test_kappa_manifest_lists_the_transparent_slot_counts_outside_the_hash(tmp_path):
+    # 4 pi / 5 per sample: n = 2 puts 5 samples, one 4 pi turn, in each slot,
+    # and n = 3 puts 3 or 4 samples in a slot, no whole turn
+    text = KAPPA_PIFM.replace("n_values = 2", "n_values = 2,3")
+    cfg = write(tmp_path, "kappa.cfg", text.replace("delta_theta = 0.5",
+                                                    f"delta_theta = {4 * math.pi / 5!r}"))
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "kappa_manifest.json").read_text())
+    assert manifest["anomalous_n"] == [2]
+    assert manifest["config_hash"] == config_hash(load_config(cfg))
+    assert "anomalous_n" not in (out / "kappa_stats.csv").read_text()
 
 
 def test_colored_config_runs_with_alpha_in_range(tmp_path):
@@ -488,12 +496,11 @@ def test_kappa_config_runs_with_one_sample_per_slot(tmp_path):
 
 @pytest.mark.parametrize("line, replacement, key", [
     ("kappa_t = 4.0", "kappa_t = four", "kappa_t"),
-    ("kappa_t = 4.0", "kappa = inf", "kappa"),
     ("theta = 0.785398163", "theta = 1/4", "theta"),
     ("total_duration = 1e-5", "total_duration = x", "total_duration"),
     ("lambda_max = 1.0", "lambda_max = ", "lambda_max"),
     ("seed = 7", "seed = 7\nmoment_step = small", "moment_step"),
-], ids=["kappa_t", "kappa", "theta", "total_duration", "lambda_max", "moment_step"])
+], ids=["kappa_t", "theta", "total_duration", "lambda_max", "moment_step"])
 def test_bad_fcs_float_exits_2_naming_key(tmp_path, capsys, line, replacement, key):
     cfg = write(tmp_path, "fcs.cfg", SMALL_FCS.replace(line, replacement))
     code = main(["fcs", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -624,38 +631,34 @@ def test_fcs_report_floors_the_stderr_at_zero_attenuation(tmp_path):
     assert report["max_deviation_from_poisson_in_stderr"] < 3.0
 
 
-def test_fcs_config_setting_both_kappa_keys_exits_2(tmp_path, capsys):
-    # kappa_t wins, so a kappa beside it is a key the run never reads
-    text = SMALL_FCS.replace("kappa_t = 4.0", "kappa_t = 4.0\nkappa = 1e9")
-    cfg = write(tmp_path, "fcs.cfg", text.replace("theta = 0.785398163", "theta = 0.5"))
+@pytest.mark.parametrize("line, replacement, message", [
+    ("kappa_t = 4.0", "kappa_t = 4.0\nkappa = 1e9", "unknown key 'kappa' in section [fcs]"),
+    ("kappa_t = 4.0", "kappa = 4e5", "unknown key 'kappa' in section [fcs]"),
+    ("kappa_t = 4.0\n", "", "missing required key 'kappa_t' in section [fcs]"),
+], ids=["beside_kappa_t", "instead_of_kappa_t", "neither"])
+def test_fcs_kappa_is_an_unknown_key_and_kappa_t_is_required(tmp_path, capsys, line,
+                                                              replacement, message):
+    cfg = write(tmp_path, "fcs.cfg", SMALL_FCS.replace(line, replacement))
     code = main(["fcs", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
-    assert "[fcs] kappa is not read" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
-def test_fcs_config_setting_neither_kappa_key_exits_2_naming_both(tmp_path, capsys):
-    cfg = write(tmp_path, "fcs.cfg", SMALL_FCS.replace("kappa_t = 4.0\n", ""))
-    code = main(["fcs", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "[fcs] kappa_t" in err and re.search(r"\[fcs\] kappa(?!_t)", err)
-
-
-@pytest.mark.parametrize("key, value, code", [
-    ("kappa", _POISSON_MEAN_MAX, EXIT_OK),
-    ("kappa", float(np.nextafter(_POISSON_MEAN_MAX, math.inf)), EXIT_CONFIG),
-    ("kappa_t", 1e19, EXIT_CONFIG),
-], ids=["kappa_at_the_limit", "kappa_above_the_limit", "kappa_t_above_the_limit"])
-def test_fcs_poisson_mean_above_numpys_limit_exits_2_naming_its_key(tmp_path, capsys, key,
-                                                                     value, code):
-    # with total_duration = 1 the mean is kappa itself, bit for bit
-    text = (SMALL_FCS.replace("kappa_t = 4.0", f"{key} = {value!r}")
+@pytest.mark.parametrize("value, code", [
+    (POISSON_MEAN_MAX, EXIT_OK),
+    (float(np.nextafter(POISSON_MEAN_MAX, math.inf)), EXIT_CONFIG),
+    (1e19, EXIT_CONFIG),
+], ids=["kappa_t_at_the_limit", "kappa_t_just_above_the_limit", "kappa_t_above_the_limit"])
+def test_fcs_poisson_mean_above_numpys_limit_exits_2_naming_its_key(tmp_path, capsys, value,
+                                                                     code):
+    # with total_duration = 1 the mean is kappa_t itself, bit for bit
+    text = (SMALL_FCS.replace("kappa_t = 4.0", f"kappa_t = {value!r}")
             .replace("total_duration = 1e-5", "total_duration = 1"))
     cfg = write(tmp_path, "fcs.cfg", text)
     assert main(["fcs", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
     if code == EXIT_CONFIG:
-        assert f"[fcs] {key} sets the mean" in capsys.readouterr().err
+        assert "[fcs] kappa_t sets the mean" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 

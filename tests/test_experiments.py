@@ -476,10 +476,41 @@ def _clustering(**changes):
 @pytest.mark.parametrize("argument, value", [
     ("n_values", ()), ("n_values", (0,)), ("n_values", (4, -1)), ("kappa_inv_values", ()),
     ("kappa_inv_values", (-1e-6,)), ("kappa_inv_values", (math.nan,)), ("realizations", 0),
-    ("total_duration", -1e-5), ("total_duration", math.inf)])
+    ("total_duration", -1e-5), ("total_duration", math.inf), ("n_values", (2.5,)),
+    ("realizations", 2.5)])
 def test_binary_sweeps_name_a_bad_argument(driver, argument, value):
+    # a float slot count used to run as int(n), or fail with a TypeError
     with pytest.raises(ValueError, match=argument):
         driver(**{argument: value})
+
+
+@pytest.mark.parametrize("argument, value", [
+    ("n_values", (0,)), ("n_values", (-1,)), ("n_values", (2.5,)), ("n_values", (3, 2.0)),
+    ("realizations", 2.5)])
+def test_scenario_sweep_names_a_slot_or_realization_count_that_is_not_whole(argument, value):
+    # n = 0 divided by zero, n = -1 failed on the segment offsets, and
+    # n = 2.5 ran as n = 2
+    arguments = {"n_values": (3,), "realizations": 3, argument: value}
+    with pytest.raises(ValueError, match=argument):
+        run_sweep(SweepConfig("cifm", ColoredPhase(), **arguments))
+
+
+def test_sweeps_take_numpy_integer_counts():
+    config = SweepConfig("cifm", ColoredPhase(), np.arange(2, 4), realizations=np.int64(3))
+    assert config.n_values == (2, 3) and type(config.realizations) is int
+    got = clustering_sweep(np.array([2, 3]), (1e-6,), realizations=np.int32(3))
+    want = clustering_sweep((2, 3), (1e-6,), realizations=3)
+    assert got.n_values == want.n_values
+    assert np.array_equal(got.stats["cifm"].mean, want.stats["cifm"].mean)
+
+
+@pytest.mark.parametrize("n", [0, -2, 2.5])
+def test_slot_counts_of_the_trace_samples_must_be_whole(n):
+    # n = 0 divided by zero, and transparency_anomalies reported n = -2
+    with pytest.raises(ValueError, match="n_slots"):
+        slot_samples(n, 1e-5, 1e9)
+    with pytest.raises(ValueError, match="n_slots"):
+        transparency_anomalies((n,), 0.01, 1e-5, 1e9)
 
 
 @pytest.mark.parametrize("rate", [1.0, -1e9, math.inf, math.nan])

@@ -192,3 +192,16 @@ def test_kernel_runs_once_per_lambda_over_the_distinct_counts(monkeypatch):
     assert 10 < distinct < r
     # one call per initial state, each over every (lambda, distinct count) row
     assert shapes == [(lambdas.size * distinct, 1)] * 2
+
+
+@pytest.mark.parametrize("kappa", [-1.0, 1e30, math.nan], ids=["negative", "huge", "nan"])
+def test_fcs_estimate_names_a_poisson_mean_numpy_cannot_draw(kappa):
+    # numpy's own "lam < 0 or lam is NaN" and "lam value too large" used to surface
+    with pytest.raises(ValueError, match=r"kappa \* total_duration"):
+        fcs_estimate(kappa, 0.5, 1.0, [0.0], 10)
+
+
+@pytest.mark.parametrize("realizations", [0, 2.5])
+def test_fcs_estimate_names_a_realization_count_that_is_not_whole(realizations):
+    with pytest.raises(ValueError, match="realizations"):
+        fcs_estimate(4e5, 0.5, 1e-5, [0.0], realizations)

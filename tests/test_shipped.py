@@ -48,6 +48,12 @@ def read_csv(path):
 CONFIGS = {p.name: (p, SHIPPED) for p in (REPO / "configs").glob("*.cfg")}
 CONFIGS.update((p.name, (p, SCENARIOS)) for p in SCENARIOS.glob("*.cfg"))
 
+#: The transparent slot counts each sweep manifest lists: the anomaly grid
+#: steps 4 pi / 1000 per sample over 10,000 samples, so a slot turns a
+#: whole number of times where it holds 1000 k samples; every other sweep
+#: lists none.
+ANOMALOUS_N = {"anomaly_grid.cfg": [1, 2, 5, 10]}
+
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 def test_shipped_config_reproduces_its_committed_outputs(config, tmp_path):
@@ -59,6 +65,9 @@ def test_shipped_config_reproduces_its_committed_outputs(config, tmp_path):
     assert committed, f"no committed outputs for {config}"
     written = {p.name for p in tmp_path.iterdir()} - {f"{stem}_manifest.json"}
     assert written == {p.name for p in committed}
+    if command == "sweep":
+        manifest = json.loads((tmp_path / f"{stem}_manifest.json").read_text(encoding="utf-8"))
+        assert manifest["anomalous_n"] == ANOMALOUS_N.get(config, [])
     for want_path in committed:
         got_path = tmp_path / want_path.name
         if want_path.suffix == ".json":
