@@ -3,7 +3,7 @@
 Configs are INI files (key = value under [section] headers) documented in
 the README and checked against one table per subcommand, _SWEEP_SCHEMA or
 _FCS_SCHEMA, of every key's kind, range and default; scenario [noise]
-defaults live in the scenario classes, whose fields are the scenario's
+defaults live in the scenario classes, whose _fields are the scenario's
 keys.  A sweep config may set only the keys its mode reads (_MODE_KEYS,
 and in scenario mode its scenario's fields).  Every run writes a manifest
 JSON carrying the echoed config, its hash, the seed actually used and
@@ -25,10 +25,8 @@ import datetime as _dt
 import hashlib
 import json
 import math
-import platform
 import sys
 import time
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -251,7 +249,7 @@ def _check_read(config: dict, values: dict) -> None:
     reads = ("mode", "realizations", "seed", "n_values") + _MODE_KEYS[mode]
     where = f"{mode} mode"
     if mode == "scenario":
-        reads += tuple(field.name for field in fields(_SCENARIOS[values["scenario"]]))
+        reads += _SCENARIOS[values["scenario"]]._fields
         where += f" with scenario {values['scenario']}"
     for section, raws in config.items():
         for key in raws:
@@ -307,7 +305,7 @@ def _write_manifest(out_dir: Path, prefix: str, config, seed, seed_source, start
         "master_seed": seed,
         "seed_source": seed_source,
         "rng_scheme": experiments.RNG_SCHEME,
-        "python": platform.python_version(),
+        "python": sys.version.split()[0],
         "numpy": np.__version__,
         "started_utc": started,
         "finished_utc": _utcnow(),
@@ -342,8 +340,7 @@ def cmd_sweep(args) -> int:
                     f"= {total:g} gives the correlation time {kinv:g}, outside the float range")
     if mode == "scenario":
         scenario_class = _SCENARIOS[values["scenario"]]
-        keys = (field.name for field in fields(scenario_class))
-        scenario = scenario_class(**_given(values, keys))
+        scenario = scenario_class(**_given(values, scenario_class._fields))
         # checked on the scenario, so that a class default counts as well
         if (isinstance(scenario, experiments.WhiteAmplitude)
                 and scenario.theta_lo > scenario.theta_hi):

@@ -27,9 +27,13 @@ batch of gen_telegraph_slots, packed signs and one factor per slot (theta,
 or delta_theta times the slot's trace samples), which the kernels' block
 tables read as it is and np.asarray expands to the angles.
 
-The fields of the five scenario classes that the CLI names (ZeroSumAmplitude
-to ColoredPhase) are exactly their config keys; what no config sets, such
-as the [-pi, pi] range of the white phases, is a constant of the class.
+Every record type here is a typing.NamedTuple: immutable and cheap to
+create at import.  Records compare as tuples, so two records of different
+types but equal values compare equal.  SweepConfig checks its values when
+it is made (its _replace does not).  The _fields of the five scenario
+classes that the CLI names (ZeroSumAmplitude to ColoredPhase) are exactly
+their config keys; what no config sets, such as the [-pi, pi] range of the
+white phases, is a constant of the class.
 slot_samples is the one rule for the trace samples a kappa-sweep slot
 holds, for sampling and for transparency_anomalies alike.
 """
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,8 +120,7 @@ def _counts(n_values, realizations) -> tuple[tuple[int, ...], int]:
 # telegraph scenarios a TelegraphSlots dtheta
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ZeroSumAmplitude:
+class ZeroSumAmplitude(NamedTuple):
     """Amplitude noise whose per-slot angles sum exactly to zero."""
 
     theta_max: float = math.pi
@@ -130,8 +133,7 @@ class ZeroSumAmplitude:
         return dtheta, None
 
 
-@dataclass(frozen=True)
-class WhiteAmplitude:
+class WhiteAmplitude(NamedTuple):
     """One white amplitude sample per slot, fixed axis."""
 
     theta_lo: float = 0.0
@@ -142,8 +144,7 @@ class WhiteAmplitude:
         return dtheta, None
 
 
-@dataclass(frozen=True)
-class WhiteAmplitudePhase:
+class WhiteAmplitudePhase(NamedTuple):
     """White amplitude and white phase on [-pi, pi], several samples per slot."""
 
     theta_max: float = math.pi
@@ -157,8 +158,7 @@ class WhiteAmplitudePhase:
         return dtheta, chi
 
 
-@dataclass(frozen=True)
-class WhitePhase:
+class WhitePhase(NamedTuple):
     """Constant drive strength, white phase on [-pi, pi] per sample."""
 
     theta_slot: float = math.pi
@@ -169,8 +169,7 @@ class WhitePhase:
         return np.full(chi.shape, self.theta_slot / self.samples_per_slot), chi
 
 
-@dataclass(frozen=True)
-class ColoredPhase:
+class ColoredPhase(NamedTuple):
     """Constant drive strength, one spectrally colored phase sample per slot.
 
     The phase is a free-running quantity, so the unit-variance colored
@@ -189,8 +188,7 @@ class ColoredPhase:
         return np.full(chi.shape, self.theta_slot), chi
 
 
-@dataclass(frozen=True)
-class BinarySlotNoise:
+class BinarySlotNoise(NamedTuple):
     """Telegraph noise held constant within each slot (one sample per slot)."""
 
     kappa_inv: float
@@ -233,8 +231,7 @@ def slot_samples(n_slots: int, total_duration: float, sample_rate: float) -> np.
     return edges[1:] - edges[:-1]
 
 
-@dataclass(frozen=True)
-class BinarySampledNoise:
+class BinarySampledNoise(NamedTuple):
     """Telegraph sign held per slot over the trace samples inside the slot.
 
     Mirrors the fast-sampling regime: the trace carries per-sample steps of
@@ -264,8 +261,7 @@ class BinarySampledNoise:
 # ensemble engine
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EnsembleStats:
+class EnsembleStats(NamedTuple):
     """Per-grid-point marker statistics over the realization ensemble."""
 
     mean: np.ndarray
@@ -274,26 +270,30 @@ class EnsembleStats:
     count: int
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """One scenario sweep over slot counts."""
-
+class _SweepFields(NamedTuple):
     protocol: str
     scenario: object
     n_values: tuple[int, ...]
     realizations: int = 500
     master_seed: int = 0
 
-    def __post_init__(self) -> None:
-        if self.protocol not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {self.protocol!r}")
-        n_values, realizations = _counts(self.n_values, self.realizations)
-        object.__setattr__(self, "n_values", n_values)
-        object.__setattr__(self, "realizations", realizations)
+
+class SweepConfig(_SweepFields):
+    """One scenario sweep over slot counts, checked when it is made: a
+    ValueError names an unknown protocol and the first count that is not a
+    whole number >= 1.  _replace makes no check."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        config = super().__new__(cls, *args, **kwargs)
+        if config.protocol not in PROTOCOLS:
+            raise ValueError(f"unknown protocol {config.protocol!r}")
+        n_values, realizations = _counts(config.n_values, config.realizations)
+        return config._replace(n_values=n_values, realizations=realizations)
 
 
-@dataclass(frozen=True)
-class GridResult:
+class GridResult(NamedTuple):
     """Marker statistics of a sweep over (n_slots, param) points.
 
     stats maps each protocol to its EnsembleStats, whose arrays have shape
@@ -301,14 +301,15 @@ class GridResult:
     (0.0,) for a scenario sweep; anomalies holds the transparent slot
     counts of a kappa sweep.  counters says how much work the sweep did:
     its grid points, the realizations drawn over all of them, and its
-    kernel calls, one per slot count and protocol.
+    kernel calls, counted as they are made (one per slot count and
+    protocol).
     """
 
     n_values: tuple[int, ...]
     params: tuple[float, ...]
     stats: dict[str, EnsembleStats]
-    anomalies: tuple[int, ...] = ()
-    counters: dict[str, int] = field(default_factory=dict)
+    anomalies: tuple[int, ...]
+    counters: dict[str, int]
 
 
 def _sample_batch(scenario, n_slots, realizations, master_seed, point_index):
@@ -358,12 +359,14 @@ def _grid(n_values, params, scenario_of, protocols, realizations, master_seed,
     params = tuple(float(p) for p in params)
     mean = np.empty((len(protocols), len(n_values), len(params)))
     var = np.zeros_like(mean)
+    kernel_calls = 0
     for i, n in enumerate(n_values):
         batch = _stack([_sample_batch(scenario_of(param), n, realizations, master_seed,
                                       i * len(params) + j)
                         for j, param in enumerate(params)])
         for p, protocol in enumerate(protocols):
             markers = _markers(protocol, batch).reshape(len(params), realizations)
+            kernel_calls += 1
             mean[p, i] = markers.mean(axis=1)
             if realizations > 1:
                 var[p, i] = markers.var(axis=1, ddof=1)
@@ -372,7 +375,7 @@ def _grid(n_values, params, scenario_of, protocols, realizations, master_seed,
              for p, protocol in enumerate(protocols)}
     points = len(n_values) * len(params)
     counters = {"points": points, "realizations": points * realizations,
-                "kernel_calls": len(n_values) * len(protocols)}
+                "kernel_calls": kernel_calls}
     return GridResult(n_values, params, stats, tuple(anomalies), counters)
 
 
@@ -519,8 +522,7 @@ def marker_table() -> list[tuple[tuple[float, ...], float, float]]:
 POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
-@dataclass(frozen=True)
-class GFEstimate:
+class GFEstimate(NamedTuple):
     """Sampled generating function <exp(i lambda theta_T)> of the event count.
 
     re/im are reconstructed from the qubit marker with ground-state and
@@ -556,12 +558,20 @@ def fcs_estimate(kappa, theta, total_duration, lambda_values, realizations,
     evolves only the distinct totals (a handful of Poisson counts, however
     many realizations), at every lambda point at once: one batch whose rows
     are every (lambda, distinct count) pair, and one call per initial state,
-    two calls per estimate.  Each lambda point gathers its rows back to
-    every realization, so the mean and the standard deviation run over the
-    same values in the same order as if every realization were evolved, and
-    the estimate is bit-identical to that; a count-weighted mean would sum
-    in another order.  The Poisson mean kappa * total_duration must lie in
-    [0, POISSON_MEAN_MAX]; a ValueError names it when it does not.
+    two calls per estimate.
+
+    The statistics take one pass per initial state and lambda point.  The
+    point's row of marker populations is taken back into realization order
+    (pe[i].take(row)); the mean is np.add.reduce(x) / R, and then, in place,
+    x -= mean and x *= x give the ddof-1 variance np.add.reduce(x) / (R - 1),
+    the reductions that ndarray.mean and ndarray.std(ddof=1) run, in the same
+    order.  sqrt is correctly rounded and monotone, so the error,
+    2 sqrt(max(var_g, var_p)) / sqrt(R), is the larger of the two standard
+    errors, and the estimate is bit-identical to evolving every realization.
+    A count-weighted mean over the distinct totals would be cheaper, but it
+    sums in another order and moves the results in the last bits.  The
+    Poisson mean kappa * total_duration must lie in [0, POISSON_MEAN_MAX]; a
+    ValueError names it when it does not.
     """
     lambda_values = np.asarray(lambda_values, dtype=np.float64)
     realizations = _whole(realizations, "realizations")
@@ -575,21 +585,25 @@ def fcs_estimate(kappa, theta, total_duration, lambda_values, realizations,
     dtheta = (lambda_values[:, np.newaxis] * (counts * theta)).reshape(-1, 1)
     ground = basis_state(2, 0)
     plus = np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0)
-    # (lambda, distinct count, level): row i of a lambda's block is counts[i]
-    pops_g, pops_p = (batch_populations("qubit", dtheta, None, None, psi0)
-                      .reshape(lambda_values.size, counts.size, 2) for psi0 in (ground, plus))
+    # (lambda, distinct count): column i of a lambda's row is counts[i]
+    pe_g, pe_p = (np.ascontiguousarray(batch_populations("qubit", dtheta, None, None, psi0)[:, 1])
+                  .reshape(lambda_values.size, counts.size) for psi0 in (ground, plus))
     re = np.empty(lambda_values.size)
     im = np.empty(lambda_values.size)
-    err = np.empty(lambda_values.size)
+    err = np.zeros(lambda_values.size)
     sqrt_r = math.sqrt(realizations)
     for i in range(lambda_values.size):
-        pe_g, pe_p = pops_g[i, row, 1], pops_p[i, row, 1]
-        re[i] = 1.0 - 2.0 * pe_g.mean()
-        im[i] = 2.0 * pe_p.mean() - 1.0
+        g, p = pe_g[i].take(row), pe_p[i].take(row)
+        mean_g, mean_p = np.add.reduce(g) / realizations, np.add.reduce(p) / realizations
+        re[i] = 1.0 - 2.0 * mean_g
+        im[i] = 2.0 * mean_p - 1.0
         if realizations > 1:
-            err[i] = 2.0 * max(pe_g.std(ddof=1), pe_p.std(ddof=1)) / sqrt_r
-        else:
-            err[i] = 0.0
+            g -= mean_g
+            g *= g
+            p -= mean_p
+            p *= p
+            var = max(np.add.reduce(g), np.add.reduce(p)) / (realizations - 1)
+            err[i] = 2.0 * math.sqrt(var) / sqrt_r
     return GFEstimate(lambda_values=lambda_values, re=re, im=im, statistical_error=err)
 
 

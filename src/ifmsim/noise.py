@@ -21,7 +21,7 @@ files: the noise command writes the traces and spectra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,15 +48,21 @@ def _rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
-@dataclass(frozen=True)
-class ColorSpec:
-    """Spectral exponent: PSD proportional to f**(-alpha), alpha in {-2..2}."""
-
+class _ColorFields(NamedTuple):
     alpha: int
 
-    def __post_init__(self) -> None:
-        if self.alpha not in (-2, -1, 0, 1, 2):
-            raise ValueError(f"unsupported spectral exponent {self.alpha}")
+
+class ColorSpec(_ColorFields):
+    """Spectral exponent: PSD proportional to f**(-alpha), alpha in {-2..2},
+    checked when it is made (_replace makes no check)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        spec = super().__new__(cls, *args, **kwargs)
+        if spec.alpha not in (-2, -1, 0, 1, 2):
+            raise ValueError(f"unsupported spectral exponent {spec.alpha}")
+        return spec
 
 
 # ---------------------------------------------------------------------------

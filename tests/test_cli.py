@@ -1,6 +1,5 @@
 import argparse
 import configparser
-import dataclasses
 import json
 import math
 import os
@@ -8,6 +7,7 @@ import platform
 import re
 import subprocess
 import sys
+import typing
 import warnings
 from pathlib import Path
 
@@ -556,10 +556,11 @@ def test_scenario_fields_are_noise_schema_keys():
     noise_keys = _SWEEP_SCHEMA["noise"]
     read = {key for keys in _MODE_KEYS.values() for key in keys if key in noise_keys}
     for name, scenario_class in _SCENARIOS.items():
-        for field in dataclasses.fields(scenario_class):
-            assert field.name in noise_keys, (name, field.name)
-            assert noise_keys[field.name][0] == field.type, (name, field.name)
-            read.add(field.name)
+        kinds = typing.get_type_hints(scenario_class)  # read from __annotations__
+        for field in scenario_class._fields:
+            assert field in noise_keys, (name, field)
+            assert noise_keys[field][0] == kinds[field].__name__, (name, field)
+            read.add(field)
     assert read == set(noise_keys)
 
 
@@ -861,6 +862,21 @@ def test_importing_the_cli_loads_every_module_of_the_package():
     files = {"ifmsim" if p.stem == "__init__" else f"ifmsim.{p.stem}"
              for p in package.glob("*.py")}
     assert set(run.stdout.split()) == files
+
+
+def test_importing_the_cli_adds_neither_dataclasses_nor_platform():
+    # the record types are NamedTuples and the manifest reads the Python
+    # version from sys.version; numpy may itself import platform, so the
+    # check is on what importing ifmsim adds to a process that holds numpy
+    package = Path(ifmsim.__file__).parent
+    code = ("import sys, numpy; before = set(sys.modules); import ifmsim.cli; "
+            "print(*sorted({'dataclasses', 'platform'} & (set(sys.modules) - before)))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(package.parent)}, check=True)
+    assert run.stdout.split() == []
+    for source in package.glob("*.py"):
+        text = source.read_text(encoding="utf-8")
+        assert not re.search(r"^\s*(import|from) (dataclasses|platform)\b", text, re.M), source
 
 
 def test_version_command(capsys):

@@ -439,6 +439,22 @@ def test_sweeps_make_one_kernel_call_per_slot_count_and_protocol(monkeypatch):
     assert result.counters == {"points": 9, "realizations": 36, "kernel_calls": 3}
 
 
+@pytest.mark.parametrize("sweep", [
+    lambda: run_sweep(SweepConfig("cifm", WhiteAmplitude(), (1, 4, 9), realizations=3)),
+    lambda: run_sweep(SweepConfig("pifm", ZeroSumAmplitude(), (2, 5), realizations=2)),
+    lambda: sweep_kappa_N((5, 20), (4e-8, 1e-5), 0.0125, realizations=3),
+    lambda: clustering_sweep((2, 3, 7), (1e-7, 1e-6), realizations=2),
+], ids=["run_sweep_cifm", "run_sweep_pifm", "sweep_kappa_N", "clustering_sweep"])
+def test_kernel_calls_counter_counts_the_calls_made(sweep, monkeypatch):
+    calls = []
+    for name in ("cifm_populations", "pifm_populations"):
+        def counting(*args, _kernel=getattr(kernels, name)):
+            calls.append(None)
+            return _kernel(*args)
+        monkeypatch.setattr(kernels, name, counting)
+    assert sweep().counters["kernel_calls"] == len(calls) > 0
+
+
 @pytest.mark.parametrize("scenario", [WhiteAmplitude(), experiments.WhitePhase()],
                          ids=["amplitude", "phase"])
 def test_scenario_sweep_hands_the_kernel_the_sampled_batch(scenario, monkeypatch):

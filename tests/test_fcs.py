@@ -162,8 +162,9 @@ def test_stderr_shrinks_with_realizations():
 
 @pytest.mark.parametrize("seed", [3, 20240905, 77])
 @pytest.mark.parametrize("kappa_t, realizations", [
-    (4.0, 10_000), (4.0, 1), (0.0, 500), (300.0, 2000),
-], ids=["shipped", "one_realization", "one_distinct_count", "many_distinct_counts"])
+    (4.0, 10_000), (4.0, 1), (4.0, 2), (0.0, 500), (300.0, 2000),
+], ids=["shipped", "one_realization", "two_realizations", "one_distinct_count",
+        "many_distinct_counts"])
 def test_distinct_counts_give_every_row_bit_for_bit(seed, kappa_t, realizations):
     # the gathered rows feed the mean and std in the order of the realizations,
     # so the estimate must not move in the last bit
