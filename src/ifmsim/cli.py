@@ -5,12 +5,14 @@ the README and checked against one table per subcommand, _SWEEP_SCHEMA or
 _FCS_SCHEMA, of every key's kind, range and default; scenario [noise]
 defaults live in the scenario classes, whose _fields are the scenario's
 keys.  A sweep config may set only the keys its mode reads (_MODE_KEYS,
-and in scenario mode its scenario's fields).  Every run writes a manifest
-JSON carrying the echoed config, its hash, the seed actually used and
-where it came from (--seed, the config, or the default 0), the RNG
-scheme, the python and numpy versions, timestamps, the list of output
-files and, for a sweep, its transparent slot counts (anomalous_n, empty
-outside kappa mode) and its work counters, so any artifact can be
+and in scenario mode its scenario's fields).  The rules the library needs
+are checked by its drivers alone; main turns their ArgumentError into
+exit 2, naming `[section] key` for each argument at fault.  Every run
+writes a manifest JSON carrying the echoed config, its hash, the seed
+actually used and where it came from (--seed, the config, or the default
+0), the RNG scheme, the python and numpy versions, timestamps, the list of
+output files and, for a sweep, its transparent slot counts (anomalous_n,
+empty outside kappa mode) and its work counters, so any artifact can be
 regenerated byte-for-byte from (config, seed, version).  Every file a run
 writes goes through this module: every CSV through _write_csv and every
 manifest through _write_manifest.  Runs are single-threaded; --threads is
@@ -25,6 +27,7 @@ import datetime as _dt
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -207,7 +210,7 @@ _SWEEP_SCHEMA = {
     },
     "grid": {
         "n_values": ("ints", ">= 1", None),
-        "kappa_inv_fractions": ("floats", "> 0", None),  # and <= 1 in kappa mode
+        "kappa_inv_fractions": ("floats", "> 0", None),  # the drivers check f * total_duration
     },
     "noise": {  # no defaults here: the scenario classes and drivers hold them
         "theta_max": ("float", ">= 0", None),
@@ -240,6 +243,20 @@ _FCS_SCHEMA = {
         "seed": ("int", ">= 0", None),
     },
 }
+
+
+#: The two library arguments whose config key has another name.
+_ARGUMENT_KEYS = {"kappa_inv_values": "kappa_inv_fractions", "kappa": "kappa_t"}
+
+
+def _keyed(exc: experiments.ArgumentError, schema: dict) -> str:
+    """exc's message with `[section] key` for the first mention of each argument it names."""
+    message = str(exc)
+    for name in exc.names:
+        key = _ARGUMENT_KEYS.get(name, name)
+        for section in (s for s, keys in schema.items() if key in keys):  # at most one
+            message = re.sub(rf"\b{name}\b", f"[{section}] {key}", message, count=1)
+    return message
 
 
 def _check_read(config: dict, values: dict) -> None:
@@ -333,11 +350,6 @@ def cmd_sweep(args) -> int:
     if mode != "scenario":  # kappa and clustering: correlation times as fractions of the sequence
         total = values["total_duration"]
         kinvs = tuple(f * total for f in values["kappa_inv_fractions"])
-        for f, kinv in zip(values["kappa_inv_fractions"], kinvs):
-            if not 0 < kinv <= sys.float_info.max:  # underflow to 0 or overflow to inf
-                raise ConfigError(
-                    f"[grid] kappa_inv_fractions entry {f:g} times [timing] total_duration "
-                    f"= {total:g} gives the correlation time {kinv:g}, outside the float range")
     if mode == "scenario":
         scenario_class = _SCENARIOS[values["scenario"]]
         scenario = scenario_class(**_given(values, scenario_class._fields))
@@ -349,25 +361,9 @@ def cmd_sweep(args) -> int:
         result = experiments.run_sweep(experiments.SweepConfig(
             protocol=values["protocol"], scenario=scenario, n_values=n_values, **common))
     elif mode == "kappa":
-        if max(values["kappa_inv_fractions"]) > 1:
-            # sweep_kappa_N refuses correlation times longer than the sequence
-            raise ConfigError("[grid] kappa_inv_fractions entries must be <= 1 in kappa mode")
-        rate, delta = values["sample_rate"], values["delta_theta"]
-        if not total * rate <= 2.0 ** 53:  # a slot's sample count scales delta_theta as a float
-            raise ConfigError(f"[timing] total_duration * [timing] sample_rate = {total * rate:g} "
-                              f"trace samples, above 2**53, the largest count a float holds")
-        samples = [experiments.slot_samples(n, total, rate) for n in n_values]
-        if min(s.min() for s in samples) < 1:  # an empty slot: the detector sees no noise
-            raise ConfigError(f"[timing] sample_rate = {rate:g} leaves drive slots without trace "
-                              f"samples: total_duration * sample_rate = {total * rate:g} must be "
-                              f">= every n (largest {max(n_values)})")
-        most = int(max(s.max() for s in samples))  # a Python int: inf without a numpy warning
-        if not math.isfinite(abs(delta) * most):
-            raise ConfigError(f"[noise] delta_theta = {delta:g} times the {most} trace samples "
-                              f"of a slot overflows the float range")
-        result = experiments.sweep_kappa_N(n_values, kinvs, delta, total_duration=total,
-                                           sample_rate=rate, **common,
-                                           **_given(values, ("protocol",)))
+        result = experiments.sweep_kappa_N(n_values, kinvs, values["delta_theta"],
+                                           total_duration=total, sample_rate=values["sample_rate"],
+                                           **common, **_given(values, ("protocol",)))
     else:  # clustering
         result = experiments.clustering_sweep(
             n_values, kinvs, total_duration=total, **common, **_given(values, ("theta",)))
@@ -428,24 +424,19 @@ def cmd_fcs(args) -> int:
     seed, seed_source = _resolve_seed(values, args.seed)
     total = values["total_duration"]
     kappa = values["kappa_t"] / total
-    mean = kappa * total  # the Poisson mean that fcs_estimate draws
-    if not mean <= experiments.POISSON_MEAN_MAX:
-        raise ConfigError(f"[fcs] kappa_t sets the mean event count kappa * total_duration to "
-                          f"{mean:g}, above the largest Poisson mean numpy draws, "
-                          f"{experiments.POISSON_MEAN_MAX:g}")
     theta = values["theta"]
     realizations = values["realizations"]
     lam_max, lam_count, h = values["lambda_max"], values["lambda_count"], values["moment_step"]
     if lam_count % 2 == 0:
         raise ConfigError(f"[fcs] lambda_count must be odd, got {lam_count}")
     lambdas = np.linspace(-lam_max, lam_max, lam_count)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    prefix = Path(args.config).stem
     started = _utcnow()
 
     gf = experiments.fcs_estimate(kappa, theta, total, lambdas, realizations,
                                   master_seed=seed)
+    out_dir = Path(args.out)  # made once the library has taken the config
+    out_dir.mkdir(parents=True, exist_ok=True)
+    prefix = Path(args.config).stem
     gf_path = out_dir / f"{prefix}_gf.csv"
     _write_csv(gf_path, "lambda,re,im,stderr",
                zip(gf.lambda_values, gf.re, gf.im, gf.statistical_error))
@@ -639,6 +630,10 @@ def main(argv=None) -> int:
         code = args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except experiments.ArgumentError as exc:  # a config value the library refuses
+        schema = _FCS_SCHEMA if args.command == "fcs" else _SWEEP_SCHEMA
+        print(f"config error: {_keyed(exc, schema)}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime error: {exc}", file=sys.stderr)

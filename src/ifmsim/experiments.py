@@ -29,13 +29,14 @@ tables read as it is and np.asarray expands to the angles.
 
 Every record type here is a typing.NamedTuple: immutable and cheap to
 create at import.  Records compare as tuples, so two records of different
-types but equal values compare equal.  SweepConfig checks its values when
-it is made (its _replace does not).  The _fields of the five scenario
+types but equal values compare equal.  The _fields of the five scenario
 classes that the CLI names (ZeroSumAmplitude to ColoredPhase) are exactly
 their config keys; what no config sets, such as the [-pi, pi] range of the
 white phases, is a constant of the class.
 slot_samples is the one rule for the trace samples a kappa-sweep slot
-holds, for sampling and for transparency_anomalies alike.
+holds, for sampling and for transparency_anomalies alike.  The drivers
+and slot_samples check their arguments before any noise is drawn, and a
+refused value raises an ArgumentError naming the arguments at fault.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .noise import (
 from .protocols import PROTOCOLS, basis_state, batch_populations
 
 __all__ = [
+    "ArgumentError",
     "BinarySampledNoise",
     "BinarySlotNoise",
     "ColoredPhase",
@@ -94,22 +96,32 @@ def _stream(master_seed: int, point_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, point_index]))
 
 
-def _whole(value, name: str) -> int:
-    """value as an int, or a ValueError naming name unless it is a whole
-    number >= 1: a Python or numpy integer, not a float such as 2.0."""
+class ArgumentError(ValueError):
+    """An argument value a function refuses.  names holds the arguments at
+    fault, in the order the message first names them."""
+
+    def __init__(self, message: str, *names: str):
+        super().__init__(message)
+        self.names = names
+
+
+def _whole(value, name: str, what: str = "") -> int:
+    """value as an int, or an ArgumentError naming name unless it is a whole
+    number >= 1: a Python or numpy integer, not a float such as 2.0.  what
+    follows the name in the message."""
     if not (isinstance(value, (int, np.integer)) and value >= 1):
-        raise ValueError(f"{name} must be a whole number >= 1, got {value!r}")
+        raise ArgumentError(f"{name}{what} must be a whole number >= 1, got {value!r}", name)
     return int(value)
 
 
 def _counts(n_values, realizations) -> tuple[tuple[int, ...], int]:
     """(n_values, realizations) as ints, checked as every sweep driver needs
-    them: a ValueError names n_values when it is empty, and the first
+    them: an ArgumentError names n_values when it is empty, and the first
     argument holding a count that is not a whole number >= 1."""
     n_values = tuple(n_values)
     if not n_values:
-        raise ValueError("n_values must be nonempty")
-    return (tuple(_whole(n, "n_values entries") for n in n_values),
+        raise ArgumentError("n_values must be nonempty", "n_values")
+    return (tuple(_whole(n, "n_values", " entries") for n in n_values),
             _whole(realizations, "realizations"))
 
 
@@ -218,13 +230,18 @@ def slot_samples(n_slots: int, total_duration: float, sample_rate: float) -> np.
     total_duration and sample_rate print as: with N = total_duration *
     sample_rate, slot j starts at sample ceil(j N / n_slots), so a boundary
     that lands on a sample puts it in the later slot at any trace length.
-    n_slots must be a whole number >= 1, and total_duration and sample_rate
-    finite and positive; a ValueError names the first that is not.
+    n_slots must be a whole number >= 1, total_duration and sample_rate
+    finite and positive, and their product at most 2**53, the largest count
+    a float holds; an ArgumentError names the first argument that is not.
     """
     n_slots = _whole(n_slots, "n_slots")
     for name, value in (("total_duration", total_duration), ("sample_rate", sample_rate)):
         if not 0 < value < math.inf:  # NaN fails too
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+            raise ArgumentError(f"{name} must be finite and > 0, got {value!r}", name)
+    if not total_duration * sample_rate <= 2.0 ** 53:  # inf fails too
+        raise ArgumentError(f"total_duration * sample_rate = {total_duration * sample_rate:g} "
+                            f"trace samples, above 2**53, the largest count a float holds",
+                            "total_duration", "sample_rate")
     (a, i), (b, k) = _decimal(total_duration), _decimal(sample_rate)
     num, den = a * b * 10 ** max(i + k, 0), n_slots * 10 ** max(-(i + k), 0)
     edges = np.array([-(-j * num // den) for j in range(n_slots + 1)], dtype=np.int64)
@@ -270,27 +287,14 @@ class EnsembleStats(NamedTuple):
     count: int
 
 
-class _SweepFields(NamedTuple):
+class SweepConfig(NamedTuple):
+    """One scenario sweep over slot counts; run_sweep checks it."""
+
     protocol: str
     scenario: object
     n_values: tuple[int, ...]
     realizations: int = 500
     master_seed: int = 0
-
-
-class SweepConfig(_SweepFields):
-    """One scenario sweep over slot counts, checked when it is made: a
-    ValueError names an unknown protocol and the first count that is not a
-    whole number >= 1.  _replace makes no check."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        config = super().__new__(cls, *args, **kwargs)
-        if config.protocol not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {config.protocol!r}")
-        n_values, realizations = _counts(config.n_values, config.realizations)
-        return config._replace(n_values=n_values, realizations=realizations)
 
 
 class GridResult(NamedTuple):
@@ -380,9 +384,13 @@ def _grid(n_values, params, scenario_of, protocols, realizations, master_seed,
 
 
 def run_sweep(config: SweepConfig) -> GridResult:
-    """Mean and variance of the marker population over the n_values grid."""
-    return _grid(config.n_values, (0.0,), lambda _: config.scenario, (config.protocol,),
-                 config.realizations, config.master_seed)
+    """Mean and variance of the marker population over the n_values grid; an
+    ArgumentError names an unknown protocol or a count that is not whole."""
+    if config.protocol not in PROTOCOLS:
+        raise ArgumentError(f"protocol {config.protocol!r} is unknown", "protocol")
+    n_values, realizations = _counts(config.n_values, config.realizations)
+    return _grid(n_values, (0.0,), lambda _: config.scenario, (config.protocol,),
+                 realizations, config.master_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -409,17 +417,19 @@ def transparency_anomalies(n_values, delta_theta, total_duration, sample_rate) -
 
 def _binary_grid(n_values, kappa_inv_values, realizations, total_duration, kappa_inv_max):
     """(n_values, kappa_inv_values, realizations), checked as both
-    binary-noise drivers need them: a ValueError names the first argument
-    out of range."""
+    binary-noise drivers need them: an ArgumentError names the first
+    argument out of range."""
     n_values, realizations = _counts(n_values, realizations)
     kappa_inv_values = tuple(kappa_inv_values)
     if not kappa_inv_values:
-        raise ValueError("kappa_inv_values must be nonempty")
+        raise ArgumentError("kappa_inv_values must be nonempty", "kappa_inv_values")
     if not 0 < total_duration < math.inf:
-        raise ValueError(f"total_duration must be finite and > 0, got {total_duration!r}")
+        raise ArgumentError(f"total_duration must be finite and > 0, got {total_duration!r}",
+                            "total_duration")
     for k in kappa_inv_values:
-        if not 0 < k <= kappa_inv_max:
-            raise ValueError(f"kappa_inv_values entry {k:g} outside (0, {kappa_inv_max:g}]")
+        if not 0 < k <= kappa_inv_max:  # NaN fails too
+            raise ArgumentError(f"kappa_inv_values gives the correlation time {k:g}, "
+                                f"outside (0, {kappa_inv_max:g}]", "kappa_inv_values")
     return n_values, kappa_inv_values, realizations
 
 
@@ -431,14 +441,20 @@ def sweep_kappa_N(n_values, kappa_inv_values, delta_theta, realizations=500,
     Binary noise with per-sample steps of +-delta_theta whose sign is held
     across each drive interval, switching between intervals at the
     discretized Poisson rate.  Correlation times must not exceed the
-    sequence duration, and every slot must hold a trace sample.
+    sequence duration, every slot must hold a trace sample, and delta_theta
+    times a slot's samples must be finite; each n is counted once for both.
     """
     n_values, kappa_inv_values, realizations = _binary_grid(
         n_values, kappa_inv_values, realizations, total_duration, total_duration)
-    if any(slot_samples(n, total_duration, sample_rate).min() < 1 for n in n_values):
-        raise ValueError(f"sample_rate {sample_rate:g} leaves drive slots without trace "
-                         f"samples: total_duration * sample_rate must be >= every n_values "
-                         f"entry (largest {max(n_values)})")
+    samples = [slot_samples(n, total_duration, sample_rate) for n in n_values]
+    if min(s.min() for s in samples) < 1:  # an empty slot: the detector sees no noise
+        raise ArgumentError(f"sample_rate = {sample_rate:g} leaves drive slots without trace "
+                            f"samples: total_duration * sample_rate must be >= every "
+                            f"n_values entry (largest {max(n_values)})", "sample_rate")
+    most = int(max(s.max() for s in samples))  # a Python int: inf without a numpy warning
+    if not math.isfinite(abs(float(delta_theta)) * most):
+        raise ArgumentError(f"delta_theta = {delta_theta:g} times the {most} trace samples of "
+                            f"a slot is not a finite angle", "delta_theta")
     return _grid(n_values, kappa_inv_values,
                  lambda kinv: BinarySampledNoise(kappa_inv=kinv, total_duration=total_duration,
                                                  delta_theta=delta_theta, sample_rate=sample_rate),
@@ -570,15 +586,16 @@ def fcs_estimate(kappa, theta, total_duration, lambda_values, realizations,
     errors, and the estimate is bit-identical to evolving every realization.
     A count-weighted mean over the distinct totals would be cheaper, but it
     sums in another order and moves the results in the last bits.  The
-    Poisson mean kappa * total_duration must lie in [0, POISSON_MEAN_MAX]; a
-    ValueError names it when it does not.
+    Poisson mean kappa * total_duration must lie in [0, POISSON_MEAN_MAX]; an
+    ArgumentError names kappa when it does not.
     """
     lambda_values = np.asarray(lambda_values, dtype=np.float64)
     realizations = _whole(realizations, "realizations")
     mean = kappa * total_duration
     if not 0 <= mean <= POISSON_MEAN_MAX:  # NaN fails too
-        raise ValueError(f"kappa * total_duration must be in [0, {POISSON_MEAN_MAX:g}], "
-                         f"the Poisson means numpy draws; got {mean!r}")
+        raise ArgumentError(f"kappa sets the mean event count kappa * total_duration to "
+                            f"{mean:g}, outside [0, {POISSON_MEAN_MAX:g}], the Poisson means "
+                            f"numpy draws", "kappa")
     count_rng, _ = _stream(master_seed, 0).spawn(2)
     events = count_rng.poisson(mean, realizations)
     counts, row = np.unique(events, return_inverse=True)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import ifmsim
+from ifmsim import experiments
 from ifmsim.cli import (
     _FCS_SCHEMA,
     _MODE_KEYS,
@@ -481,6 +482,21 @@ def test_kappa_manifest_lists_the_transparent_slot_counts_outside_the_hash(tmp_p
     assert manifest["anomalous_n"] == [2]
     assert manifest["config_hash"] == config_hash(load_config(cfg))
     assert "anomalous_n" not in (out / "kappa_stats.csv").read_text()
+
+
+def test_kappa_mode_counts_each_slot_count_once_for_its_checks(tmp_path, monkeypatch):
+    # n = 2, 3 at two correlation times: the driver's checks count each n
+    # once, transparency_anomalies once more, and each of the four points
+    # once as it samples
+    calls = []
+    count = experiments.slot_samples
+    monkeypatch.setattr(experiments, "slot_samples",
+                        lambda n, *rest: calls.append(n) or count(n, *rest))
+    text = KAPPA.replace("n_values = 2", "n_values = 2,3").replace(
+        "kappa_inv_fractions = 0.5", "kappa_inv_fractions = 0.5,1.0")
+    cfg = write(tmp_path, "kappa.cfg", text)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert calls == [2, 3] + [2, 3] + [2, 2, 3, 3]
 
 
 def test_colored_config_runs_with_alpha_in_range(tmp_path):

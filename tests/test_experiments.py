@@ -496,24 +496,49 @@ def _clustering(**changes):
     ("realizations", 2.5)])
 def test_binary_sweeps_name_a_bad_argument(driver, argument, value):
     # a float slot count used to run as int(n), or fail with a TypeError
-    with pytest.raises(ValueError, match=argument):
+    with pytest.raises(ValueError, match=argument) as exc:
         driver(**{argument: value})
+    assert exc.value.names[0] == argument
 
 
 @pytest.mark.parametrize("argument, value", [
     ("n_values", (0,)), ("n_values", (-1,)), ("n_values", (2.5,)), ("n_values", (3, 2.0)),
-    ("realizations", 2.5)])
+    ("realizations", 2.5), ("realizations", 0)])
 def test_scenario_sweep_names_a_slot_or_realization_count_that_is_not_whole(argument, value):
     # n = 0 divided by zero, n = -1 failed on the segment offsets, and
-    # n = 2.5 ran as n = 2
+    # n = 2.5 ran as n = 2; a config changed by _replace is checked as well
     arguments = {"n_values": (3,), "realizations": 3, argument: value}
     with pytest.raises(ValueError, match=argument):
         run_sweep(SweepConfig("cifm", ColoredPhase(), **arguments))
+    config = SweepConfig("cifm", ColoredPhase(), (3,), realizations=3)
+    with pytest.raises(ValueError, match=argument):
+        run_sweep(config._replace(**{argument: value}))
+
+
+def test_kappa_sweep_names_a_slot_angle_that_is_not_finite_before_numpy_can_warn():
+    # 1e305 rad times the 3334 samples of a slot overflows; the suite turns
+    # numpy's overflow warning into an error
+    with pytest.raises(ValueError, match="delta_theta") as exc:
+        _kappa(delta_theta=1e305)
+    assert exc.value.names == ("delta_theta",)
+
+
+def test_a_trace_beyond_2_to_the_53_samples_names_total_duration():
+    # 1e300 s at 1e9 samples/s used to raise OverflowError from the slot edges
+    with pytest.raises(ValueError, match="total_duration") as exc:
+        _kappa(total_duration=1e300)
+    assert exc.value.names[0] == "total_duration"
+    with pytest.raises(ValueError, match="total_duration") as exc:
+        slot_samples(3, 1e300, 1e9)
+    assert exc.value.names == ("total_duration", "sample_rate")
+    assert slot_samples(2, 2.0**53, 1.0).tolist() == [2**52, 2**52]  # the largest trace
 
 
 def test_sweeps_take_numpy_integer_counts():
     config = SweepConfig("cifm", ColoredPhase(), np.arange(2, 4), realizations=np.int64(3))
-    assert config.n_values == (2, 3) and type(config.realizations) is int
+    result = run_sweep(config)
+    assert result.n_values == (2, 3) and all(type(n) is int for n in result.n_values)
+    assert result.counters["realizations"] == 6
     got = clustering_sweep(np.array([2, 3]), (1e-6,), realizations=np.int32(3))
     want = clustering_sweep((2, 3), (1e-6,), realizations=3)
     assert got.n_values == want.n_values
@@ -540,9 +565,10 @@ def test_kappa_sweep_names_a_sample_rate_that_leaves_slots_empty_or_is_not_posit
 
 
 def test_sweep_config_validation():
-    with pytest.raises(ValueError):
-        SweepConfig(protocol="laser", scenario=WhiteAmplitude(), n_values=(1,))
-    with pytest.raises(ValueError):
-        SweepConfig(protocol="cifm", scenario=WhiteAmplitude(), n_values=())
-    with pytest.raises(ValueError):
-        SweepConfig(protocol="cifm", scenario=WhiteAmplitude(), n_values=(1,), realizations=0)
+    with pytest.raises(ValueError, match="protocol"):
+        run_sweep(SweepConfig(protocol="laser", scenario=WhiteAmplitude(), n_values=(1,)))
+    with pytest.raises(ValueError, match="n_values"):
+        run_sweep(SweepConfig(protocol="cifm", scenario=WhiteAmplitude(), n_values=()))
+    with pytest.raises(ValueError, match="realizations"):
+        run_sweep(SweepConfig(protocol="cifm", scenario=WhiteAmplitude(), n_values=(1,),
+                              realizations=0))
