@@ -485,7 +485,7 @@ def test_kappa_manifest_lists_the_transparent_slot_counts_outside_the_hash(tmp_p
 
 
 def test_kappa_mode_counts_each_slot_count_once_for_its_checks(tmp_path, monkeypatch):
-    # n = 2, 3 at two correlation times: the driver's checks count each n
+    # n = 2, 3 at two correlation times: the kappa sweep's argument checks count each n
     # once, transparency_anomalies once more, and each of the four points
     # once as it samples
     calls = []
