@@ -585,14 +585,21 @@ def fcs_estimate(kappa, theta, total_duration, lambda_values, realizations,
     2 sqrt(max(var_g, var_p)) / sqrt(R), is the larger of the two standard
     errors, and the estimate is bit-identical to evolving every realization.
     A count-weighted mean over the distinct totals would be cheaper, but it
-    sums in another order and moves the results in the last bits.  The
-    Poisson mean kappa * total_duration must lie in [0, POISSON_MEAN_MAX]; an
-    ArgumentError names kappa when it does not.
+    sums in another order and moves the results in the last bits.
+    total_duration must be finite and > 0, kappa finite and >= 0, and the
+    Poisson mean kappa * total_duration at most POISSON_MEAN_MAX; an
+    ArgumentError names the first argument that is not.
     """
     lambda_values = np.asarray(lambda_values, dtype=np.float64)
     realizations = _whole(realizations, "realizations")
-    mean = kappa * total_duration
-    if not 0 <= mean <= POISSON_MEAN_MAX:  # NaN fails too
+    if not 0 < total_duration < math.inf:  # NaN fails too
+        raise ArgumentError(f"total_duration must be finite and > 0, got {total_duration!r}",
+                            "total_duration")
+    if not 0 <= kappa < math.inf:
+        raise ArgumentError(f"kappa must be finite and >= 0 for the Poisson mean "
+                            f"kappa * total_duration, got {kappa!r}", "kappa")
+    mean = kappa * total_duration  # not NaN: both factors are finite
+    if mean > POISSON_MEAN_MAX:
         raise ArgumentError(f"kappa sets the mean event count kappa * total_duration to "
                             f"{mean:g}, outside [0, {POISSON_MEAN_MAX:g}], the Poisson means "
                             f"numpy draws", "kappa")

@@ -56,18 +56,25 @@ pifm's product leaves |2> empty, so it acts on levels 0-1 alone, and its
 clicks in a block are a quadratic form in the state entering it, the sum
 over the block's slots of the squared |2> amplitude before each
 projection; the table holds the form's Cholesky factor, so clicks are sums
-of squares and never negative.  The first block starts from the one state
-all realizations share, so its table holds the state it leaves (and pifm's
-clicks), computed with the loop's updates from cos(h_j) and +-sin(h_j):
-numpy's cos is even and its sin odd to the bit, and a scalar call rounds as
-an array element does, so a batch of at most BLOCK slots gets the loop's
-populations bit for bit.  Later blocks reassociate the loop's products, so
-populations move from the loop's by about 1e-15; the tests hold them to it
-at 1e-13.  Every other input runs the per-segment loop, which stays the
-reference: any float array, even one whose magnitudes are equal down every
-column, and a TelegraphSlots batch that drives the qubit, starts from a
-complex state or is split into several segments per slot, which the loop
-expands to floats first.
+of squares and never negative.  From a psi0 whose |2> is empty (0.0 or
+-0.0), every pifm slot starts with |2> empty, so the sign of a slot's drive
+only sets the sign of the |2> amplitude it makes, and the measurement
+erases it: every sign pattern gets the same table columns, bit for bit.
+So pifm then evolves the all-zero sign row alone and returns its
+populations as a read-only np.broadcast_to view over the rows, not a copy.
+cifm, and pifm from a psi0 with |2> amplitude, evolve every row.  The
+first block starts from the one state all realizations share, so its table
+holds the state it leaves (and pifm's clicks), computed with the loop's
+updates from cos(h_j) and +-sin(h_j): numpy's cos is even and its sin odd
+to the bit, and a scalar call rounds as an array element does, so a batch
+of at most BLOCK slots gets the loop's populations bit for bit.  Later
+blocks reassociate the loop's products, so populations move from the
+loop's by about 1e-15; the tests hold them to it at 1e-13.  Every other
+input runs the per-segment loop, which stays the reference: any float
+array, even one whose magnitudes are equal down every column, and a
+TelegraphSlots batch that drives the qubit, starts from a complex state or
+is split into several segments per slot, which the loop expands to floats
+first.
 """
 
 from __future__ import annotations
@@ -201,10 +208,15 @@ def _evolve_blocks(batch, phi, psi0, project) -> np.ndarray:
 
     psi0 is the real initial state.  The call builds the tables of each
     distinct block once, and keeps none of them; a realization's table
-    index in a block is its byte of batch.signs.
+    index in a block is its byte of batch.signs.  pifm from a psi0 with an
+    empty |2> evolves the all-zero sign row alone and returns a read-only
+    view of it for every realization.
     """
-    r, n = batch.shape
+    realizations, n = batch.shape
     index = batch.signs
+    if project and psi0[2] == 0.0:  # every slot starts from an empty |2>
+        index = np.zeros((len(index), 1), dtype=index.dtype)
+    r = index.shape[1]
     half_angles = (batch.factor * 0.5).tolist()
     blocks = [tuple(half_angles[k:k + BLOCK]) for k in range(0, n, BLOCK)]
     built = {block: _tables(block, phi, project, psi0) for block in dict.fromkeys(blocks)}
@@ -222,7 +234,7 @@ def _evolve_blocks(batch, phi, psi0, project) -> np.ndarray:
             np.add.reduce(g[2:], axis=1, out=w)
             out[2] += np.add.reduce(np.square(w, out=w))
     np.square(amps, out=amps)
-    return out.T
+    return out.T if r == realizations else np.broadcast_to(out.T, (realizations, 3))
 
 
 # ---------------------------------------------------------------------------

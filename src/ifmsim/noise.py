@@ -54,7 +54,7 @@ class _ColorFields(NamedTuple):
 
 class ColorSpec(_ColorFields):
     """Spectral exponent: PSD proportional to f**(-alpha), alpha in {-2..2},
-    checked when it is made (_replace makes no check)."""
+    checked whenever a spec is made, by _replace and _make too."""
 
     __slots__ = ()
 
@@ -63,6 +63,11 @@ class ColorSpec(_ColorFields):
         if spec.alpha not in (-2, -1, 0, 1, 2):
             raise ValueError(f"unsupported spectral exponent {spec.alpha}")
         return spec
+
+    @classmethod
+    def _make(cls, iterable):
+        # the NamedTuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,8 @@ def batch_populations(protocol: str, dtheta, chi, offsets, psi0) -> np.ndarray:
     to 1e-13.
     psi0 is the one initial state of every realization; it must have the
     protocol's level count and unit norm within 1e-12 (a NaN fails).  The
-    result may be a view in any memory order.
+    result may be a view in any memory order, and may be read-only: pifm
+    from a state with an empty |2> can return one row broadcast over all.
     A qutrit's offsets must be whole numbers, hold at least one slot, start
     at 0, never decrease, and end at the segment count (the qubit has no
     slots and ignores them); the checks never read the segments.  The beam
@@ -129,7 +130,8 @@ def batch_populations(protocol: str, dtheta, chi, offsets, psi0) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         out = kernel(dtheta, chi, *slot_args, psi0)
     # the populations are >= 0, so their sum is finite exactly when each one
-    # is; np.isfinite(out).all() would load more numpy code: +0.1 MB peak RSS
-    if not math.isfinite(out.sum()):
+    # is; np.isfinite(out).all() would load more numpy code: +0.1 MB peak RSS.
+    # A row broadcast over the batch is summed once, not once per row
+    if not math.isfinite((out[:1] if out.strides[0] == 0 else out).sum()):
         raise ValueError(_nonfinite_segment(protocol, dtheta, chi))
     return out

@@ -5,6 +5,7 @@ import pytest
 
 from ifmsim import kernels
 from ifmsim.experiments import (
+    ArgumentError,
     GFEstimate,
     fcs_estimate,
     moments_from_gf,
@@ -200,6 +201,26 @@ def test_fcs_estimate_names_a_poisson_mean_numpy_cannot_draw(kappa):
     # numpy's own "lam < 0 or lam is NaN" and "lam value too large" used to surface
     with pytest.raises(ValueError, match=r"kappa \* total_duration"):
         fcs_estimate(kappa, 0.5, 1.0, [0.0], 10)
+
+
+@pytest.mark.parametrize("total_duration", [-1e-5, 0.0, math.nan, math.inf])
+def test_fcs_estimate_names_a_duration_that_is_not_finite_and_positive(total_duration):
+    # a negative kappa and duration made a positive mean: this one ran and returned re = 0.5553
+    for kappa in (-4e5, 4e5):
+        with pytest.raises(ArgumentError, match="^total_duration must be finite and > 0") as exc:
+            fcs_estimate(kappa, 0.5, total_duration, [0.5], 10)
+        assert exc.value.names == ("total_duration",)
+
+
+@pytest.mark.parametrize("kappa", [-1.0, -0.0, math.inf, math.nan])
+def test_fcs_estimate_names_a_rate_that_is_not_finite_and_non_negative(kappa):
+    if kappa == 0.0:  # -0.0 is a rate of zero: no events, GF = 1
+        gf = fcs_estimate(kappa, 0.5, 1e-5, [0.5], 10)
+        assert np.array_equal(gf.re, [1.0]) and abs(gf.im[0]) <= 1e-15
+        return
+    with pytest.raises(ArgumentError, match="^kappa must be finite and >= 0") as exc:
+        fcs_estimate(kappa, 0.5, 1e-5, [0.5], 10)
+    assert exc.value.names == ("kappa",)
 
 
 @pytest.mark.parametrize("realizations", [0, 2.5])

@@ -604,6 +604,76 @@ def test_block_tables_are_built_per_call(protocol, monkeypatch):
             assert built == sizes
 
 
+# ---------------------------------------------------------------------------
+# pifm from an empty |2>: the measurement erases the drive's sign, so one row
+# stands for the whole batch
+# ---------------------------------------------------------------------------
+
+def bits(a):
+    """a's float64 bit patterns, so that 0.0 and -0.0 compare unequal."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("b", [1, 5, 8])
+def test_pifm_tables_are_bit_identical_across_sign_patterns(b):
+    rng = np.random.default_rng(b)
+    factor = rng.uniform(-4 * np.pi, 4 * np.pi, b)
+    factor[:3] = (2 * np.pi + 1.0, 0.0, -0.0)[:b]  # sin(m / 2) < 0; signed zeros
+    for phi in (np.pi / (b + 1), 0.3):
+        for state, psi0 in TABLE_STATES.items():
+            maps, first = kernels._tables(tuple(factor * 0.5), phi, True, psi0)
+            assert maps.shape == (8, 1 << b)
+            assert np.array_equal(bits(maps), bits(maps[:, :1]).repeat(1 << b, axis=1))
+            if state == "ground":  # the state's columns too, when |2> starts empty
+                assert np.array_equal(bits(first), bits(first[:, :1]).repeat(1 << b, axis=1))
+            else:  # slot 0 turns psi0's |2> one way or the other
+                assert np.unique(first, axis=1).shape[1] > 1
+
+
+@pytest.mark.parametrize("level_2", [0.0, -0.0], ids=["0", "-0"])
+@pytest.mark.parametrize("r", [1, 3, 2000])
+@pytest.mark.parametrize("n", [1, 9, 40])
+def test_pifm_from_an_empty_level_2_gives_every_row_the_one_row_batch(n, r, level_2,
+                                                                       block_calls):
+    # the (1, n) batch at the same seed is row 0, of the same factors; the
+    # other rows hold other sign patterns
+    batch, offsets = telegraph_batch(n, r, n)
+    row, _ = telegraph_batch(n, 1, n)
+    psi0 = np.array([1.0, 0.0, level_2])
+    got = batch_populations("pifm", batch, None, offsets, psi0)
+    alone = batch_populations("pifm", row, None, offsets, psi0)
+    assert block_calls == [(r, n), (1, n)]
+    assert got.shape == (r, 3)
+    assert np.array_equal(bits(got), bits(alone).repeat(r, axis=0))
+    if r > 1:  # one row, broadcast and read-only, not a copy
+        assert got.strides[0] == 0 and not got.flags.writeable
+
+
+@pytest.mark.parametrize("n", [9, 40])
+def test_pifm_rows_from_a_level_2_amplitude_differ_by_sign_pattern(n, block_calls):
+    batch, offsets = telegraph_batch(n, 2000, n, column=0, value=2.0)  # slot 0 driven
+    got = batch_populations("pifm", batch, None, offsets, TABLE_STATES["with_level_2"])
+    assert block_calls == [(2000, n)]
+    assert got.flags.writeable
+    # only the first slot sees psi0's |2>, so the rows split by its sign
+    first_sign = (batch.signs[0] & 1).astype(bool)
+    assert np.unique(got[first_sign], axis=0).shape[0] == 1
+    assert np.unique(got[~first_sign], axis=0).shape[0] == 1
+    assert not np.array_equal(got[first_sign][0], got[~first_sign][0])
+
+
+@pytest.mark.parametrize("column", [0, 5, 11])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_pifm_one_row_names_a_non_finite_factor(value, column, block_calls):
+    batch, offsets = telegraph_batch(14, 6, 12, column=column, value=value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"pifm segments must be finite: realization 0, "
+                                             f"segment {column} has dtheta"):
+            batch_populations("pifm", batch, None, offsets, TABLE_STATES["ground"])
+    assert block_calls == [(6, 12)]
+
+
 @pytest.mark.parametrize("case", ["two_segment_slot", "complex_state", "mixed_magnitudes",
                                   "equal_magnitude_floats"])
 def test_batches_off_the_table_path_take_the_segment_loop(case, block_calls):

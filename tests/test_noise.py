@@ -349,6 +349,15 @@ def test_colored_noise_rejects_bad_count():
         ColorSpec(3)
 
 
+@pytest.mark.parametrize("alpha", [5, 1.5])
+def test_colored_noise_replace_checks_the_exponent(alpha):
+    with pytest.raises(ValueError, match=f"unsupported spectral exponent {alpha}"):
+        gen_colored(ColorSpec(1)._replace(alpha=alpha), 64, 0)
+    with pytest.raises(ValueError, match=f"unsupported spectral exponent {alpha}"):
+        ColorSpec._make([alpha])
+    assert ColorSpec(1)._replace(alpha=-2) == ColorSpec(-2)
+
+
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
