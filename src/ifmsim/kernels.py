@@ -52,6 +52,10 @@ per slot count, whose rows are every correlation time's realizations, so
 no sweep builds a table twice.  A realization advances a whole block with
 one np.take gather of its product, indexed by its byte of the batch's sign
 bits as the generator sampled them, one multiply and one add.reduce.
+Rows advance in slices of 4096 (_SLICE), each slice through every block
+before the next, so the scratch (a slice's state, its gather and pifm's
+click rows) holds at most 4096 rows whatever the ensemble size, and a
+batch of one block needs none.
 pifm's product leaves |2> empty, so it acts on levels 0-1 alone, and its
 clicks in a block are a quadratic form in the state entering it, the sum
 over the block's slots of the squared |2> amplitude before each
@@ -60,8 +64,9 @@ of squares and never negative.  From a psi0 whose |2> is empty (0.0 or
 -0.0), every pifm slot starts with |2> empty, so the sign of a slot's drive
 only sets the sign of the |2> amplitude it makes, and the measurement
 erases it: every sign pattern gets the same table columns, bit for bit.
-So pifm then evolves the all-zero sign row alone and returns its
-populations as a read-only np.broadcast_to view over the rows, not a copy.
+So pifm then evolves the all-zero sign row alone, through tables that
+hold the zero pattern only, and returns its populations as a read-only
+np.broadcast_to view over the rows, not a copy.
 cifm, and pifm from a psi0 with |2> amplitude, evolve every row.  The
 first block starts from the one state all realizations share, so its table
 holds the state it leaves (and pifm's clicks), computed with the loop's
@@ -156,14 +161,16 @@ def _evolve(dtheta, chi, offsets, phi, psi0, project) -> np.ndarray:
 # block tables: a telegraph batch, every slot one segment of angle +-2 h_j
 # ---------------------------------------------------------------------------
 
-def _tables(half_angles, phi, project, psi0):
+def _tables(half_angles, phi, project, psi0, patterns):
     """(maps, first) of a block of slots, slot k of drive half-angle h_k.
 
-    Column i of both tables is the sign pattern i: slot k drives -2 h_k
-    where bit k of i is set and 2 h_k elsewhere, as a TelegraphSlots sign
-    bit makes (-1.0) * factor_k.  Each slot is the loop's own: its drive,
-    pifm's |2> projection, then the beam splitter, applied to basis states
-    and to psi0 after the first beam splitter.  maps holds, row-major, the
+    Column i of both tables, for i < patterns, is the sign pattern i: slot k
+    drives -2 h_k where bit k of i is set and 2 h_k elsewhere, as a
+    TelegraphSlots sign bit makes (-1.0) * factor_k; patterns = 2^b builds
+    them all, 1 the zero pattern alone, bit for bit its column of the full
+    build.  Each slot is the loop's own: its drive, pifm's |2> projection,
+    then the beam splitter, applied to basis states and to psi0 after the
+    first beam splitter.  maps holds, row-major, the
     block's 3x3 product M (cifm), or (pifm, which leaves |2> empty after
     every slot) M's 0-1 block followed by the factor L^T of the click form
     L L^T = sum over the block's slots of z z^T, z the |2> amplitudes of |0>
@@ -172,13 +179,13 @@ def _tables(half_angles, phi, project, psi0):
     a1, a2) for cifm, (a0, a1, clicks) for pifm.
     """
     b = len(half_angles)
-    bits = np.arange(1 << b) >> np.arange(b)[:, np.newaxis] & 1
+    bits = np.arange(patterns) >> np.arange(b)[:, np.newaxis] & 1
     inputs = 2 if project else 3
-    psi = np.zeros((3, inputs + 1, 1 << b))
+    psi = np.zeros((3, inputs + 1, patterns))
     psi[np.arange(inputs), np.arange(inputs)] = 1.0
     psi[:, inputs] = psi0[:, np.newaxis]
     t1, t2 = np.empty((2,) + psi.shape[1:])
-    gram = np.zeros((inputs + 1, inputs + 1, 1 << b))
+    gram = np.zeros((inputs + 1, inputs + 1, patterns))
     cb, sb = np.cos(phi / 2.0), np.sin(phi / 2.0)
     _rotate(psi[0, inputs], psi[1, inputs], cb, -sb, sb, t1[0], t2[0])  # the first beam splitter
     for h, sign in zip(half_angles, 1.0 - 2.0 * bits):
@@ -199,7 +206,12 @@ def _tables(half_angles, phi, project, psi0):
     else:
         maps, first = psi[:, :3], psi[:, 3]
     # cifm's first is a strided column of psi; np.take reads a compact copy
-    return maps.reshape(-1, 1 << b), np.ascontiguousarray(first)
+    return maps.reshape(-1, patterns), np.ascontiguousarray(first)
+
+
+#: Rows a telegraph batch advances at a time: its scratch holds at most
+#: this many rows, whatever the number of realizations.
+_SLICE = 4096
 
 
 def _evolve_blocks(batch, phi, psi0, project) -> np.ndarray:
@@ -208,31 +220,59 @@ def _evolve_blocks(batch, phi, psi0, project) -> np.ndarray:
 
     psi0 is the real initial state.  The call builds the tables of each
     distinct block once, and keeps none of them; a realization's table
-    index in a block is its byte of batch.signs.  pifm from a psi0 with an
-    empty |2> evolves the all-zero sign row alone and returns a read-only
-    view of it for every realization.
+    index in a block is its byte of batch.signs.  Rows advance in slices of
+    at most _SLICE, through every block of a slice before the next slice,
+    so the scratch is sized by the slice, not by the batch.  pifm from a
+    psi0 with an empty |2> evolves the all-zero sign row alone, through
+    tables of that one pattern, and returns a read-only view of it for
+    every realization.
     """
     realizations, n = batch.shape
     index = batch.signs
-    if project and psi0[2] == 0.0:  # every slot starts from an empty |2>
+    one_row = project and psi0[2] == 0.0  # every slot starts from an empty |2>
+    if one_row:
         index = np.zeros((len(index), 1), dtype=index.dtype)
     r = index.shape[1]
     half_angles = (batch.factor * 0.5).tolist()
     blocks = [tuple(half_angles[k:k + BLOCK]) for k in range(0, n, BLOCK)]
-    built = {block: _tables(block, phi, project, psi0) for block in dict.fromkeys(blocks)}
-    tables = [built[block] for block in blocks]
-    out = np.take(tables[0][1], index[0], axis=1)  # pifm: (a0, a1, clicks)
+    built = {block: _tables(block, phi, project, psi0, 1 if one_row else 1 << len(block))
+             for block in dict.fromkeys(blocks)}
+    (_, first), *tables = [built[block] for block in blocks]
+    out = np.empty((3, r))  # pifm: (a0, a1, clicks)
     rows, inputs = (4, 2) if project else (3, 3)
+    width = min(r, _SLICE)
+    if tables:
+        # flat buffers, whose leading part a shorter slice takes: the slice's
+        # state (out itself when one slice holds every row), contiguous, as
+        # numpy runs a strided slice of out about a fifth slower; its gather;
+        # pifm's click form
+        held = out.reshape(-1) if r == width else np.empty(3 * width)
+        gather = np.empty(rows * inputs * width)
+        if project:
+            form = np.empty(2 * width)
+    for lo in range(0, r, _SLICE):
+        hi = min(lo + _SLICE, r)
+        m = hi - lo
+        # every index is in range; mode="raise" would make np.take copy out first
+        if not tables:
+            np.take(first, index[0, lo:hi], axis=1, out=out[:, lo:hi], mode="wrap")
+            continue
+        state = held[:3 * m].reshape(3, m)
+        np.take(first, index[0, lo:hi], axis=1, out=state, mode="wrap")
+        amps = state[:inputs]
+        g = gather[:rows * inputs * m].reshape(rows, inputs, m)
+        if project:
+            w = form[:2 * m].reshape(2, m)
+        for (maps, _), idx in zip(tables, index[1:, lo:hi]):
+            np.take(maps, idx, axis=1, out=g.reshape(-1, m), mode="wrap")
+            g *= amps  # g[i, j] = M_ij a_j
+            np.add.reduce(g[:inputs], axis=1, out=amps)
+            if project:  # the click form: |L^T (a0, a1)|^2
+                np.add.reduce(g[2:], axis=1, out=w)
+                state[2] += np.add.reduce(np.square(w, out=w))
+        if r > width:
+            out[:, lo:hi] = state
     amps = out[:inputs]
-    g = np.empty((rows, inputs, r))
-    w = np.empty((2, r))
-    for (maps, _), idx in zip(tables[1:], index[1:]):
-        np.take(maps, idx, axis=1, out=g.reshape(-1, r), mode="wrap")  # every index is in range
-        g *= amps  # g[i, j] = M_ij a_j
-        np.add.reduce(g[:inputs], axis=1, out=amps)
-        if project:  # the click form: |L^T (a0, a1)|^2
-            np.add.reduce(g[2:], axis=1, out=w)
-            out[2] += np.add.reduce(np.square(w, out=w))
     np.square(amps, out=amps)
     return out.T if r == realizations else np.broadcast_to(out.T, (realizations, 3))
 

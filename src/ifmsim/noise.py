@@ -222,7 +222,7 @@ def gen_telegraph_slots(kappa: float, amplitude, n_slots, slot_duration: float,
     odd, inverts them.  np.asarray of the result is the float64 trace,
     (+-1.0) * amplitude.
     """
-    if kappa <= 0 or slot_duration <= 0:
+    if not (kappa > 0 and slot_duration > 0):  # NaN fails both comparisons
         raise ValueError("kappa and slot_duration must be positive")
     shape = _shape(n_slots)
     if min(shape) < 1:

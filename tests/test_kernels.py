@@ -1,5 +1,6 @@
 import ast
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ifmsim import kernels
-from ifmsim.noise import gen_telegraph_slots
+from ifmsim.noise import TelegraphSlots, gen_telegraph_slots
 from ifmsim.protocols import PROTOCOLS, basis_state, batch_populations
 from oracles import AXIS, beam_splitter, composed_pulse, pifm_measure_channel, pure_density
 
@@ -604,15 +605,56 @@ def test_block_tables_are_built_per_call(protocol, monkeypatch):
             assert built == sizes
 
 
-# ---------------------------------------------------------------------------
-# pifm from an empty |2>: the measurement erases the drive's sign, so one row
-# stands for the whole batch
-# ---------------------------------------------------------------------------
-
 def bits(a):
     """a's float64 bit patterns, so that 0.0 and -0.0 compare unequal."""
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
+
+@pytest.mark.parametrize("n", [8, 9, 40])
+@pytest.mark.parametrize("protocol", ["cifm", "pifm"])
+def test_slice_boundaries_keep_every_row_bit_for_bit(protocol, n, block_calls):
+    # rows advance in slices of _SLICE, so a row's bits must not depend on
+    # where the slices of its batch fall.  The rows repeat 16 sign patterns
+    # in random order, so every row run alone is one of 16 one-row batches;
+    # pifm starts with |2> amplitude, so it evolves every row
+    S = kernels._SLICE
+    patterns, offsets = telegraph_batch(n, 16, n)
+    psi0 = TABLE_STATES["with_level_2"]
+    alone = np.concatenate([
+        batch_populations(protocol, TelegraphSlots((1, n), patterns.factor, patterns.signs[:, [k]]),
+                          None, offsets, psi0)
+        for k in range(16)])
+    rng = np.random.default_rng(n)
+    sizes = (1, S - 1, S, S + 1, 2 * S + 3)
+    for r in sizes:
+        which = rng.integers(16, size=r)
+        batch = TelegraphSlots((r, n), patterns.factor, patterns.signs[:, which])
+        got = batch_populations(protocol, batch, None, offsets, psi0)
+        assert np.array_equal(bits(got), bits(alone[which]))
+    assert block_calls == [(1, n)] * 16 + [(r, n) for r in sizes]
+
+
+def test_block_scratch_does_not_grow_with_the_ensemble():
+    # the scratch is sized by the slice, not the batch: from 16,384 to
+    # 65,536 rows the peak grows by the result's 24 B/row alone, where a
+    # scratch of every row (gather, click rows, np.take's int64 copy of the
+    # index bytes) adds 96 B/row, 4.7 MB
+    peaks = []
+    for r in (16384, 65536):
+        batch, offsets = telegraph_batch(40, r, 40)
+        tracemalloc.start()
+        try:
+            kernels.cifm_populations(batch, None, offsets, np.pi / 41, TABLE_STATES["ground"])
+            peaks.append(tracemalloc.get_traced_memory()[1] - 24 * r)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 64 * 1024
+
+
+# ---------------------------------------------------------------------------
+# pifm from an empty |2>: the measurement erases the drive's sign, so one row
+# stands for the whole batch
+# ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("b", [1, 5, 8])
 def test_pifm_tables_are_bit_identical_across_sign_patterns(b):
@@ -621,13 +663,17 @@ def test_pifm_tables_are_bit_identical_across_sign_patterns(b):
     factor[:3] = (2 * np.pi + 1.0, 0.0, -0.0)[:b]  # sin(m / 2) < 0; signed zeros
     for phi in (np.pi / (b + 1), 0.3):
         for state, psi0 in TABLE_STATES.items():
-            maps, first = kernels._tables(tuple(factor * 0.5), phi, True, psi0)
+            maps, first = kernels._tables(tuple(factor * 0.5), phi, True, psi0, 1 << b)
             assert maps.shape == (8, 1 << b)
             assert np.array_equal(bits(maps), bits(maps[:, :1]).repeat(1 << b, axis=1))
             if state == "ground":  # the state's columns too, when |2> starts empty
                 assert np.array_equal(bits(first), bits(first[:, :1]).repeat(1 << b, axis=1))
             else:  # slot 0 turns psi0's |2> one way or the other
                 assert np.unique(first, axis=1).shape[1] > 1
+            # the one-row path builds the zero pattern alone: column 0, bit for bit
+            zero_maps, zero_first = kernels._tables(tuple(factor * 0.5), phi, True, psi0, 1)
+            assert np.array_equal(bits(zero_maps), bits(maps[:, :1]))
+            assert np.array_equal(bits(zero_first), bits(first[:, :1]))
 
 
 @pytest.mark.parametrize("level_2", [0.0, -0.0], ids=["0", "-0"])

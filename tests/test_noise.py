@@ -318,6 +318,22 @@ def test_telegraph_slots_flip_probability_at_an_extreme_rate():
     assert abs(np.mean(s[:, 1:] != s[:, :-1]) - q) < 5 * np.sqrt(q * (1 - q) / (2000 * 49))
 
 
+@pytest.mark.parametrize("kappa, slot_duration",
+                         [(np.nan, 1.0), (1.0, np.nan), (0.0, 1.0), (1.0, -1.0)],
+                         ids=["nan_kappa", "nan_duration", "zero_kappa", "negative_duration"])
+def test_telegraph_slots_reject_a_rate_or_duration_that_is_not_positive(kappa, slot_duration):
+    # NaN fails every comparison: a check of kappa <= 0 alone let it through
+    # and returned rows without a single sign switch
+    with pytest.raises(ValueError, match="kappa and slot_duration must be positive"):
+        gen_telegraph_slots(kappa, 1.0, (3, 16), slot_duration, 0)
+
+
+def test_telegraph_slots_take_an_infinite_rate_as_fair_signs():
+    # kappa = inf gives q = 1/2: every slot's sign is a fair coin
+    s = np.asarray(gen_telegraph_slots(np.inf, 1.0, (2000, 50), 1e-6, 4))
+    assert abs(np.mean(s[:, 1:] != s[:, :-1]) - 0.5) < 5 * np.sqrt(0.25 / (2000 * 49))
+
+
 # ---------------------------------------------------------------------------
 # colored noise
 # ---------------------------------------------------------------------------
