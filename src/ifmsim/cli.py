@@ -1,27 +1,26 @@
 """Command-line front end: config-driven sweeps with reproducible artifacts.
 
+main reads the command line against one table, _COMMANDS, of each
+subcommand's function, help line and flags; a flag's (kind, range, default)
+reads as a config key's, and a usage error exits 2 naming the word at fault.
 Configs are INI files (key = value under [section] headers) documented in
-the README and checked against one table per subcommand, _SWEEP_SCHEMA or
-_FCS_SCHEMA, of every key's kind, range and default; scenario [noise]
-defaults live in the scenario classes, whose _fields are the scenario's
-keys.  A sweep config may set only the keys its mode reads (_MODE_KEYS,
-and in scenario mode its scenario's fields).  The rules the library needs
-are checked by its drivers alone; main turns their ArgumentError into
-exit 2, naming `[section] key` for each argument at fault.  Every run
-writes a manifest JSON carrying the echoed config, its hash, the seed
-actually used and where it came from (--seed, the config, or the default
-0), the RNG scheme, the python and numpy versions, timestamps, the list of
-output files and, for a sweep, its transparent slot counts (anomalous_n,
-empty outside kappa mode) and its work counters, so any artifact can be
-regenerated byte-for-byte from (config, seed, version).  Every file a run
-writes goes through this module: every CSV through _write_csv and every
-manifest through _write_manifest.  Runs are single-threaded; --threads is
-accepted and ignored.
+the README and checked against _SWEEP_SCHEMA or _FCS_SCHEMA, a table of
+every key's kind, range and default; scenario [noise] defaults live in the
+scenario classes, whose _fields are the scenario's keys.  A sweep config
+sets only keys its mode reads (_MODE_KEYS, and in scenario mode its
+scenario's fields).  The library's rules are checked by its drivers alone;
+main turns their ArgumentError into exit 2, naming `[section] key` for each
+argument at fault.  Every run writes a manifest JSON of the echoed config,
+its hash, the seed used and its source (--seed, the config, or the default
+0), the RNG scheme, the python and numpy versions, timestamps, the output
+files and, for a sweep, its transparent slot counts (anomalous_n, empty
+outside kappa mode) and work counters, so any artifact can be regenerated
+byte-for-byte from (config, seed, version).  Every CSV goes through
+_write_csv and every manifest through _write_manifest; --threads is ignored.
 """
 
 from __future__ import annotations
 
-import argparse
 import configparser
 import datetime as _dt
 import hashlib
@@ -31,6 +30,7 @@ import re
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -275,11 +275,9 @@ def _check_read(config: dict, values: dict) -> None:
 
 
 def _resolve_seed(values: dict, cli_seed) -> tuple[int, str]:
-    if cli_seed is not None:
-        return _check(cli_seed, ">= 0", "--seed"), "cli"
-    if "seed" in values:
-        return values["seed"], "config"
-    return 0, "default"
+    if cli_seed is not None:  # checked by _parse
+        return cli_seed, "cli"
+    return (values["seed"], "config") if "seed" in values else (0, "default")
 
 
 # ---------------------------------------------------------------------------
@@ -482,17 +480,8 @@ def cmd_fcs(args) -> int:
 # noise subcommand
 # ---------------------------------------------------------------------------
 
-#: The range of each numeric noise flag.
-_NOISE_FLAGS = {"rate": "> 0", "kappa": "> 0", "amplitude": "!= 0", "seed": ">= 0",
-                "samples": ">= 64"}
-
-
 def cmd_noise(args) -> int:
-    for flag, bounds in _NOISE_FLAGS.items():
-        if getattr(args, flag) is not None:
-            _check(getattr(args, flag), bounds, f"--{flag}")
-    seed = args.seed if args.seed is not None else 0
-    rate = args.rate
+    seed, rate = args.seed, args.rate
     if args.telegraph:
         if args.color is not None:
             raise ConfigError("--color and --telegraph exclude each other; choose one")
@@ -506,9 +495,6 @@ def cmd_noise(args) -> int:
                               f"so that the ACF fit holds a lag beyond 0; got {kappa:g}")
     elif args.color is None:
         raise ConfigError("choose --color NAME or --telegraph")
-    elif args.color not in noise.COLOR_ALPHA:
-        raise ConfigError(f"--color must be one of {', '.join(sorted(noise.COLOR_ALPHA))}; "
-                          f"got {args.color!r}")
     else:
         for flag in ("kappa", "amplitude"):
             if getattr(args, flag) is not None:
@@ -576,69 +562,84 @@ def cmd_noise(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ifmsim",
-        description="Interaction-free noise-detection simulations (qubit and qutrit detectors)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+#: Each subcommand's function, help line and flags, in --help order.  A flag
+#: maps to (kind, range, default) as a schema key does, or kind "str" for any
+#: word and "switch" for a flag without a value; --config is required.
+_RUN_FLAGS = {"--config": ("str", None, None), "--out": ("str", None, "out"),
+              "--seed": ("int", ">= 0", None), "--threads": ("int", "", 0)}
+_COMMANDS = {
+    "sweep": (cmd_sweep, "run an ensemble sweep from a config file", _RUN_FLAGS),
+    "table1": (cmd_table1, "deterministic four-slot configuration table",
+               {"--out": ("str", None, "table1.csv")}),
+    "fcs": (cmd_fcs, "generating-function reconstruction from a config file", _RUN_FLAGS),
+    "noise": (cmd_noise, "noise trace and spectrum; by default --kappa 1e5, --amplitude 1", {
+        "--color": ("choice", tuple(sorted(noise.COLOR_ALPHA)), None),
+        "--telegraph": ("switch", None, False), "--kappa": ("float", "> 0", None),
+        "--amplitude": ("float", "!= 0", None), "--samples": ("int", ">= 64", 50000),
+        "--rate": ("float", "> 0", 1e6), "--seed": ("int", ">= 0", 0),
+        "--out": ("str", None, "out")}),
+    "version": (lambda args: print(f"ifmsim {__version__}") or EXIT_OK, "print the version", {}),
+}
 
-    # the flags that sweep and fcs share, in their --help order
-    p_run = argparse.ArgumentParser(add_help=False)
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", default="out")
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=0,
-                       help="accepted and ignored (runs are single-threaded); "
-                            "kept because benchmark scripts pass it")
 
-    p_sweep = sub.add_parser("sweep", parents=[p_run],
-                             help="run an ensemble sweep from a config file")
-    p_sweep.set_defaults(func=cmd_sweep)
+def _help() -> None:
+    """Print the usage line, and each command's help line and flags."""
+    print("usage: ifmsim COMMAND [--flag VALUE | --flag=VALUE | --switch]... (--threads: ignored)")
+    for command, (_, text, flags) in _COMMANDS.items():
+        print(f"\nifmsim {command}: {text}")
+        for flag, (kind, bounds, default) in flags.items():
+            given = ("required" if flag == "--config" else
+                     default is not None and f"default {default}")
+            bounds = "|".join(bounds) if kind == "choice" else bounds
+            print(f"  {flag:<12} {kind}", *filter(None, (bounds, given)), sep=", ")
 
-    p_table = sub.add_parser("table1", help="deterministic four-slot configuration table")
-    p_table.add_argument("--out", default="table1.csv")
-    p_table.set_defaults(func=cmd_table1)
 
-    p_fcs = sub.add_parser("fcs", parents=[p_run],
-                           help="generating-function reconstruction from a config file")
-    p_fcs.set_defaults(func=cmd_fcs)
-
-    p_noise = sub.add_parser("noise", help="generate a noise trace and its spectrum")
-    p_noise.add_argument("--color", default=None)
-    p_noise.add_argument("--telegraph", action="store_true")
-    p_noise.add_argument("--kappa", type=float, default=None,
-                         help="telegraph switching rate (default 1e5)")
-    p_noise.add_argument("--amplitude", type=float, default=None,
-                         help="telegraph amplitude (default 1.0)")
-    p_noise.add_argument("--samples", type=int, default=50000)
-    p_noise.add_argument("--rate", type=float, default=1e6)
-    p_noise.add_argument("--seed", type=int, default=None)
-    p_noise.add_argument("--out", default="out")
-    p_noise.set_defaults(func=cmd_noise)
-
-    p_version = sub.add_parser("version", help="print the version")
-    p_version.set_defaults(func=lambda args: print(f"ifmsim {__version__}") or EXIT_OK)
-
-    return parser
+def _parse(argv):
+    """(command, flag values by name) of a command line.  A flag's value is
+    the next word, or follows --flag=, and a word starting with -- is never
+    one; a repeated flag keeps its last value.  A usage error raises a
+    ConfigError naming the word."""
+    command, *words = argv or ["(none)"]
+    if command not in _COMMANDS:
+        raise ConfigError(f"unknown command {command}; choose one of {', '.join(_COMMANDS)}")
+    flags = _COMMANDS[command][2]
+    values = {flag[2:]: default for flag, (_, _, default) in flags.items()}
+    words = iter(words)
+    for word in words:
+        flag, eq, raw = word.partition("=")
+        kind, bounds, _ = flags.get(flag, (None, None, None))
+        if kind is None or kind == "switch" and eq:  # a switch takes no value
+            raise ConfigError(f"ifmsim {command} takes no flag {word!r}")
+        if not (eq or kind == "switch"):
+            raw = next(words, None)
+            if raw is None or raw.startswith("--"):
+                raise ConfigError(f"{flag} needs a value")
+        values[flag[2:]] = (True if kind == "switch" else raw if kind == "str"
+                            else _value(raw, kind, bounds, flag))
+    if "--config" in flags and values["config"] is None:
+        raise ConfigError(f"ifmsim {command} needs --config")
+    return command, SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        return _help() or EXIT_OK
     t0 = time.perf_counter()
     try:
-        code = args.func(args)
-    except ConfigError as exc:
+        command, args = _parse(argv)
+        code = _COMMANDS[command][0](args)
+    except ConfigError as exc:  # the command line or the config
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except experiments.ArgumentError as exc:  # a config value the library refuses
-        schema = _FCS_SCHEMA if args.command == "fcs" else _SWEEP_SCHEMA
+        schema = _FCS_SCHEMA if command == "fcs" else _SWEEP_SCHEMA
         print(f"config error: {_keyed(exc, schema)}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    if code == EXIT_OK and args.command != "version":
+    if code == EXIT_OK and command != "version":
         print(f"done in {time.perf_counter() - t0:.2f}s")
     return code
 

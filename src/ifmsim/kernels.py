@@ -55,7 +55,7 @@ bits as the generator sampled them, one multiply and one add.reduce.
 Rows advance in slices of 4096 (_SLICE), each slice through every block
 before the next, so the scratch (a slice's state, its gather and pifm's
 click rows) holds at most 4096 rows whatever the ensemble size, and a
-batch of one block needs none.
+batch of one block is one np.take into the result, with no scratch.
 pifm's product leaves |2> empty, so it acts on levels 0-1 alone, and its
 clicks in a block are a quadratic form in the state entering it, the sum
 over the block's slots of the squared |2> amplitude before each
@@ -220,9 +220,9 @@ def _evolve_blocks(batch, phi, psi0, project) -> np.ndarray:
 
     psi0 is the real initial state.  The call builds the tables of each
     distinct block once, and keeps none of them; a realization's table
-    index in a block is its byte of batch.signs.  Rows advance in slices of
-    at most _SLICE, through every block of a slice before the next slice,
-    so the scratch is sized by the slice, not by the batch.  pifm from a
+    index in a block is its byte of batch.signs.  One block is one gather
+    into the result; more blocks run in slices of at most _SLICE rows, each
+    through every block, so the scratch is sized by the slice.  pifm from a
     psi0 with an empty |2> evolves the all-zero sign row alone, through
     tables of that one pattern, and returns a read-only view of it for
     every realization.
@@ -240,8 +240,11 @@ def _evolve_blocks(batch, phi, psi0, project) -> np.ndarray:
     (_, first), *tables = [built[block] for block in blocks]
     out = np.empty((3, r))  # pifm: (a0, a1, clicks)
     rows, inputs = (4, 2) if project else (3, 3)
-    width = min(r, _SLICE)
-    if tables:
+    # every index is in range; mode="raise" would make np.take copy out first
+    if not tables:  # one block: one gather straight into out, no slices
+        np.take(first, index[0], axis=1, out=out, mode="wrap")
+    else:
+        width = min(r, _SLICE)
         # flat buffers, whose leading part a shorter slice takes: the slice's
         # state (out itself when one slice holds every row), contiguous, as
         # numpy runs a strided slice of out about a fifth slower; its gather;
@@ -250,28 +253,24 @@ def _evolve_blocks(batch, phi, psi0, project) -> np.ndarray:
         gather = np.empty(rows * inputs * width)
         if project:
             form = np.empty(2 * width)
-    for lo in range(0, r, _SLICE):
-        hi = min(lo + _SLICE, r)
-        m = hi - lo
-        # every index is in range; mode="raise" would make np.take copy out first
-        if not tables:
-            np.take(first, index[0, lo:hi], axis=1, out=out[:, lo:hi], mode="wrap")
-            continue
-        state = held[:3 * m].reshape(3, m)
-        np.take(first, index[0, lo:hi], axis=1, out=state, mode="wrap")
-        amps = state[:inputs]
-        g = gather[:rows * inputs * m].reshape(rows, inputs, m)
-        if project:
-            w = form[:2 * m].reshape(2, m)
-        for (maps, _), idx in zip(tables, index[1:, lo:hi]):
-            np.take(maps, idx, axis=1, out=g.reshape(-1, m), mode="wrap")
-            g *= amps  # g[i, j] = M_ij a_j
-            np.add.reduce(g[:inputs], axis=1, out=amps)
-            if project:  # the click form: |L^T (a0, a1)|^2
-                np.add.reduce(g[2:], axis=1, out=w)
-                state[2] += np.add.reduce(np.square(w, out=w))
-        if r > width:
-            out[:, lo:hi] = state
+        for lo in range(0, r, _SLICE):
+            hi = min(lo + _SLICE, r)
+            m = hi - lo
+            state = held[:3 * m].reshape(3, m)
+            np.take(first, index[0, lo:hi], axis=1, out=state, mode="wrap")
+            amps = state[:inputs]
+            g = gather[:rows * inputs * m].reshape(rows, inputs, m)
+            if project:
+                w = form[:2 * m].reshape(2, m)
+            for (maps, _), idx in zip(tables, index[1:, lo:hi]):
+                np.take(maps, idx, axis=1, out=g.reshape(-1, m), mode="wrap")
+                g *= amps  # g[i, j] = M_ij a_j
+                np.add.reduce(g[:inputs], axis=1, out=amps)
+                if project:  # the click form: |L^T (a0, a1)|^2
+                    np.add.reduce(g[2:], axis=1, out=w)
+                    state[2] += np.add.reduce(np.square(w, out=w))
+            if r > width:
+                out[:, lo:hi] = state
     amps = out[:inputs]
     np.square(amps, out=amps)
     return out.T if r == realizations else np.broadcast_to(out.T, (realizations, 3))

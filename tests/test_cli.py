@@ -1,4 +1,3 @@
-import argparse
 import configparser
 import json
 import math
@@ -17,6 +16,7 @@ import pytest
 import ifmsim
 from ifmsim import experiments
 from ifmsim.cli import (
+    _COMMANDS,
     _FCS_SCHEMA,
     _MODE_KEYS,
     _SCENARIOS,
@@ -27,7 +27,6 @@ from ifmsim.cli import (
     ConfigError,
     _read,
     _write_json,
-    build_parser,
     config_hash,
     load_config,
     main,
@@ -582,18 +581,14 @@ def test_scenario_fields_are_noise_schema_keys():
 
 def test_readme_usage_block_names_exactly_the_parser_flags():
     # the "ifmsim sweep ... ifmsim version" block of README's "Command line"
-    # section against every subcommand of the parser, in both directions
+    # section against every subcommand of the flag table, in both directions
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     block = text.split("## Command line", 1)[1].split("```\n", 2)[1]
     documented = {}
     for line in block.splitlines():
         _, command, *rest = line.split()
         documented[command] = set(re.findall(r"--[a-z]+", " ".join(rest)))
-    subparsers = next(action for action in build_parser()._actions
-                      if isinstance(action, argparse._SubParsersAction))
-    flags = {command: {option for action in sub._actions for option in action.option_strings
-                       if option != "--help" and option.startswith("--")}
-             for command, sub in subparsers.choices.items()}
+    flags = {command: set(command_flags) for command, (_, _, command_flags) in _COMMANDS.items()}
     assert documented == flags
 
 
@@ -899,3 +894,85 @@ def test_version_command(capsys):
     assert main(["version"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "ifmsim" in out
+
+
+@pytest.mark.parametrize("argv, words", [
+    ([], ["(none)", "sweep"]),
+    (["swep"], ["swep"]),
+    (["sweep", "--config", "{cfg}", "--bogus", "1"], ["--bogus"]),
+    (["sweep", "--config", "{cfg}", "extra"], ["'extra'"]),
+    (["sweep", "--conf", "{cfg}"], ["--conf"]),  # no unique-prefix abbreviations
+    (["sweep", "--config"], ["--config needs a value"]),
+    (["sweep", "--config", "--seed", "3"], ["--config needs a value"]),
+    (["sweep", "--config", "{cfg}", "--seed", "abc"], ["--seed", "abc"]),
+    (["sweep", "--config", "{cfg}", "--seed=1.5"], ["--seed", "1.5"]),
+    (["sweep", "--seed", "3"], ["needs --config"]),
+    (["noise", "--telegraph=yes"], ["--telegraph=yes"]),
+    (["table1", "--config", "{cfg}"], ["--config"]),
+], ids=["no_command", "unknown_command", "unknown_flag", "positional", "abbreviation",
+        "missing_value", "flag_as_value", "int_kind", "int_kind_after_equals",
+        "missing_config", "switch_with_value", "flag_of_another_command"])
+def test_usage_error_exits_2_naming_its_word(tmp_path, capsys, argv, words):
+    # main returns the exit code: a usage error raises no SystemExit
+    cfg = write(tmp_path, "small.cfg", SMALL_SWEEP)
+    argv = [word.format(cfg=cfg) for word in argv]
+    # --out goes right after the command, so that a flag can end the line
+    code = main(argv[:1] + ["--out", str(tmp_path / "o")] + argv[1:] if argv else argv)
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert all(word in captured.err for word in words), captured.err
+    assert not (tmp_path / "o").exists()
+
+
+def test_flag_equals_value_and_a_repeated_flag_give_the_same_run(tmp_path):
+    # --flag=value reads as --flag value, and a repeated flag keeps its last value
+    cfg = write(tmp_path, "small.cfg", SMALL_SWEEP)
+    runs = {"spaced": ["--config", str(cfg), "--out", str(tmp_path / "spaced"), "--seed", "5"],
+            "equals": [f"--config={cfg}", f"--out={tmp_path / 'equals'}", "--seed=5"],
+            "repeated": ["--config", str(cfg), "--seed", "9", "--out", "elsewhere",
+                         "--out", str(tmp_path / "repeated"), "--seed=5", "--threads=2"]}
+    manifests = []
+    for name, argv in runs.items():
+        assert main(["sweep", *argv]) == EXIT_OK
+        manifest = json.loads((tmp_path / name / "small_manifest.json").read_text())
+        assert manifest["master_seed"] == 5 and manifest["seed_source"] == "cli"
+        manifests.append({key: value for key, value in manifest.items()
+                          if key not in ("started_utc", "finished_utc", "outputs")})
+    stats = {(tmp_path / name / "small_stats.csv").read_bytes() for name in runs}
+    assert len(stats) == 1
+    assert manifests[0] == manifests[1] == manifests[2]
+    assert not Path("elsewhere").exists()
+
+
+@pytest.mark.parametrize("argv, commands", [
+    (["-h"], list(_COMMANDS)),
+    (["--help"], list(_COMMANDS)),
+    (["sweep", "-h"], ["sweep"]),
+    (["noise", "--color", "pink", "--help"], ["noise"]),
+])
+def test_help_lists_every_flag_and_exits_0(capsys, argv, commands):
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("usage: ifmsim COMMAND")
+    for command in commands:
+        assert f"ifmsim {command}: " in out
+        for flag in _COMMANDS[command][2]:
+            assert re.search(rf"^  {flag} ", out, re.M), (command, flag)
+
+
+def test_the_cli_imports_neither_argparse_nor_gettext_nor_locale(tmp_path):
+    # the command line is read from one flag table: argparse's first use
+    # imports gettext and locale and compiles its help formatter's patterns
+    package = Path(ifmsim.__file__).parent
+    cfg = write(tmp_path, "tiny.cfg", SMALL_SWEEP.replace("realizations = 30",
+                                                          "realizations = 2"))
+    code = ("import sys, ifmsim.cli; "
+            "assert ifmsim.cli.main(['version']) == 0; "
+            f"assert ifmsim.cli.main(['sweep', '--config', {str(cfg)!r}, "
+            f"'--out', {str(tmp_path / 'o')!r}]) == 0; "
+            "print('loaded:', *sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(package.parent)}, check=True)
+    assert run.stdout.splitlines()[-1] == "loaded:"
+    assert (tmp_path / "o" / "tiny_stats.csv").exists()

@@ -610,11 +610,13 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
-@pytest.mark.parametrize("n", [8, 9, 40])
+@pytest.mark.parametrize("n", [4, 8, 9, 40])
 @pytest.mark.parametrize("protocol", ["cifm", "pifm"])
 def test_slice_boundaries_keep_every_row_bit_for_bit(protocol, n, block_calls):
-    # rows advance in slices of _SLICE, so a row's bits must not depend on
-    # where the slices of its batch fall.  The rows repeat 16 sign patterns
+    # rows of more than one block advance in slices of _SLICE, and a batch
+    # of one block (n = 4, as clustering's, and 8) is one gather, so a row's
+    # bits must not depend on where the slices of its batch fall, or whether
+    # it has any.  The rows repeat 16 sign patterns
     # in random order, so every row run alone is one of 16 one-row batches;
     # pifm starts with |2> amplitude, so it evolves every row
     S = kernels._SLICE
