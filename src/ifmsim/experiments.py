@@ -14,18 +14,22 @@ run_sweep, sweep_kappa_N and clustering_sweep are each one call of the grid
 loop _grid, and all three return a GridResult.  A driver gives its slot
 counts, its parameter grid (the correlation times, or (0.0,) for a scenario
 sweep) and the scenario of each parameter; point k of the n-major grid is
-keyed by k.  The points of one slot count are drawn point by point and
-stacked into one batch, so each protocol the sweep asks for makes one
-kernel call per slot count, and the kernels receive the sampled segments as
-they are.  A realization's populations do not depend on the batch around
-it, so a point's statistics are those of its own batch, bit for bit.
+keyed by k.  The points of one slot count share one batch, point after
+point, so each protocol the sweep asks for makes one kernel call per slot
+count, and the kernels receive the sampled segments as they are.  A
+realization's populations do not depend on the batch around it, so a
+point's statistics are those of its own batch, bit for bit.
 
 A scenario's sample() returns (dtheta, chi), chi None on the amplitude
 axis.  dtheta is a float64 array, except in the two telegraph scenarios,
 BinarySlotNoise and BinarySampledNoise: there it is the noise.TelegraphSlots
 batch of gen_telegraph_slots, packed signs and one factor per slot (theta,
 or delta_theta times the slot's trace samples), which the kernels' block
-tables read as it is and np.asarray expands to the angles.
+tables read as it is and np.asarray expands to the angles.  The telegraph
+drivers give their scenario every correlation time of the grid, and
+_grid hands its sample() the keyed generators of a slot count's points:
+one stacked gen_telegraph_slots call draws the slot count's batch, each
+point's rows from its own generator.
 
 Every record type here is a typing.NamedTuple: immutable and cheap to
 create at import.  Records compare as tuples, so two records of different
@@ -200,17 +204,29 @@ class ColoredPhase(NamedTuple):
         return np.full(chi.shape, self.theta_slot), chi
 
 
-class BinarySlotNoise(NamedTuple):
-    """Telegraph noise held constant within each slot (one sample per slot)."""
+def _rates(kappa_inv):
+    """The switch rate 1 / kappa_inv of one correlation time, or a tuple of
+    the rates of a tuple of them."""
+    return 1.0 / kappa_inv if np.ndim(kappa_inv) == 0 else tuple(1.0 / k for k in kappa_inv)
 
-    kappa_inv: float
+
+class BinarySlotNoise(NamedTuple):
+    """Telegraph noise held constant within each slot (one sample per slot).
+
+    kappa_inv is one correlation time, sampled from one generator, or a
+    tuple of them, sampled from a tuple of as many generators: the batch
+    then holds each one's realizations in turn, drawn in one stacked
+    gen_telegraph_slots call.  BinarySampledNoise takes both forms too.
+    """
+
+    kappa_inv: float | tuple[float, ...]
     total_duration: float
     theta: float = math.pi
 
     def sample(self, n_slots: int, realizations: int, rng) -> tuple[TelegraphSlots, None]:
         tau_b = self.total_duration / n_slots
-        dtheta = gen_telegraph_slots(1.0 / self.kappa_inv, self.theta, (realizations, n_slots),
-                                     tau_b, rng)
+        dtheta = gen_telegraph_slots(_rates(self.kappa_inv), self.theta,
+                                     (realizations, n_slots), tau_b, rng)
         return dtheta, None
 
 
@@ -261,7 +277,7 @@ class BinarySampledNoise(NamedTuple):
     the slot).
     """
 
-    kappa_inv: float
+    kappa_inv: float | tuple[float, ...]
     total_duration: float
     delta_theta: float
     sample_rate: float
@@ -269,7 +285,7 @@ class BinarySampledNoise(NamedTuple):
     def sample(self, n_slots: int, realizations: int, rng) -> tuple[TelegraphSlots, None]:
         tau_b = self.total_duration / n_slots
         angles = self.delta_theta * slot_samples(n_slots, self.total_duration, self.sample_rate)
-        dtheta = gen_telegraph_slots(1.0 / self.kappa_inv, angles, (realizations, n_slots),
+        dtheta = gen_telegraph_slots(_rates(self.kappa_inv), angles, (realizations, n_slots),
                                      tau_b, rng)
         return dtheta, None
 
@@ -316,24 +332,12 @@ class GridResult(NamedTuple):
     counters: dict[str, int]
 
 
-def _sample_batch(scenario, n_slots, realizations, master_seed, point_index):
-    """(dtheta, chi, offsets) of the ensemble, drawn in one call from the
-    generator keyed by (master_seed, point_index).  Every scenario gives each
-    slot the same number of segments, so the batch width sets the offsets."""
-    dtheta, chi = scenario.sample(n_slots, realizations, _stream(master_seed, point_index))
+def _sample_batch(sample, n_slots, realizations, rng):
+    """(dtheta, chi, offsets) of sample(n_slots, realizations, rng), drawn
+    in one call.  Every scenario gives each slot the same number of
+    segments, so the batch width sets the offsets."""
+    dtheta, chi = sample(n_slots, realizations, rng)
     return dtheta, chi, np.arange(n_slots + 1) * (dtheta.shape[1] // n_slots)
-
-
-def _stack(batches):
-    """One batch holding the rows of every batch in turn; the batches share
-    their width and offsets, and TelegraphSlots batches their factor.  A
-    lone batch is returned as it is, not copied."""
-    if len(batches) == 1:
-        return batches[0]
-    dthetas, chis, offsets = zip(*batches)
-    concatenate = (TelegraphSlots.concatenate if isinstance(dthetas[0], TelegraphSlots)
-                   else np.concatenate)
-    return concatenate(dthetas), None if chis[0] is None else np.concatenate(chis), offsets[0]
 
 
 def _markers(protocol, batch) -> np.ndarray:
@@ -344,30 +348,31 @@ def _markers(protocol, batch) -> np.ndarray:
 def ensemble_markers(protocol, scenario, n_slots, realizations, master_seed,
                      point_index=0) -> np.ndarray:
     """Marker populations of `realizations` independent protocol runs."""
-    batch = _sample_batch(scenario, n_slots, realizations, master_seed, point_index)
+    batch = _sample_batch(scenario.sample, n_slots, realizations,
+                          _stream(master_seed, point_index))
     return _markers(protocol, batch)
 
 
-def _grid(n_values, params, scenario_of, protocols, realizations, master_seed,
+def _grid(n_values, params, sample, protocols, realizations, master_seed,
           anomalies=()) -> GridResult:
     """Marker statistics of every protocol at every (n_slots, param) point.
 
-    Point k of the n-major grid draws one batch of scenario_of(param) from
-    the generator keyed by (master_seed, k).  The points of one slot count
-    are stacked into one batch, point after point, and each protocol makes
-    one kernel call on it: a realization's populations do not depend on the
-    batch around it, so each point gets the markers of its own batch, bit
-    for bit.  Each protocol's stats hold one mean and one ddof-1 variance
-    per point, taken over that point's contiguous row of markers.
+    Point k of the n-major grid is keyed by (master_seed, k).  For each slot
+    count n, sample(n, realizations, streams) draws one batch from streams,
+    the keyed generators of n's points in turn, with each point's rows drawn
+    from its own generator and stacked point after point; each protocol
+    makes one kernel call on it.  A realization's populations do not depend
+    on the batch around it, so each point gets the markers of its own batch,
+    bit for bit.  Each protocol's stats hold one mean and one ddof-1
+    variance per point, taken over that point's contiguous row of markers.
     """
     params = tuple(float(p) for p in params)
     mean = np.empty((len(protocols), len(n_values), len(params)))
     var = np.zeros_like(mean)
     kernel_calls = 0
     for i, n in enumerate(n_values):
-        batch = _stack([_sample_batch(scenario_of(param), n, realizations, master_seed,
-                                      i * len(params) + j)
-                        for j, param in enumerate(params)])
+        streams = tuple(_stream(master_seed, i * len(params) + j) for j in range(len(params)))
+        batch = _sample_batch(sample, n, realizations, streams)
         for p, protocol in enumerate(protocols):
             markers = _markers(protocol, batch).reshape(len(params), realizations)
             kernel_calls += 1
@@ -389,8 +394,8 @@ def run_sweep(config: SweepConfig) -> GridResult:
     if config.protocol not in PROTOCOLS:
         raise ArgumentError(f"protocol {config.protocol!r} is unknown", "protocol")
     n_values, realizations = _counts(config.n_values, config.realizations)
-    return _grid(n_values, (0.0,), lambda _: config.scenario, (config.protocol,),
-                 realizations, config.master_seed)
+    return _grid(n_values, (0.0,), lambda n, r, streams: config.scenario.sample(n, r, *streams),
+                 (config.protocol,), realizations, config.master_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +411,16 @@ def transparency_anomalies(n_values, delta_theta, total_duration, sample_rate) -
     detectors are blind to the noise.  Slots of a nominal 2.5 samples hold
     2 or 3, so 4 pi / 2.5 per sample makes no slot a whole turn.
     """
+    return _transparent(n_values, [slot_samples(n, total_duration, sample_rate)
+                                   for n in n_values], delta_theta)
+
+
+def _transparent(n_values, samples, delta_theta) -> list[int]:
+    """transparency_anomalies of the slot counts n_values, whose slots hold
+    samples[i] trace samples at n_values[i]."""
     out = []
-    for n in n_values:
-        samples = slot_samples(n, total_duration, sample_rate)
-        turns = (abs(delta_theta) * samples / (4.0 * math.pi)).tolist()
+    for n, counts in zip(n_values, samples):
+        turns = (abs(delta_theta) * counts / (4.0 * math.pi)).tolist()
         if all(t >= 0.5 and abs(t - round(t)) < 1e-9 for t in turns):
             out.append(int(n))
     return out
@@ -455,11 +466,10 @@ def sweep_kappa_N(n_values, kappa_inv_values, delta_theta, realizations=500,
     if not math.isfinite(abs(float(delta_theta)) * most):
         raise ArgumentError(f"delta_theta = {delta_theta:g} times the {most} trace samples of "
                             f"a slot is not a finite angle", "delta_theta")
-    return _grid(n_values, kappa_inv_values,
-                 lambda kinv: BinarySampledNoise(kappa_inv=kinv, total_duration=total_duration,
-                                                 delta_theta=delta_theta, sample_rate=sample_rate),
-                 (protocol,), realizations, master_seed,
-                 transparency_anomalies(n_values, delta_theta, total_duration, sample_rate))
+    scenario = BinarySampledNoise(kappa_inv=kappa_inv_values, total_duration=total_duration,
+                                  delta_theta=delta_theta, sample_rate=sample_rate)
+    return _grid(n_values, kappa_inv_values, scenario.sample, (protocol,), realizations,
+                 master_seed, _transparent(n_values, samples, delta_theta))
 
 
 def clustering_sweep(n_values, kappa_inv_values, realizations=2000, master_seed=0,
@@ -472,10 +482,10 @@ def clustering_sweep(n_values, kappa_inv_values, realizations=2000, master_seed=
     """
     n_values, kappa_inv_values, realizations = _binary_grid(
         n_values, kappa_inv_values, realizations, total_duration, sys.float_info.max)
-    return _grid(n_values, kappa_inv_values,
-                 lambda kinv: BinarySlotNoise(kappa_inv=kinv, total_duration=total_duration,
-                                              theta=theta),
-                 ("cifm", "pifm"), realizations, master_seed)
+    scenario = BinarySlotNoise(kappa_inv=kappa_inv_values, total_duration=total_duration,
+                               theta=theta)
+    return _grid(n_values, kappa_inv_values, scenario.sample, ("cifm", "pifm"), realizations,
+                 master_seed)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ at the top of the range.  gen_telegraph_slots is the one telegraph
 generator: the sweeps hold its value over a slot, and the noise command
 reads it as a trace with one sample per slot.  It returns a TelegraphSlots
 batch, which stores the signs as packed bits and one factor per slot;
-np.asarray expands it to the float64 values, the kernels' block tables
-read its bits as they are, and TelegraphSlots.concatenate stacks the rows
-of batches that share their factor.  The other generators return arrays.
+np.asarray expands it to the float64 values, and the kernels' block tables
+read its bits as they are.  Given a rate and a generator per point, it
+draws the points' rows stacked in one batch, in row slices of a reused
+uniform block, so its scratch does not grow with the batch.  The other
+generators return arrays.
 This module owns the bit layout: BLOCK slots to a byte.  Amplitude series
 are in rad/s (the instantaneous drive strength), phase series in radians.
 estimate_psd is an unwindowed averaged periodogram.  The module writes no
@@ -179,17 +181,6 @@ class TelegraphSlots:
     def __len__(self) -> int:
         return self.shape[0]
 
-    @classmethod
-    def concatenate(cls, batches) -> TelegraphSlots:
-        """One (rows, n) batch of the rows of every batch in turn.
-
-        The batches must share their factor: a batch holds one per slot."""
-        first = batches[0]
-        if any(not np.array_equal(b.factor, first.factor) for b in batches[1:]):
-            raise ValueError("concatenated telegraph batches must share one factor per slot")
-        signs = np.concatenate([b.signs for b in batches], axis=1)
-        return cls((signs.shape[1], first.shape[-1]), first.factor, signs)
-
     @property
     def size(self) -> int:
         return math.prod(self.shape)
@@ -203,7 +194,13 @@ class TelegraphSlots:
         return values.reshape(self.shape).astype(dtype or np.float64, copy=False)
 
 
-def gen_telegraph_slots(kappa: float, amplitude, n_slots, slot_duration: float,
+#: Rows of a telegraph draw held at once as uniforms and packed flips:
+#: gen_telegraph_slots fills the batch slice by slice, so its scratch does
+#: not grow with the batch.
+_SLICE = 2048
+
+
+def gen_telegraph_slots(kappa, amplitude, n_slots, slot_duration: float,
                         seed) -> TelegraphSlots:
     """Telegraph values held constant within each slot (one sample per slot).
 
@@ -216,13 +213,32 @@ def gen_telegraph_slots(kappa: float, amplitude, n_slots, slot_duration: float,
     (rows, n).  One uniform block u of that shape is drawn: column 0 makes
     the initial sign negative where u >= 1/2, and each later column flips
     the sign where u < q, so a 1-D call equals row 0 of a (1, n) call.
-    The signs are made from the flip bits a byte at a time: one multiply
-    packs each 8 flips into a byte, the prefix-XOR table turns a byte of
-    flips into its sign bits, and the parity of the earlier bytes, when
-    odd, inverts them.  np.asarray of the result is the float64 trace,
-    (+-1.0) * amplitude.
+
+    kappa may also be a sequence of rates, and seed then a sequence of as
+    many numpy Generators, one per rate (a list of ints stays one seed of
+    one rate): the result stacks each generator's (rows, n) draw at its own
+    rate in turn, a (len(kappa) * rows, n) batch whose rows are bit for bit
+    those of one call per rate.
+
+    The draw runs in slices of at most _SLICE rows, and of no more rows
+    than one generator draws, so its scratch never exceeds one rate's draw:
+    each generator fills its rows of a reused uniform block in turn, which
+    continues its stream exactly as one draw would.  Each slice's flips are
+    packed a byte at a time: one multiply packs each 8 flips into a byte,
+    the prefix-XOR table turns a byte of flips into its sign bits, and the
+    parity of the earlier bytes, when odd, inverts them.  np.asarray of the
+    result is the float64 trace, (+-1.0) * amplitude.
     """
-    if not (kappa > 0 and slot_duration > 0):  # NaN fails both comparisons
+    rates = np.asarray(kappa, dtype=np.float64)
+    if rates.ndim == 0:
+        rngs = (_rng(seed),)
+    elif (rates.ndim == 1 and isinstance(seed, (list, tuple)) and len(seed) == rates.size > 0
+          and all(isinstance(g, np.random.Generator) for g in seed)):
+        rngs = tuple(seed)
+    else:
+        raise ValueError("a sequence of rates takes a sequence of as many numpy Generators "
+                         "as seed, one per rate")
+    if not (np.all(rates > 0) and slot_duration > 0):  # NaN fails both comparisons
         raise ValueError("kappa and slot_duration must be positive")
     shape = _shape(n_slots)
     if min(shape) < 1:
@@ -232,23 +248,42 @@ def gen_telegraph_slots(kappa: float, amplitude, n_slots, slot_duration: float,
     if factor.shape not in ((), (n,)):
         raise ValueError(f"amplitude must be one number or one per slot ({n}), "
                          f"got shape {factor.shape}")
-    u = _rng(seed).random(shape).reshape(-1, n)
+    rows = math.prod(shape[:-1])  # of each generator
+    total = rows * len(rngs)
     # kappa * slot_duration first: -2 kappa alone overflows at kappa near 1e308
-    q = 0.5 * (1.0 - math.exp(-2.0 * (kappa * slot_duration)))
-    flips = np.zeros((len(u), -(-n // BLOCK) * BLOCK), dtype=bool)  # zero-padded to whole bytes
-    np.less(u, q, out=flips[:, :n])
-    flips[:, 0] = u[:, 0] >= 0.5
-    # each 8 flips, read as one little-endian word, times _GATHER: bit k of
-    # the top byte is flip k
-    packed = flips.view("<u8") * _GATHER >> 56
-    signs = _PREFIX_XOR.take(packed.T)  # block-major; each block starts at +
-    # bit 7 is a block's parity, spread over its byte by an int8 >> 7; the
-    # XOR of the earlier blocks' masks inverts a block whose start is negative
-    carry = signs[:-1].view(np.int8) >> 7
-    np.bitwise_xor.accumulate(carry, axis=0, out=carry)
-    signs[1:] ^= carry.view(np.uint8)
+    q = [0.5 * (1.0 - math.exp(-2.0 * (k * slot_duration))) for k in rates.ravel().tolist()]
+    blocks = -(-n // BLOCK)
+    width = min(_SLICE, rows)
+    signs = np.empty((blocks, total), dtype=np.uint8)  # block-major
+    u = np.empty((width, n))
+    flips = np.zeros((width, blocks * BLOCK), dtype=bool)  # zero-padded to whole bytes
+    words = flips.view("<u8")  # each 8 flips, read as one little-endian word
+    for start in range(0, total, width):
+        stop = min(start + width, total)
+        for g in range(start // rows, -(-stop // rows)):  # the generators of these rows
+            lo, hi = max(start, g * rows) - start, min(stop, (g + 1) * rows) - start
+            rngs[g].random(out=u[lo:hi])
+            np.less(u[lo:hi], q[g], out=flips[lo:hi, :n])
+        m = stop - start
+        np.greater_equal(u[:m, 0], 0.5, out=flips[:m, 0])
+        # a word times _GATHER has flip k at bit k of its top byte; shifted
+        # down, the word is its packed byte, so the padding bytes read 0 again
+        words[:m] *= _GATHER
+        words[:m] >>= 56
+        block = signs[:, start:stop]
+        block[...] = _PREFIX_XOR.take(words[:m].view("<i8")).T  # each block starts at +
+        # bit 7 is a block's parity, spread over its byte by an int8 >> 7; the
+        # XOR of the earlier blocks' masks, by doubling strides, inverts a
+        # block whose start is negative
+        carry = block[:-1].view(np.int8) >> 7
+        stride = 1
+        while stride < len(carry):
+            carry[stride:] ^= carry[:-stride]  # numpy reads the overlap before writing
+            stride *= 2
+        block[1:] ^= carry.view(np.uint8)
     if n % BLOCK:  # the flips' zero padding leaves the last sign repeated there
         signs[-1] &= (1 << n % BLOCK) - 1
+    shape = shape if rates.ndim == 0 else (total, n)
     return TelegraphSlots(shape, np.broadcast_to(factor, (n,)), signs)
 
 

@@ -485,8 +485,8 @@ def test_kappa_manifest_lists_the_transparent_slot_counts_outside_the_hash(tmp_p
 
 def test_kappa_mode_counts_each_slot_count_once_for_its_checks(tmp_path, monkeypatch):
     # n = 2, 3 at two correlation times: the kappa sweep's argument checks count each n
-    # once, transparency_anomalies once more, and each of the four points
-    # once as it samples
+    # once, and the anomaly test reuses those counts; each slot count's
+    # stacked draw over both points counts it once more
     calls = []
     count = experiments.slot_samples
     monkeypatch.setattr(experiments, "slot_samples",
@@ -495,7 +495,7 @@ def test_kappa_mode_counts_each_slot_count_once_for_its_checks(tmp_path, monkeyp
         "kappa_inv_fractions = 0.5", "kappa_inv_fractions = 0.5,1.0")
     cfg = write(tmp_path, "kappa.cfg", text)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
-    assert calls == [2, 3] + [2, 3] + [2, 2, 3, 3]
+    assert calls == [2, 3] + [2, 3]
 
 
 def test_colored_config_runs_with_alpha_in_range(tmp_path):

@@ -419,6 +419,22 @@ def test_stacked_sweeps_equal_per_point_ensembles(realizations):
     assert np.array_equal(kappa.stats["pifm"].variance, kappa_var[0])
 
 
+def test_telegraph_sweeps_draw_each_slot_count_in_one_call(monkeypatch):
+    # one stacked gen_telegraph_slots call per slot count, with a rate and a
+    # keyed generator per correlation time
+    calls = []
+    draw = experiments.gen_telegraph_slots
+
+    def recording(kappa, amplitude, shape, tau, seed):
+        calls.append((len(kappa), len(seed), shape))
+        return draw(kappa, amplitude, shape, tau, seed)
+
+    monkeypatch.setattr(experiments, "gen_telegraph_slots", recording)
+    clustering_sweep((4, 9), (2e-6, 5e-6, 1e-5), realizations=5)
+    sweep_kappa_N((5, 20), (4e-8, 1e-5), 0.0125, realizations=3)
+    assert calls == [(3, 3, (5, 4)), (3, 3, (5, 9)), (2, 2, (3, 5)), (2, 2, (3, 20))]
+
+
 def test_sweeps_make_one_kernel_call_per_slot_count_and_protocol(monkeypatch):
     calls = []
     for name in ("cifm_populations", "pifm_populations"):

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from ifmsim import noise
 from ifmsim.noise import (
     ColorSpec,
-    TelegraphSlots,
     estimate_acf,
     estimate_psd,
     fit_psd_slope,
@@ -284,19 +286,63 @@ def test_telegraph_sign_bytes_are_packbits_of_the_signs(n, rows):
     assert batch.signs.tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
-def test_telegraph_batches_concatenate_their_rows():
-    # the sign bits of several batches stack along the rows, a 1-D batch as
-    # one row; batches whose factors differ cannot share a batch
-    amplitude = np.array([0.5, -2.0, 0.0, 3.0, 1.0, 1.0, 1.0, 1.0, -0.25])
-    parts = [gen_telegraph_slots(2e5, amplitude, shape, 1e-6, seed)
-             for shape, seed in (((3, 9), 1), (9, 2), ((40, 9), 3))]
-    joined = TelegraphSlots.concatenate(parts)
-    assert joined.shape == (44, 9) and joined.signs.flags.c_contiguous
-    assert np.asarray(joined).tobytes() == np.concatenate(
-        [np.asarray(p).reshape(-1, 9) for p in parts]).tobytes()
-    other = gen_telegraph_slots(2e5, 1.0, (3, 9), 1e-6, 4)
-    with pytest.raises(ValueError, match="share one factor per slot"):
-        TelegraphSlots.concatenate([parts[0], other])
+#: rows per generator of the stacked-draw tests: one row, and either side of
+#: one and two slices
+STACKED_ROWS = (1, noise._SLICE - 1, noise._SLICE, noise._SLICE + 1, 2 * noise._SLICE + 3)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 40, 64])
+@pytest.mark.parametrize("rows", STACKED_ROWS)
+def test_stacked_draw_is_each_generators_own_draw(rows, n):
+    # one call over three generators at three rates holds each one's rows in
+    # turn, the sign bits of its one-shot uniform draw: slicing neither moves
+    # a generator's stream nor lets a slice's rates, flips or carries leak
+    # into the next generator's rows
+    tau = 1e-6
+    rates = [KAPPA_TAU[q] / tau for q in sorted(KAPPA_TAU)]
+    amplitude = np.linspace(-2.0, 3.0, n)
+    seeds = [[rows, n, j] for j in range(3)]
+    batch = gen_telegraph_slots(rates, amplitude, (rows, n), tau,
+                                tuple(np.random.default_rng(s) for s in seeds))
+    assert batch.shape == (3 * rows, n) and len(batch) == 3 * rows
+    assert batch.signs.shape == (-(-n // 8), 3 * rows) and batch.signs.flags.c_contiguous
+    values = np.asarray(batch)
+    for j, (rate, seed) in enumerate(zip(rates, seeds)):
+        own = gen_telegraph_slots(rate, amplitude, (rows, n), tau, seed)
+        part = batch.signs[:, j * rows:(j + 1) * rows]
+        assert np.array_equal(part, own.signs)
+        assert np.array_equal(part, packed_signs(float_telegraph_slots(rate, 1.0, (rows, n),
+                                                                       tau, seed)))
+        ref = float_telegraph_slots(rate, amplitude, (rows, n), tau, seed)
+        assert values[j * rows:(j + 1) * rows].tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("seed", [[5, 3], (5, 3), 5, [np.random.default_rng(5)]],
+                         ids=["int_list", "int_tuple", "int", "one_generator"])
+def test_a_sequence_of_rates_takes_one_generator_per_rate(seed):
+    # a list of ints is one seed of one rate, never a stack of generators
+    with pytest.raises(ValueError, match="one per rate"):
+        gen_telegraph_slots([1e5, 2e5], 1.0, (3, 9), 1e-6, seed)
+    with pytest.raises(ValueError, match="one per rate"):
+        gen_telegraph_slots([[1e5, 2e5]], 1.0, (3, 9), 1e-6, [np.random.default_rng(5)] * 2)
+    with pytest.raises(ValueError, match="kappa and slot_duration must be positive"):
+        gen_telegraph_slots([1e5, np.nan], 1.0, (3, 9), 1e-6, [np.random.default_rng(5)] * 2)
+
+
+def test_telegraph_scratch_does_not_grow_with_the_ensemble():
+    # the uniforms, flips and packed words are held a slice at a time: from
+    # 16,384 to 65,536 rows at n = 40 the peak grows by the packed signs'
+    # 5 B/row alone, where a float block of every row adds 320 B/row, 15 MB
+    peaks = []
+    for r in (16384, 65536):
+        rngs = tuple(np.random.default_rng(j) for j in range(4))
+        tracemalloc.start()
+        try:
+            gen_telegraph_slots([1e5, 2e5, 3e5, 4e5], 1.0, (r // 4, 40), 1e-6, rngs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - 5 * r)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 16 * 1024
 
 
 def test_telegraph_amplitude_takes_one_value_per_slot():
