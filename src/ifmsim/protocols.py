@@ -97,7 +97,8 @@ def batch_populations(protocol: str, dtheta, chi, offsets, psi0) -> np.ndarray:
     psi0 is the one initial state of every realization; it must have the
     protocol's level count and unit norm within 1e-12 (a NaN fails).  The
     result may be a view in any memory order, and may be read-only: pifm
-    from a state with an empty |2> can return one row broadcast over all.
+    on a TelegraphSlots batch from a state with an empty |2> can return its
+    one distinct row broadcast over all, not a copy (see kernels).
     A qutrit's offsets must be whole numbers, hold at least one slot, start
     at 0, never decrease, and end at the segment count (the qubit has no
     slots and ignores them); the checks never read the segments.  The beam

@@ -531,9 +531,10 @@ def test_segment_loop_rows_do_not_depend_on_their_batch(protocol, magnitudes, ax
 
 
 # ---------------------------------------------------------------------------
-# block tables: batches whose every slot is one segment of angle +-m down its
-# column, on the amplitude axis from a real state, advance eight slots per
-# table lookup; the per-segment loop on an explicit axis is the reference
+# telegraph batches: every slot one segment of angle +-m down its column, on
+# the amplitude axis from a real state.  cifm advances eight slots per table
+# lookup, pifm runs its one or two distinct rows through the loop; the
+# per-segment loop on an explicit axis is the reference
 # ---------------------------------------------------------------------------
 
 TABLE_STATES = {"ground": np.array([1.0, 0.0, 0.0]),
@@ -548,29 +549,33 @@ def test_block_tables_match_the_segment_loop(protocol, n, r, state, block_calls)
     batch, offsets = telegraph_batch(n * 1000 + r, r, n)
     psi0 = TABLE_STATES[state]
     got = batch_populations(protocol, batch, None, offsets, psi0)
-    assert block_calls == [(r, n)]
+    assert block_calls == ([(r, n)] if protocol == "cifm" else [])
     dtheta = np.asarray(batch)
     ref = batch_populations(protocol, dtheta, np.full(dtheta.shape, AXIS), offsets, psi0)
     assert np.max(np.abs(got - ref)) <= 1e-13
+    if protocol == "pifm":  # its distinct rows run the float64 loop itself
+        loop = batch_populations(protocol, dtheta, None, offsets, psi0)
+        assert np.array_equal(bits(got), bits(loop))
     assert np.all(got >= 0.0)
     assert np.max(np.abs(got.sum(axis=1) - 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("state", sorted(TABLE_STATES))
 @pytest.mark.parametrize("first", [0.0, -0.0, -2 * np.pi - 1.0], ids=["0", "-0", "negative"])
-@pytest.mark.parametrize("n", [1, 7, 8])
-@pytest.mark.parametrize("protocol", ["cifm", "pifm"])
+@pytest.mark.parametrize("protocol, n", [(p, n) for p in ("cifm", "pifm") for n in (1, 7, 8)]
+                         + [("pifm", 9), ("pifm", 40)])
 def test_one_block_matches_the_float64_loop_bit_for_bit(protocol, n, first, state,
                                                         block_calls):
-    # a batch of at most BLOCK slots reads its first table alone, which the
-    # loop's own updates build from cos(h) and +-sin(h), h = factor / 2
+    # a cifm batch of at most BLOCK slots reads its first table alone, which
+    # the loop's own updates build from cos(h) and +-sin(h), h = factor / 2;
+    # pifm runs its distinct rows through the loop itself, at every n
     rng = np.random.default_rng(n)
     factor = rng.uniform(-4 * np.pi, 4 * np.pi, n)
     factor[:4] = (first, 0.0, -0.0, -1.5)[:n]
     batch = gen_telegraph_slots(1e3, factor, (300, n), 1.0, rng)
     offsets, psi0 = np.arange(n + 1), TABLE_STATES[state]
     got = batch_populations(protocol, batch, None, offsets, psi0)
-    assert block_calls == [(300, n)]
+    assert block_calls == ([(300, n)] if protocol == "cifm" else [])
     ref = batch_populations(protocol, np.asarray(batch), None, offsets, psi0)
     assert np.array_equal(got, ref)
 
@@ -584,25 +589,40 @@ def test_block_tables_give_a_row_the_populations_of_its_batch(protocol, n, block
     psi0 = TABLE_STATES["with_level_2"]
     wide = batch_populations(protocol, batch, None, offsets, psi0)
     alone = batch_populations(protocol, row, None, offsets, psi0)
-    assert block_calls == [(2000, n), (1, n)]
+    assert block_calls == ([(2000, n), (1, n)] if protocol == "cifm" else [])
     assert np.array_equal(wide[:1], alone)
 
 
-@pytest.mark.parametrize("protocol", ["cifm", "pifm"])
-def test_block_tables_are_built_per_call(protocol, monkeypatch):
-    # a clustering batch drives theta in every slot: n = 40 is five equal
-    # blocks of 8 and n = 20 two of 8 and one of 4, so a call builds one
-    # and two tables; the same call again builds them again
+def count_tables(monkeypatch):
+    """The block sizes of the tables built, one entry per _tables call."""
     built = []
     tables = kernels._tables
     monkeypatch.setattr(kernels, "_tables",
                         lambda block, *rest: built.append(len(block)) or tables(block, *rest))
+    return built
+
+
+@pytest.mark.parametrize("protocol", ["cifm"])
+def test_block_tables_are_built_per_call(protocol, monkeypatch):
+    # a clustering batch drives theta in every slot: n = 40 is five equal
+    # blocks of 8 and n = 20 two of 8 and one of 4, so a call builds one
+    # and two tables; the same call again builds them again
+    built = count_tables(monkeypatch)
     for n, sizes in ((40, [8]), (20, [8, 4])):
         batch = gen_telegraph_slots(1e5, np.pi, (2000, n), 1e-5 / n, np.random.default_rng(n))
         for _ in range(2):
             built.clear()
             batch_populations(protocol, batch, None, np.arange(n + 1), TABLE_STATES["ground"])
             assert built == sizes
+
+
+@pytest.mark.parametrize("state", sorted(TABLE_STATES))
+def test_pifm_builds_no_table(state, monkeypatch, block_calls):
+    built = count_tables(monkeypatch)
+    for n in (4, 20, 40):
+        batch = gen_telegraph_slots(1e5, np.pi, (2000, n), 1e-5 / n, np.random.default_rng(n))
+        batch_populations("pifm", batch, None, np.arange(n + 1), TABLE_STATES[state])
+    assert built == [] and block_calls == []
 
 
 def bits(a):
@@ -618,7 +638,7 @@ def test_slice_boundaries_keep_every_row_bit_for_bit(protocol, n, block_calls):
     # bits must not depend on where the slices of its batch fall, or whether
     # it has any.  The rows repeat 16 sign patterns
     # in random order, so every row run alone is one of 16 one-row batches;
-    # pifm starts with |2> amplitude, so it evolves every row
+    # pifm, which evolves two rows and gathers them, must agree as well
     S = kernels._SLICE
     patterns, offsets = telegraph_batch(n, 16, n)
     psi0 = TABLE_STATES["with_level_2"]
@@ -633,14 +653,14 @@ def test_slice_boundaries_keep_every_row_bit_for_bit(protocol, n, block_calls):
         batch = TelegraphSlots((r, n), patterns.factor, patterns.signs[:, which])
         got = batch_populations(protocol, batch, None, offsets, psi0)
         assert np.array_equal(bits(got), bits(alone[which]))
-    assert block_calls == [(1, n)] * 16 + [(r, n) for r in sizes]
+    assert block_calls == ([(1, n)] * 16 + [(r, n) for r in sizes] if protocol == "cifm" else [])
 
 
 def test_block_scratch_does_not_grow_with_the_ensemble():
     # the scratch is sized by the slice, not the batch: from 16,384 to
     # 65,536 rows the peak grows by the result's 24 B/row alone, where a
-    # scratch of every row (gather, click rows, np.take's int64 copy of the
-    # index bytes) adds 96 B/row, 4.7 MB
+    # scratch of every row (gather and np.take's int64 copy of the index
+    # bytes) adds 80 B/row, 3.9 MB
     peaks = []
     for r in (16384, 65536):
         batch, offsets = telegraph_batch(40, r, 40)
@@ -654,28 +674,54 @@ def test_block_scratch_does_not_grow_with_the_ensemble():
 
 
 # ---------------------------------------------------------------------------
-# pifm from an empty |2>: the measurement erases the drive's sign, so one row
-# stands for the whole batch
+# pifm on a telegraph batch: after slot 0 every slot starts from an empty |2>,
+# so a later sign only flips an amplitude the measurement erases; the batch's
+# distinct rows are the all-zero sign row and the row with slot 0 flipped
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("b", [1, 5, 8])
-def test_pifm_tables_are_bit_identical_across_sign_patterns(b):
-    rng = np.random.default_rng(b)
-    factor = rng.uniform(-4 * np.pi, 4 * np.pi, b)
-    factor[:3] = (2 * np.pi + 1.0, 0.0, -0.0)[:b]  # sin(m / 2) < 0; signed zeros
-    for phi in (np.pi / (b + 1), 0.3):
-        for state, psi0 in TABLE_STATES.items():
-            maps, first = kernels._tables(tuple(factor * 0.5), phi, True, psi0, 1 << b)
-            assert maps.shape == (8, 1 << b)
-            assert np.array_equal(bits(maps), bits(maps[:, :1]).repeat(1 << b, axis=1))
-            if state == "ground":  # the state's columns too, when |2> starts empty
-                assert np.array_equal(bits(first), bits(first[:, :1]).repeat(1 << b, axis=1))
-            else:  # slot 0 turns psi0's |2> one way or the other
-                assert np.unique(first, axis=1).shape[1] > 1
-            # the one-row path builds the zero pattern alone: column 0, bit for bit
-            zero_maps, zero_first = kernels._tables(tuple(factor * 0.5), phi, True, psi0, 1)
-            assert np.array_equal(bits(zero_maps), bits(maps[:, :1]))
-            assert np.array_equal(bits(zero_first), bits(first[:, :1]))
+@pytest.mark.parametrize("first", [0.0, -0.0, 2 * np.pi + 1.0], ids=["0", "-0", "2pi+1"])
+@pytest.mark.parametrize("state", sorted(TABLE_STATES))
+@pytest.mark.parametrize("n", [1, 8, 9, 40])
+def test_pifm_loop_rows_that_share_slot_0s_sign_get_the_same_populations(n, state, first):
+    # the float64 loop itself, on the expanded batch: the premise of pifm's
+    # one or two distinct rows
+    rng = np.random.default_rng(n)
+    factor = rng.uniform(-4 * np.pi, 4 * np.pi, n)
+    factor[:3] = (first, 0.0, -0.0)[:n]
+    batch = gen_telegraph_slots(1e3, factor, (64, n), 1.0, rng)
+    psi0 = TABLE_STATES[state]
+    got = bits(batch_populations("pifm", np.asarray(batch), None, np.arange(n + 1), psi0))
+    flipped = (batch.signs[0] & 1).astype(bool)
+    assert 0 < np.count_nonzero(flipped) < 64
+    for rows in (got[flipped], got[~flipped]):
+        assert np.array_equal(rows, np.broadcast_to(rows[0], rows.shape))
+    if state == "ground":  # from an empty |2>, slot 0's sign is erased too
+        assert np.array_equal(got[flipped][0], got[~flipped][0])
+    elif first == 2 * np.pi + 1.0:  # slot 0 turns psi0's |2> one way or the other
+        assert not np.array_equal(got[flipped][0], got[~flipped][0])
+
+
+@pytest.mark.parametrize("state", sorted(TABLE_STATES))
+@pytest.mark.parametrize("r", [1, 3, 2000])
+@pytest.mark.parametrize("n", [1, 40])
+def test_pifm_evolves_at_most_two_rows(n, r, state, monkeypatch):
+    shapes = []
+    evolve = kernels._evolve
+
+    def recorded(dtheta, *rest, **keywords):
+        shapes.append(np.shape(dtheta))
+        return evolve(dtheta, *rest, **keywords)
+
+    monkeypatch.setattr(kernels, "_evolve", recorded)
+    batch, offsets = telegraph_batch(n, r, n)
+    got = batch_populations("pifm", batch, None, offsets, TABLE_STATES[state])
+    one_row = state == "ground"
+    assert shapes == [(r, n), (1 if one_row else 2, n)]
+    assert got.shape == (r, 3)
+    if one_row:  # one row, broadcast and read-only, not a copy
+        assert got.strides[0] == 0 and not got.flags.writeable
+    else:  # the two rows gathered by slot 0's sign bit
+        assert got.flags.writeable
 
 
 @pytest.mark.parametrize("level_2", [0.0, -0.0], ids=["0", "-0"])
@@ -690,18 +736,18 @@ def test_pifm_from_an_empty_level_2_gives_every_row_the_one_row_batch(n, r, leve
     psi0 = np.array([1.0, 0.0, level_2])
     got = batch_populations("pifm", batch, None, offsets, psi0)
     alone = batch_populations("pifm", row, None, offsets, psi0)
-    assert block_calls == [(r, n), (1, n)]
+    assert block_calls == []
     assert got.shape == (r, 3)
     assert np.array_equal(bits(got), bits(alone).repeat(r, axis=0))
-    if r > 1:  # one row, broadcast and read-only, not a copy
-        assert got.strides[0] == 0 and not got.flags.writeable
+    # one row, broadcast and read-only, not a copy
+    assert got.strides[0] == 0 and not got.flags.writeable
 
 
 @pytest.mark.parametrize("n", [9, 40])
 def test_pifm_rows_from_a_level_2_amplitude_differ_by_sign_pattern(n, block_calls):
     batch, offsets = telegraph_batch(n, 2000, n, column=0, value=2.0)  # slot 0 driven
     got = batch_populations("pifm", batch, None, offsets, TABLE_STATES["with_level_2"])
-    assert block_calls == [(2000, n)]
+    assert block_calls == []
     assert got.flags.writeable
     # only the first slot sees psi0's |2>, so the rows split by its sign
     first_sign = (batch.signs[0] & 1).astype(bool)
@@ -719,7 +765,62 @@ def test_pifm_one_row_names_a_non_finite_factor(value, column, block_calls):
         with pytest.raises(ValueError, match=f"pifm segments must be finite: realization 0, "
                                              f"segment {column} has dtheta"):
             batch_populations("pifm", batch, None, offsets, TABLE_STATES["ground"])
-    assert block_calls == [(6, 12)]
+    assert block_calls == []
+
+
+# ---------------------------------------------------------------------------
+# _rotate: one update of a level pair rounds as six single-row steps would
+# ---------------------------------------------------------------------------
+
+def rotate_in_six_steps(a, b, c, u, v, t1, t2):
+    """(a, b) <- (c a + u b, v a + c b), one row at a time: the oracle."""
+    np.multiply(v, a, out=t1)
+    np.multiply(u, b, out=t2)
+    a *= c
+    a += t2
+    b *= c
+    b += t1
+
+
+def raw_bits(a):
+    """a's float64 bit patterns, a complex element as two words, every NaN as
+    one: IEEE 754 leaves the sign of a NaN result open, and numpy's complex
+    add gives NaN + NaN either sign, by the element's place in its loop."""
+    words = np.ascontiguousarray(a).view(np.float64)
+    return np.where(np.isnan(words), np.nan, words).view(np.uint64)
+
+
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+def with_specials(rng, shape, dtype):
+    """Random values of shape with +-0.0, +-inf and NaN scattered in."""
+    x = np.empty(shape, dtype=dtype)
+    for part in (x.real, x.imag) if dtype == np.complex128 else (x,):
+        part[...] = rng.uniform(-2.0, 2.0, shape)
+        special = rng.random(shape) < 0.15
+        part[special] = rng.choice(SPECIALS, np.count_nonzero(special))
+    return x
+
+
+@pytest.mark.parametrize("coefficients", ["real", "real_on_complex_state", "complex"])
+@pytest.mark.parametrize("pair", ["qubit", "qutrit_01", "qutrit_12"])
+def test_paired_rotate_rounds_as_the_six_step_update(pair, coefficients):
+    rng = np.random.default_rng(17)
+    r = 1031  # not a multiple of any SIMD width
+    state_dtype = np.float64 if coefficients == "real" else np.complex128
+    uv_dtype = np.complex128 if coefficients == "complex" else np.float64
+    levels, lo = {"qubit": (2, 0), "qutrit_01": (3, 0), "qutrit_12": (3, 1)}[pair]
+    psi = with_specials(rng, (levels, r), state_dtype)
+    for c, uv in ((with_specials(rng, r, np.float64), with_specials(rng, (2, r), uv_dtype)),
+                  (np.cos(0.3), np.array([[-np.sin(0.3)], [np.sin(0.3)]]))):  # a beam splitter
+        want = psi.copy()
+        t1, t2 = np.empty((2, r), dtype=psi.dtype)
+        with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf make NaN
+            rotate_in_six_steps(want[lo], want[lo + 1], c, uv[0], uv[1], t1, t2)
+            kernels._rotate(psi[lo:lo + 2], c, uv, np.empty((2, r), dtype=psi.dtype))
+        assert np.array_equal(raw_bits(psi), raw_bits(want))
+        assert np.isnan(psi).any()
 
 
 @pytest.mark.parametrize("case", ["two_segment_slot", "complex_state", "mixed_magnitudes",
